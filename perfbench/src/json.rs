@@ -1,0 +1,236 @@
+//! Just enough JSON to read back results files and `BENCHMARK.json`
+//! (the repository takes no external dependencies).
+
+#[derive(Clone, PartialEq, Debug)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> &[Json] {
+        match self {
+            Json::Arr(items) => items,
+            _ => &[],
+        }
+    }
+}
+
+/// `s` as a JSON string literal.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let v = p.value()?;
+    p.ws();
+    if p.i != p.s.len() {
+        return Err(format!("trailing data at byte {}", p.i));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
+            self.i += 1;
+        }
+    }
+
+    fn err<T>(&self, what: &str) -> Result<T, String> {
+        Err(format!("{what} at byte {}", self.i))
+    }
+
+    fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.s[self.i..].starts_with(lit.as_bytes());
+        if hit {
+            self.i += lit.len();
+        }
+        hit
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        match self.s.get(self.i) {
+            None => self.err("unexpected end"),
+            Some(b'{') => {
+                self.i += 1;
+                let mut fields = Vec::new();
+                self.ws();
+                if self.eat("}") {
+                    return Ok(Json::Obj(fields));
+                }
+                loop {
+                    self.ws();
+                    let key = self.string()?;
+                    self.ws();
+                    if !self.eat(":") {
+                        return self.err("expected ':'");
+                    }
+                    fields.push((key, self.value()?));
+                    self.ws();
+                    if self.eat("}") {
+                        return Ok(Json::Obj(fields));
+                    }
+                    if !self.eat(",") {
+                        return self.err("expected ',' or '}'");
+                    }
+                }
+            }
+            Some(b'[') => {
+                self.i += 1;
+                let mut items = Vec::new();
+                self.ws();
+                if self.eat("]") {
+                    return Ok(Json::Arr(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.ws();
+                    if self.eat("]") {
+                        return Ok(Json::Arr(items));
+                    }
+                    if !self.eat(",") {
+                        return self.err("expected ',' or ']'");
+                    }
+                }
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(_) if self.eat("true") => Ok(Json::Bool(true)),
+            Some(_) if self.eat("false") => Ok(Json::Bool(false)),
+            Some(_) if self.eat("null") => Ok(Json::Null),
+            Some(_) => {
+                let start = self.i;
+                while self.i < self.s.len()
+                    && matches!(
+                        self.s[self.i],
+                        b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+                    )
+                {
+                    self.i += 1;
+                }
+                let text = std::str::from_utf8(&self.s[start..self.i]).expect("ASCII digits");
+                text.parse()
+                    .map(Json::Num)
+                    .or_else(|_| self.err("bad number"))
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat("\"") {
+            return self.err("expected string");
+        }
+        let mut out = Vec::new();
+        loop {
+            let Some(&b) = self.s.get(self.i) else {
+                return self.err("unterminated string");
+            };
+            self.i += 1;
+            match b {
+                b'"' => return String::from_utf8(out).or_else(|_| self.err("invalid UTF-8")),
+                b'\\' => {
+                    let Some(&e) = self.s.get(self.i) else {
+                        return self.err("bad escape");
+                    };
+                    self.i += 1;
+                    match e {
+                        b'"' | b'\\' | b'/' => out.push(e),
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
+                        b'u' => {
+                            let hex = self
+                                .s
+                                .get(self.i..self.i + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok());
+                            let Some(c) = hex
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                            else {
+                                return self.err("bad \\u escape");
+                            };
+                            self.i += 4;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        _ => return self.err("bad escape"),
+                    }
+                }
+                _ => out.push(b),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_what_the_benchmark_writes() {
+        let doc = parse(r#" {"a": [1, -2.5e3, true, null], "b": {"c": "x\"yé"}, "d": {}} "#)
+            .expect("valid JSON");
+        assert_eq!(doc.get("a").map(Json::as_arr).map(<[Json]>::len), Some(4));
+        assert_eq!(doc.get("a").unwrap().as_arr()[1].as_f64(), Some(-2500.0));
+        assert_eq!(
+            doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
+            Some("x\"y\u{e9}")
+        );
+        assert_eq!(doc.get("d"), Some(&Json::Obj(Vec::new())));
+        assert_eq!(
+            parse(&quote("tab\tq\"")).unwrap(),
+            Json::Str("tab\tq\"".into())
+        );
+        for bad in ["", "{", "[1,]", "{\"a\" 1}", "1 2", "\"open"] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+}
