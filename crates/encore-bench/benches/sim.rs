@@ -12,10 +12,6 @@
 //! * `campaign_40_nosplice` — the same campaign with splicing disabled,
 //!   isolating what early classification of suffix-bound runs buys on
 //!   top of checkpoint resume;
-//! * `campaign_40_fullscan` — the same campaign with the O(dirty)
-//!   incremental state compare disabled (`incremental_diff: false`),
-//!   isolating what dirty-tracked page-hash probes buy over full-state
-//!   diffs at the identical probe schedule;
 //! * `campaign_40_scratch` — the same campaign with snapshotting
 //!   disabled (`snapshot_stride: 0`), isolating how much of the
 //!   campaign speedup comes from checkpoint reuse vs. the interpreter
@@ -36,14 +32,14 @@
 //! iteration (min-of-N, the least noise-contaminated figure on a
 //! shared machine) and, for the default configuration, the splice
 //! engagement rate plus its probe-cost footprint (probes attempted,
-//! pages hashed, words compared) next to the same counters on the
-//! full-scan path. Run with `cargo bench --bench sim --offline`.
+//! pages hashed, words compared). Run with
+//! `cargo bench --bench sim --offline`.
 
 use encore_bench::microbench::Microbench;
 use encore_bench::prepare;
 use encore_core::{Encore, EncoreConfig};
 use encore_sim::{
-    run_function, FaultModelKind, ProbeCost, RunConfig, SfiCampaign, SfiConfig, SpliceStats, Value,
+    run_function, FaultModelKind, RunConfig, SfiCampaign, SfiConfig, SpliceStats, Value,
 };
 
 const INJECTIONS: usize = 40;
@@ -53,7 +49,7 @@ const INJECTIONS: usize = 40;
 fn bench_tier(
     bench: &mut Microbench,
     throughput: &mut Vec<(String, f64)>,
-    splice_rates: &mut Vec<(String, SpliceStats, ProbeCost)>,
+    splice_rates: &mut Vec<(String, SpliceStats)>,
     spec: &str,
     suffix: &str,
     include_scratch: bool,
@@ -78,14 +74,7 @@ fn bench_tier(
     let label = format!("campaign_{INJECTIONS}{suffix}/{name}");
     let s = bench.bench(&label, || campaign.run(&snap));
     throughput.push((label, INJECTIONS as f64 / (s.min_ns / 1e9)));
-    let sp = campaign.run_report(&snap).splice;
-
-    let fullscan = SfiConfig { incremental_diff: false, ..snap };
-    let label = format!("campaign_{INJECTIONS}{suffix}_fullscan/{name}");
-    let s = bench.bench(&label, || campaign.run(&fullscan));
-    throughput.push((label, INJECTIONS as f64 / (s.min_ns / 1e9)));
-    let full_cost = campaign.run_report(&fullscan).splice.cost;
-    splice_rates.push((prepared.workload.spec(), sp, full_cost));
+    splice_rates.push((prepared.workload.spec(), campaign.run_report(&snap).splice));
 
     let nosplice = SfiConfig { splice: false, ..snap };
     let label = format!("campaign_{INJECTIONS}{suffix}_nosplice/{name}");
@@ -118,7 +107,7 @@ fn bench_tier(
 fn main() {
     let mut bench = Microbench::new("sim");
     let mut throughput: Vec<(String, f64)> = Vec::new();
-    let mut splice_rates: Vec<(String, SpliceStats, ProbeCost)> = Vec::new();
+    let mut splice_rates: Vec<(String, SpliceStats)> = Vec::new();
     for name in ["rawdaudio", "g721encode"] {
         bench_tier(&mut bench, &mut throughput, &mut splice_rates, name, "", true);
     }
@@ -133,7 +122,7 @@ fn main() {
     }
 
     println!("splice engagement of campaign_{INJECTIONS} (default config):");
-    for (spec, sp, full) in splice_rates {
+    for (spec, sp) in splice_rates {
         println!(
             "  {spec:<18} {}/{INJECTIONS} spliced (converged {}, \
              dead-diff {}, sdc {}); {} suffix insts skipped",
@@ -144,10 +133,8 @@ fn main() {
             sp.dyn_insts_saved
         );
         println!(
-            "  {:<18} incremental: {} probes, {} pages hashed, {} words compared; \
-             fullscan: {} words compared",
-            "", sp.cost.probes, sp.cost.pages_hashed, sp.cost.words_compared,
-            full.words_compared
+            "  {:<18} {} probes, {} pages hashed, {} words compared",
+            "", sp.cost.probes, sp.cost.pages_hashed, sp.cost.words_compared
         );
     }
 }

@@ -98,7 +98,7 @@ pub fn campaign_json(workload: &str, report: &CampaignReport) -> String {
     out.push_str(&format!(
         "  \"config\": {{\"injections\": {}, \"dmax\": {}, \"seed\": {}, \
          \"fuel_factor\": {}, \"workers\": {}, \"snapshot_stride\": {}, \
-         \"splice\": {}, \"incremental_diff\": {}, \"fault_model\": \"{}\"}},\n",
+         \"splice\": {}, \"fault_model\": \"{}\"}},\n",
         c.injections,
         c.dmax,
         c.seed,
@@ -106,7 +106,6 @@ pub fn campaign_json(workload: &str, report: &CampaignReport) -> String {
         c.workers,
         c.snapshot_stride,
         c.splice,
-        c.incremental_diff,
         c.model.label()
     ));
     out.push_str("  \"outcomes\": {");
@@ -310,7 +309,6 @@ mod tests {
             "\"silent_corruption\": 1",
             "\"splice\": {\"converged\": 0, \"dead_diff\": 0, \"sdc\": 0",
             "\"dyn_insts_saved\": 0",
-            "\"incremental_diff\": true",
             "\"probes\": 0",
             "\"pages_hashed\": 0",
             "\"words_compared\": 0",

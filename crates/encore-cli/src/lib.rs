@@ -75,11 +75,6 @@ pub struct Options {
     /// disables it). A pure performance knob: outcomes and latency
     /// histograms are bit-identical either way.
     pub splice: bool,
-    /// Incremental O(dirty) state compare for `sfi` splice probes (on
-    /// by default; `--no-incremental-diff` falls back to full-scan
-    /// diffs). A pure performance knob: reports are bit-identical
-    /// either way.
-    pub incremental_diff: bool,
     /// Fault model `sfi` samples plans from (`--fault-model`; default
     /// `bit-flip`).
     pub fault_model: FaultModelKind,
@@ -102,7 +97,6 @@ impl Default for Options {
             snapshot_stride: SfiConfig::default().snapshot_stride,
             analysis_workers: 0,
             splice: true,
-            incremental_diff: true,
             fault_model: FaultModelKind::BitFlip,
             output: None,
         }
@@ -174,7 +168,6 @@ impl Options {
                         .map_err(|e| err(format!("--analysis-workers: {e}")))?
                 }
                 "--no-splice" => opts.splice = false,
-                "--no-incremental-diff" => opts.incremental_diff = false,
                 "--fault-model" => {
                     let v = take("--fault-model")?;
                     opts.fault_model = FaultModelKind::parse(v).ok_or_else(|| {
@@ -417,7 +410,6 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         workers: opts.workers,
         snapshot_stride: opts.snapshot_stride,
         splice: opts.splice,
-        incremental_diff: opts.incremental_diff,
         model: opts.fault_model,
         ..Default::default()
     };
@@ -463,11 +455,10 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "splice probe cost:        {} probes, {} pages hashed, {} words compared{}",
+            "splice probe cost:        {} probes, {} pages hashed, {} words compared",
             s.cost.probes,
             s.cost.pages_hashed,
-            s.cost.words_compared,
-            if sfi.incremental_diff { "" } else { " (full-scan reference path)" }
+            s.cost.words_compared
         );
     }
     let _ = writeln!(
@@ -534,9 +525,6 @@ FLAGS:
                         runs provably converged, dead-diff recovered or
                         silently corrupt); outcomes and latencies are
                         bit-identical with or without it
-    --no-incremental-diff  compare splice probes by full state scans
-                        instead of the O(dirty) page-hash path; reports
-                        are bit-identical either way (reference path)
     --fault-model M     sfi fault model: bit-flip (default), multi-bit,
                         address, control-flow, power-failure
     -o, --output PATH   write output to a file
@@ -740,38 +728,6 @@ mod tests {
             s.lines().filter(|l| !l.starts_with("splice")).collect::<Vec<_>>().join("\n")
         };
         assert_eq!(strip(&spliced), strip(&plain));
-    }
-
-    #[test]
-    fn sfi_no_incremental_diff_flag_changes_only_probe_cost() {
-        let text = demo_text("rawcaudio");
-        let base = vec![
-            "--train-arg".to_string(),
-            "64".into(),
-            "--eval-arg".into(),
-            "96".into(),
-            "--injections".into(),
-            "24".into(),
-            "--seed".into(),
-            "42".into(),
-            "--workers".into(),
-            "2".into(),
-        ];
-        let mut with_flag = base.clone();
-        with_flag.push("--no-incremental-diff".into());
-        let (_, on) = Options::parse(&base).unwrap();
-        let (_, off) = Options::parse(&with_flag).unwrap();
-        assert!(on.incremental_diff && !off.incremental_diff);
-        let fast = cmd_sfi(&text, &on).expect("incremental campaign");
-        let slow = cmd_sfi(&text, &off).expect("full-scan campaign");
-        assert!(slow.contains("full-scan reference path"), "{slow}");
-        assert!(!fast.contains("full-scan reference path"), "{fast}");
-        // Everything but the probe-cost footprint line is identical —
-        // outcomes, latencies, and the splice engagement counts.
-        let strip = |s: &str| {
-            s.lines().filter(|l| !l.starts_with("splice probe cost")).collect::<Vec<_>>().join("\n")
-        };
-        assert_eq!(strip(&fast), strip(&slow));
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! * injecting a single transient fault and modelling its detection
 //!   (Figure 8's SFI).
 //!
+//! There is one executor: the sprint loop in `Machine::step`, which runs
+//! pre-lowered micro-ops and intra-function jumps/branches back to back.
+//! Profiling, tracing and the golden run's memory-access log are hooks
+//! in that loop, compiled in only for its `OBSERVE` instantiation. Only
+//! calls, returns, allocation, externs, `Restore` and an unresolvable
+//! `SetRecovery` leave the loop for the general executor.
+//!
 //! ## Recovery semantics
 //!
 //! `SetRecovery` arms the current frame with the region's recovery block
@@ -22,13 +29,13 @@
 use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::memory::{Memory, PageHashes, ProbeCost};
-use crate::predecode::{BaseMode, DecodedAddr, DecodedModule, MicroOp};
+use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
 use crate::snapshot::{AccessChunks, Snapshot, SnapshotLog};
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
 use encore_analysis::Profile;
 use encore_ir::{
-    AddrExpr, BlockId, FuncId, Inst, MemBase, MemEvent, Module, ObjKind, Offset, Operand, Reg,
+    AccessKind, BlockId, FuncId, Inst, InstRef, MemEvent, Module, ObjKind, Offset, Operand, Reg,
     RegionId, Terminator,
 };
 use std::collections::BTreeMap;
@@ -349,8 +356,7 @@ pub(crate) enum SpliceRun {
 /// cells read and written since the last snapshot capture, sealed into
 /// one chunk per inter-snapshot interval. [`SnapshotLog`] folds the
 /// chunks into per-snapshot suffix summaries. Only golden capture runs
-/// carry one (they route through the general executor), so injection
-/// runs pay nothing.
+/// carry one, so injection runs pay nothing.
 #[derive(Default)]
 struct MemAccessLog {
     reads: std::collections::HashSet<(u32, u32)>,
@@ -364,6 +370,81 @@ impl MemAccessLog {
     fn seal(&mut self) {
         self.read_chunks.push(self.reads.drain().collect());
         self.write_chunks.push(self.writes.drain().collect());
+    }
+}
+
+/// What an observed run records: the training [`Profile`], the
+/// [`MemEvent`] trace and the golden capture's memory-access log. The
+/// sprint loop calls these hooks only in its `OBSERVE` instantiation,
+/// which the run drivers pick once per run when any observer is
+/// present; every other run executes a loop with no hook code in it.
+#[derive(Default)]
+struct Observers {
+    profile: Option<Profile>,
+    trace: Option<Vec<MemEvent>>,
+    mem_log: Option<Box<MemAccessLog>>,
+}
+
+impl Observers {
+    fn any(&self) -> bool {
+        self.profile.is_some() || self.trace.is_some() || self.mem_log.is_some()
+    }
+
+    /// One retirement of `cost` dynamic instructions inside `func`.
+    #[inline]
+    fn charge(&mut self, func: FuncId, cost: u64) {
+        if let Some(p) = &mut self.profile {
+            p.func_mut(func).dyn_insts += cost;
+            p.total_dyn_insts += cost;
+        }
+    }
+
+    fn block_entry(&mut self, func: FuncId, block: BlockId) {
+        if let Some(p) = &mut self.profile {
+            *p.func_mut(func).block_counts.entry(block).or_insert(0) += 1;
+        }
+    }
+
+    /// A taken CFG edge, which also enters its target block.
+    fn edge(&mut self, func: FuncId, from: BlockId, to: BlockId) {
+        if let Some(p) = &mut self.profile {
+            *p.func_mut(func).edge_counts.entry((from, to)).or_insert(0) += 1;
+        }
+        self.block_entry(func, to);
+    }
+
+    /// A program load or store of cell `(obj, idx)` by the instruction
+    /// at `at`, retired at dynamic instruction `now`: a trace event, a
+    /// profile footprint (for the profile-guided alias oracle) and a
+    /// memory-log entry.
+    #[allow(clippy::too_many_arguments)]
+    fn program_access(
+        &mut self,
+        mem: &Memory,
+        func: FuncId,
+        at: InstRef,
+        obj: usize,
+        idx: i64,
+        now: u64,
+        kind: AccessKind,
+    ) {
+        if let Some(t) = &mut self.trace {
+            t.push(MemEvent { kind, cell: mem.cell_of(obj, idx), at: now });
+        }
+        if let Some(p) = &mut self.profile {
+            p.mem.record(encore_analysis::SiteRef { func, at }, mem.cell_of(obj, idx));
+        }
+        self.log_access(obj, idx, kind == AccessKind::Store);
+    }
+
+    /// Notes one memory access into the golden memory log, if any.
+    #[inline]
+    fn log_access(&mut self, obj: usize, idx: i64, write: bool) {
+        if let Some(log) = &mut self.mem_log {
+            // A successful access bounds-checked both coordinates.
+            let cell = (obj as u32, idx as u32);
+            if write { log.writes.insert(cell) } else { log.reads.insert(cell) };
+        }
     }
 }
 
@@ -400,21 +481,15 @@ pub(crate) struct Machine<'m, 'c> {
     frame_seq: u32,
     heap_seq: u32,
     last_alloc_of_site: Vec<Option<usize>>,
-    profile: Option<Profile>,
-    trace: Option<Vec<MemEvent>>,
+    obs: Observers,
     region_dyn: Vec<u64>,
     region_touched: Vec<bool>,
     region_accounting: bool,
-    /// Profile or trace collection requested: every instruction must go
-    /// through the general executor (the fast path records neither).
-    observing: bool,
     fault: Option<FaultState>,
     telemetry: FaultTelemetry,
     eligible_seen: u64,
     ckpt_high_water: u64,
     splice: SpliceTrack,
-    /// Suffix-summary capture (golden runs with snapshots only).
-    mem_log: Option<Box<MemAccessLog>>,
     fuel: u64,
     final_ret: Option<Value>,
     /// Register generation mask: bit `min(reg, 63)` is set by every
@@ -447,9 +522,9 @@ impl std::fmt::Debug for Machine<'_, '_> {
     }
 }
 
-/// Reads an operand against `frame`: the fast path's mirror of
-/// [`Machine::operand`], taking the frame directly so `step` resolves
-/// `frames.last_mut()` once per instruction instead of once per use.
+/// Reads an operand against `frame`. Takes the frame directly so the
+/// sprint resolves `frames.last_mut()` once per instruction instead of
+/// once per use.
 #[inline]
 fn opnd(frame: &Frame, op: &Operand) -> Value {
     match op {
@@ -459,10 +534,9 @@ fn opnd(frame: &Frame, op: &Operand) -> Value {
     }
 }
 
-/// Resolves a pre-decoded address to `(object handle, cell index)`: the
-/// fast path's mirror of [`Machine::resolve`], with global bases already
-/// reduced to their object handle at decode time. Trap messages are
-/// identical to the general path's.
+/// Resolves a pre-decoded address to `(object handle, cell index)`,
+/// with global bases already reduced to their object handle at decode
+/// time.
 #[inline]
 fn resolve_decoded(
     frame: &Frame,
@@ -519,16 +593,17 @@ fn resolve_decoded(
     Ok((obj, base_idx.wrapping_add(off)))
 }
 
-/// The fast path's mirror of [`Machine::maybe_inject`], taking the
-/// fault fields as split borrows so the current frame can stay mutably
-/// borrowed across the call. Counts one eligible instruction and, at
-/// the plan's ordinal, dispatches on the [`FaultAction`]: value
-/// corruptions apply here; deferred actions (wrong-edge, address) only
-/// *arm* and fire later at their matching event; a power failure marks
-/// itself injected with detection due immediately (the machine dies
-/// before the next instruction). Sets `fired` when the fault is
-/// injected by this call (the sprint loop then tightens its detection
-/// bound).
+/// Applies the fault plan to a value-producing instruction's result,
+/// taking the fault fields as split borrows so the current frame can
+/// stay mutably borrowed across the call. Counts one eligible
+/// instruction (even without a plan, so golden runs report the sample
+/// space) and, at the plan's ordinal, dispatches on the
+/// [`FaultAction`]: value corruptions apply here; deferred actions
+/// (wrong-edge, address) only *arm* and fire later at their matching
+/// event; a power failure marks itself injected with detection due
+/// immediately (the machine dies before the next instruction). Sets
+/// `fired` when the fault is injected by this call (the sprint loop
+/// then tightens its detection bound).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn inject(
@@ -576,7 +651,7 @@ fn inject(
 /// resolved cell index. The corrupted access either lands in bounds
 /// (silently hitting a neighbour cell) or traps — a symptom
 /// [`Machine::step_detected`] converts into detection while the fault
-/// is live. Split-borrow mirror of [`Machine::maybe_corrupt_addr`].
+/// is live.
 #[inline]
 fn corrupt_addr(
     fault: &mut Option<FaultState>,
@@ -600,11 +675,10 @@ fn corrupt_addr(
 }
 
 /// Executes one pre-lowered instruction against split borrows of the
-/// machine: the body of the interpreter's sprint loop. Semantically
-/// identical to [`Machine::exec_inst`] on the same opcode, minus the
-/// profiling/tracing hooks (the caller guarantees neither is active).
-/// `now` is the already-charged dynamic instruction count; the caller
-/// has already advanced the instruction pointer.
+/// machine: the body of the interpreter's sprint loop. With `OBSERVE`
+/// set, program memory accesses are reported to `obs`; without it the
+/// hooks compile away. `now` is the already-charged dynamic instruction
+/// count; the caller has already advanced the instruction pointer.
 ///
 /// Returns `Ok(true)` on a *control event* the sprint must surface:
 /// either this instruction injected the planned fault (the sprint then
@@ -613,8 +687,8 @@ fn corrupt_addr(
 /// splice driver can start probing golden snapshots).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn exec_fast(
-    op: &MicroOp<'_>,
+fn exec_fast<const OBSERVE: bool>(
+    di: &DecodedInst<'_>,
     frame: &mut Frame,
     mem: &mut Memory,
     fault: &mut Option<FaultState>,
@@ -624,11 +698,12 @@ fn exec_fast(
     ckpt_high_water: &mut u64,
     splice: &mut SpliceTrack,
     reg_dirty: &mut u64,
+    obs: &mut Observers,
     site: (FuncId, BlockId),
     now: u64,
 ) -> Result<bool, Trap> {
     let mut fired = false;
-    match op {
+    match &di.op {
         MicroOp::Bin { op, dst, lhs, rhs } => {
             let a = opnd(frame, lhs);
             let b = opnd(frame, rhs);
@@ -658,6 +733,9 @@ fn exec_fast(
             let v = mem
                 .read(obj, idx)
                 .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+            if OBSERVE {
+                obs.program_access(mem, site.0, di.at, obj, idx, now, AccessKind::Load);
+            }
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             frame.regs[dst.index()] = v;
             *reg_dirty |= 1 << dst.index().min(63);
@@ -669,17 +747,19 @@ fn exec_fast(
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             mem.write(obj, idx, v)
                 .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+            if OBSERVE {
+                obs.program_access(mem, site.0, di.at, obj, idx, now, AccessKind::Store);
+            }
         }
         MicroOp::Lea { dst, addr } => {
-            // Like the general path, address materialization is not
-            // fault-eligible.
+            // Address materialization is not fault-eligible.
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
             frame.regs[dst.index()] = Value::Ptr { obj, idx };
             *reg_dirty |= 1 << dst.index().min(63);
         }
-        // Instrumentation (not fault-eligible in the general path
-        // either). The recovery block was pre-resolved at decode time;
-        // the unresolvable cases stay `Slow` and trap over there.
+        // Instrumentation (not fault-eligible). The recovery block was
+        // pre-resolved at decode time; the unresolvable cases stay
+        // `Slow` and trap in the general executor.
         MicroOp::SetRecovery { region, recovery_block } => {
             let (ordinal, event) = splice.on_set_recovery(now);
             frame.recovery = Some(RecoveryState {
@@ -698,6 +778,9 @@ fn exec_fast(
             let val = mem
                 .read(obj, idx)
                 .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+            if OBSERVE {
+                obs.log_access(obj, idx, false);
+            }
             if let Some(rec) = &mut frame.recovery {
                 rec.log.push(CkptEntry::Mem { obj, idx, val });
                 rec.log_bytes += 16;
@@ -712,7 +795,7 @@ fn exec_fast(
                 *ckpt_high_water = (*ckpt_high_water).max(rec.log_bytes);
             }
         }
-        // The sprint loop routes `Slow` through the general executor.
+        // The sprint loop hands `Slow` to the general executor.
         MicroOp::Slow(_) => unreachable!("slow ops dispatch through exec_inst"),
     }
     Ok(fired)
@@ -816,18 +899,19 @@ impl<'m, 'c> Machine<'m, 'c> {
             frame_seq: 0,
             heap_seq: 0,
             last_alloc_of_site: vec![None; code.heap_site_count],
-            profile: config.collect_profile.then(|| Profile::empty_for(module)),
-            trace: config.collect_trace.then(Vec::new),
+            obs: Observers {
+                profile: config.collect_profile.then(|| Profile::empty_for(module)),
+                trace: config.collect_trace.then(Vec::new),
+                mem_log: None,
+            },
             region_dyn: vec![0; code.region_count],
             region_touched: vec![false; code.region_count],
             region_accounting: config.region_accounting,
-            observing: config.collect_profile || config.collect_trace,
             fault: config.fault.map(FaultState::new),
             telemetry: FaultTelemetry::default(),
             eligible_seen: 0,
             ckpt_high_water: 0,
             splice: SpliceTrack::default(),
-            mem_log: None,
             fuel: config.fuel,
             final_ret: None,
             reg_dirty: 0,
@@ -882,12 +966,10 @@ impl<'m, 'c> Machine<'m, 'c> {
             frame_seq: snap.frame_seq,
             heap_seq: snap.heap_seq,
             last_alloc_of_site: snap.last_alloc_of_site.clone(),
-            profile: None,
-            trace: None,
+            obs: Observers::default(),
             region_dyn: snap.region_dyn.clone(),
             region_touched: snap.region_touched.clone(),
             region_accounting: config.region_accounting,
-            observing: false,
             // A plan whose inject ordinal precedes the snapshot cannot
             // fire after resume; [`SfiCampaign::run_one`] only resumes
             // from snapshots with `eligible_seen <= plan.inject_at`, so
@@ -900,7 +982,6 @@ impl<'m, 'c> Machine<'m, 'c> {
             eligible_seen: snap.eligible_seen,
             ckpt_high_water: snap.ckpt_high_water,
             splice: SpliceTrack { activations: snap.activations, ..SpliceTrack::default() },
-            mem_log: None,
             fuel: config.fuel,
             final_ret: None,
             reg_dirty: 0,
@@ -954,7 +1035,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 )
             })
             .collect();
-        self.note_block_entry(func, f.entry());
+        self.obs.block_entry(func, f.entry());
         self.frames.push(Frame {
             func,
             block: f.entry(),
@@ -966,159 +1047,14 @@ impl<'m, 'c> Machine<'m, 'c> {
         });
     }
 
-    fn note_block_entry(&mut self, func: FuncId, block: BlockId) {
-        if let Some(p) = &mut self.profile {
-            *p.func_mut(func).block_counts.entry(block).or_insert(0) += 1;
-        }
-    }
-
-    fn note_edge(&mut self, func: FuncId, from: BlockId, to: BlockId) {
-        if let Some(p) = &mut self.profile {
-            *p.func_mut(func).edge_counts.entry((from, to)).or_insert(0) += 1;
-        }
-    }
-
-    /// Accounts one retirement. `region` comes pre-resolved from the
-    /// decoded block, so the hot path is two dense array writes instead
-    /// of nested `BTreeMap` probes.
-    fn charge(&mut self, func: FuncId, region: Option<RegionId>, cost: u64, instrumentation: bool) {
-        self.dyn_insts += cost;
-        if instrumentation {
-            self.instr_dyn += cost;
-        }
-        if let Some(p) = &mut self.profile {
-            p.func_mut(func).dyn_insts += cost;
-            p.total_dyn_insts += cost;
-        }
-        if self.region_accounting {
-            if let Some(rid) = region {
-                self.region_dyn[rid.index()] += cost;
-                self.region_touched[rid.index()] = true;
-            }
-        }
-    }
-
     fn operand(&self, op: &Operand) -> Value {
-        let frame = self.frames.last().expect("no frame");
-        match op {
-            Operand::Reg(r) => frame.regs[r.index()],
-            Operand::ImmI(v) => Value::Int(*v),
-            Operand::ImmF(v) => Value::Float(*v),
-        }
+        opnd(self.frames.last().expect("no frame"), op)
     }
 
     fn set_reg(&mut self, r: Reg, v: Value) {
         let frame = self.frames.last_mut().expect("no frame");
         frame.regs[r.index()] = v;
         self.reg_dirty |= 1 << r.index().min(63);
-    }
-
-    /// Resolves an address expression to `(object handle, cell index)`.
-    fn resolve(&self, addr: &AddrExpr) -> Result<(usize, i64), Trap> {
-        let frame = self.frames.last().expect("no frame");
-        let (obj, base_idx) = match addr.base {
-            MemBase::Global(g) => (self.mem.global_handle(g.raw()), 0i64),
-            MemBase::Slot(s) => {
-                let h = *frame.slots.get(s.index()).ok_or_else(|| Trap {
-                    kind: TrapKind::Memory(format!("undeclared slot {s}")),
-                    at: self.dyn_insts,
-                })?;
-                (h, 0)
-            }
-            MemBase::Heap(h) => {
-                let handle = self
-                    .last_alloc_of_site
-                    .get(h.index())
-                    .copied()
-                    .flatten()
-                    .ok_or_else(|| Trap {
-                        kind: TrapKind::Memory(format!("heap site {h} has no allocation")),
-                        at: self.dyn_insts,
-                    })?;
-                (handle, 0)
-            }
-            MemBase::Reg(r) => match frame.regs[r.index()] {
-                Value::Ptr { obj, idx } => (obj, idx),
-                other => {
-                    return Err(Trap {
-                        kind: TrapKind::Memory(format!(
-                            "register {r} does not hold a pointer (holds {other})"
-                        )),
-                        at: self.dyn_insts,
-                    })
-                }
-            },
-        };
-        let off = match addr.offset {
-            Offset::Const(c) => c,
-            Offset::Scaled { index, scale, disp } => match frame.regs[index.index()] {
-                Value::Int(i) => i.wrapping_mul(scale).wrapping_add(disp),
-                other => {
-                    return Err(Trap {
-                        kind: TrapKind::Memory(format!(
-                            "index register {index} is not an integer (holds {other})"
-                        )),
-                        at: self.dyn_insts,
-                    })
-                }
-            },
-        };
-        Ok((obj, base_idx.wrapping_add(off)))
-    }
-
-    /// Applies the fault plan to a candidate value if this is the chosen
-    /// eligible instruction. Eligible instructions are counted even
-    /// without a fault plan so golden runs report the sample space.
-    ///
-    /// Dispatches on the plan's [`FaultAction`]: value corruption
-    /// applies right here; wrong-edge and address corruption *arm* at
-    /// the chosen ordinal and fire at the next matching event (branch /
-    /// memory access); a power failure injects with detection due
-    /// immediately.
-    fn maybe_inject(&mut self, v: Value) -> Value {
-        let ordinal = self.eligible_seen;
-        self.eligible_seen += 1;
-        let Some(f) = &mut self.fault else { return v };
-        if f.injected || ordinal != f.plan.inject_at {
-            return v;
-        }
-        match f.plan.action {
-            FaultAction::FlipBits { mask } => {
-                f.injected = true;
-                f.detect_at = Some(self.dyn_insts + f.plan.detect_latency);
-                self.telemetry.injected = true;
-                self.telemetry.inject_site = self.frames.last().map(|fr| (fr.func, fr.block));
-                v.flip_bits(mask)
-            }
-            FaultAction::WrongEdge | FaultAction::CorruptAddress { .. } => {
-                f.armed = true;
-                v
-            }
-            FaultAction::PowerFailure => {
-                f.injected = true;
-                f.detect_at = Some(self.dyn_insts);
-                self.telemetry.injected = true;
-                self.telemetry.inject_site = self.frames.last().map(|fr| (fr.func, fr.block));
-                v
-            }
-        }
-    }
-
-    /// General-path mirror of the sprint loop's [`corrupt_addr`]: fires
-    /// an armed address-corruption fault on the first program
-    /// load/store after the arming ordinal, XORing the folded mask into
-    /// the resolved cell index.
-    fn maybe_corrupt_addr(&mut self, idx: i64) -> i64 {
-        let Some(f) = &mut self.fault else { return idx };
-        if !f.armed || f.injected {
-            return idx;
-        }
-        let FaultAction::CorruptAddress { mask } = f.plan.action else { return idx };
-        f.injected = true;
-        f.detect_at = Some(self.dyn_insts + f.plan.detect_latency);
-        self.telemetry.injected = true;
-        self.telemetry.inject_site = self.frames.last().map(|fr| (fr.func, fr.block));
-        idx ^ crate::value::fold_mask16(mask) as i64
     }
 
     /// True when a live (injected, undetected) fault should now be
@@ -1193,44 +1129,26 @@ impl<'m, 'c> Machine<'m, 'c> {
         Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.dyn_insts })
     }
 
-    /// Records a memory-site footprint into the profile (for the
-    /// profile-guided alias oracle).
-    fn note_footprint(&mut self, func: FuncId, at: encore_ir::InstRef, obj: usize, idx: i64) {
-        if self.profile.is_some() {
-            let cell = self.mem.cell_of(obj, idx);
-            if let Some(p) = &mut self.profile {
-                p.mem.record(encore_analysis::SiteRef { func, at }, cell);
-            }
-        }
-    }
-
-    fn trace_mem(&mut self, kind: encore_ir::AccessKind, obj: usize, idx: i64) {
-        if let Some(t) = &mut self.trace {
-            let cell = self.mem.cell_of(obj, idx);
-            let at = self.dyn_insts;
-            t.push(MemEvent { kind, cell, at });
-        }
-    }
-
-    /// Executes one instruction or terminator — or, on the hot path, a
-    /// *sprint* of them.
+    /// Executes a *sprint*: consecutive pre-lowered instructions and
+    /// intra-function jumps/branches in a tight loop over split borrows
+    /// of the machine, then at most one item of the general executor.
     ///
-    /// Profiling/tracing runs take the general executor one item per
-    /// call (it has the footprint, trace and edge-count hooks). All
-    /// other runs split-borrow the machine's fields once and then
-    /// execute consecutive pre-lowered instructions and intra-function
-    /// jumps/branches in a tight loop, stopping — *without* executing
-    /// the next item — when `limit` is reached, when a pending fault
-    /// detection must fire, at an instruction that needs the general
-    /// executor, or at `Ret`. Per-item fuel, detection and `limit`
-    /// checks keep every observable state transition identical to the
-    /// one-item-per-call path, so snapshot capture points and fault
-    /// semantics are unchanged; `limit` exists so capturing callers get
-    /// control back at exact instruction-count boundaries (pass
-    /// `u64::MAX` otherwise).
+    /// The sprint stops — *without* executing the next item — when
+    /// `limit` is reached or a pending fault detection must fire; it
+    /// hands over to the general executor at a slow instruction (after
+    /// charging it) and at `Ret`. Per-item fuel, detection and `limit`
+    /// checks make every observable state transition identical to
+    /// executing one item per call, so snapshot capture points and
+    /// fault semantics do not depend on where sprints end; `limit`
+    /// exists so capturing callers get control back at exact
+    /// instruction-count boundaries (pass `u64::MAX` otherwise).
+    ///
+    /// `OBSERVE` compiles in the profile, trace and memory-log hooks;
+    /// the run drivers pick it once per run from whether any observer
+    /// is present.
     ///
     /// Returns `Ok(true)` while the program is still running.
-    fn step(&mut self, limit: u64) -> Result<bool, Trap> {
+    fn step<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
         if self.dyn_insts >= self.fuel {
             return Err(Trap { kind: TrapKind::FuelExhausted, at: self.dyn_insts });
         }
@@ -1240,45 +1158,23 @@ impl<'m, 'c> Machine<'m, 'c> {
         let Some(frame) = self.frames.last() else {
             return Ok(false);
         };
-        let (func_id, block_id, ip) = (frame.func, frame.block, frame.ip);
+        let func_id = frame.func;
         // Copying the `&'c DecodedModule` reference out of `self` gives
         // the instruction borrow a lifetime independent of `&mut self`,
         // so execution borrows instead of cloning.
         let code = self.code;
         let dfunc = code.func(func_id);
 
-        if self.observing {
-            let block = dfunc.block(block_id);
-            return if (ip as u32) < block.len {
-                let di = &dfunc.steps[block.start as usize + ip];
-                self.charge(func_id, block.region, di.cost, di.instrumentation);
-                self.frames.last_mut().expect("frame").ip += 1;
-                // A symptom trap here propagates to `run_to_end`, which
-                // treats it as detection (ReStore/Shoestring-style
-                // anomalous behavior) while a fault is live.
-                self.exec_inst(func_id, di.at, di.inst)?;
-                Ok(true)
-            } else {
-                let term = block.term.ok_or_else(|| Trap {
-                    kind: TrapKind::Eval(format!("unterminated block {block_id}")),
-                    at: self.dyn_insts,
-                })?;
-                self.charge(func_id, block.region, 1, false);
-                self.exec_term(func_id, block_id, term)?;
-                Ok(!self.frames.is_empty())
-            };
-        }
-
-        /// Why the sprint handed control back without executing the
-        /// next item.
-        enum Stop {
+        /// Why the sprint handed control back.
+        enum Stop<'t> {
             /// `limit` reached or a detection is due: the caller's next
             /// `step` resumes (or fires the detection) at this state.
             Boundary,
-            /// The next instruction needs the general executor.
-            Slow,
-            /// The block ends in `Ret` (or is unterminated).
-            Term,
+            /// This already-charged instruction needs the general
+            /// executor.
+            Slow(&'t Inst),
+            /// The block's already-charged `Ret`.
+            Ret(&'t Option<Operand>),
         }
         let stop = {
             let fuel = self.fuel;
@@ -1297,6 +1193,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 ckpt_high_water,
                 splice,
                 reg_dirty,
+                obs,
                 ..
             } = self;
             let frame = frames.last_mut().expect("frame");
@@ -1310,8 +1207,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             // One merged per-item pause bound: the caller's limit, the
             // fuel budget, and — once a fault is injected — its
             // detection due-time. The hit branch below disambiguates in
-            // the same priority order the one-item-per-call path checks
-            // them (limit, then fuel, then detection).
+            // priority order: limit, then fuel, then detection.
             let mut bound = limit.min(fuel);
             if let Some(f) = &*fault {
                 if f.injected && !f.detected {
@@ -1335,10 +1231,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                 }
                 if (ip as u32) < block.len {
                     let di = &dfunc.steps[block.start as usize + ip];
-                    if matches!(di.op, MicroOp::Slow(_)) {
-                        frame.ip = ip;
-                        break Stop::Slow;
-                    }
                     *dyn_insts += di.cost;
                     if di.instrumentation {
                         *instr_dyn += di.cost;
@@ -1349,12 +1241,19 @@ impl<'m, 'c> Machine<'m, 'c> {
                             region_touched[rid.index()] = true;
                         }
                     }
+                    if OBSERVE {
+                        obs.charge(func_id, di.cost);
+                    }
                     ip += 1;
+                    if let MicroOp::Slow(inst) = di.op {
+                        frame.ip = ip;
+                        break Stop::Slow(inst);
+                    }
                     // A symptom trap here propagates to `run_to_end`,
                     // which treats it as detection while a fault is
                     // live.
-                    match exec_fast(
-                        &di.op,
+                    match exec_fast::<OBSERVE>(
+                        di,
                         frame,
                         mem,
                         fault,
@@ -1364,6 +1263,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                         ckpt_high_water,
                         splice,
                         reg_dirty,
+                        obs,
                         site,
                         *dyn_insts,
                     ) {
@@ -1390,28 +1290,26 @@ impl<'m, 'c> Machine<'m, 'c> {
                         }
                     }
                 } else {
-                    match block.term {
-                        Some(Terminator::Jump(t)) => {
-                            *dyn_insts += 1;
-                            if region_accounting {
-                                if let Some(rid) = block.region {
-                                    region_dyn[rid.index()] += 1;
-                                    region_touched[rid.index()] = true;
-                                }
-                            }
-                            frame.block = *t;
-                            ip = 0;
-                            block = dfunc.block(*t);
-                            site = (func_id, *t);
+                    frame.ip = ip;
+                    let Some(term) = block.term else {
+                        return Err(Trap {
+                            kind: TrapKind::Eval(format!("unterminated block {}", frame.block)),
+                            at: *dyn_insts,
+                        });
+                    };
+                    *dyn_insts += 1;
+                    if region_accounting {
+                        if let Some(rid) = block.region {
+                            region_dyn[rid.index()] += 1;
+                            region_touched[rid.index()] = true;
                         }
-                        Some(Terminator::Branch { cond, then_bb, else_bb }) => {
-                            *dyn_insts += 1;
-                            if region_accounting {
-                                if let Some(rid) = block.region {
-                                    region_dyn[rid.index()] += 1;
-                                    region_touched[rid.index()] = true;
-                                }
-                            }
+                    }
+                    if OBSERVE {
+                        obs.charge(func_id, 1);
+                    }
+                    let target = match term {
+                        Terminator::Jump(t) => *t,
+                        Terminator::Branch { cond, then_bb, else_bb } => {
                             let mut target =
                                 if opnd(frame, cond).truthy() { *then_bb } else { *else_bb };
                             // An armed wrong-edge fault fires at the
@@ -1431,112 +1329,39 @@ impl<'m, 'c> Machine<'m, 'c> {
                                     bound = bound.min(due);
                                 }
                             }
-                            frame.block = target;
-                            ip = 0;
-                            block = dfunc.block(target);
-                            site = (func_id, target);
+                            target
                         }
-                        // `Ret` pops a frame (and unterminated blocks
-                        // trap): both go through the general path.
-                        _ => {
-                            frame.ip = ip;
-                            break Stop::Term;
-                        }
+                        // `Ret` pops a frame: the general executor's job.
+                        Terminator::Ret(v) => break Stop::Ret(v),
+                    };
+                    if OBSERVE {
+                        obs.edge(func_id, frame.block, target);
                     }
+                    frame.block = target;
+                    ip = 0;
+                    block = dfunc.block(target);
+                    site = (func_id, target);
                 }
             }
         };
 
         match stop {
             Stop::Boundary => Ok(true),
-            Stop::Slow => {
-                let frame = self.frames.last().expect("frame");
-                let (block_id, ip) = (frame.block, frame.ip);
-                let block = dfunc.block(block_id);
-                let di = &dfunc.steps[block.start as usize + ip];
-                self.charge(func_id, block.region, di.cost, di.instrumentation);
-                self.frames.last_mut().expect("frame").ip += 1;
-                if let MicroOp::Slow(inst) = &di.op {
-                    self.exec_inst(func_id, di.at, inst)?;
-                }
+            Stop::Slow(inst) => {
+                self.exec_inst(inst)?;
                 Ok(true)
             }
-            Stop::Term => {
-                let frame = self.frames.last().expect("frame");
-                let block_id = frame.block;
-                let block = dfunc.block(block_id);
-                let term = block.term.ok_or_else(|| Trap {
-                    kind: TrapKind::Eval(format!("unterminated block {block_id}")),
-                    at: self.dyn_insts,
-                })?;
-                self.charge(func_id, block.region, 1, false);
-                self.exec_term(func_id, block_id, term)?;
+            Stop::Ret(v) => {
+                self.exec_ret(func_id, v);
                 Ok(!self.frames.is_empty())
             }
         }
     }
 
-    fn exec_inst(
-        &mut self,
-        func_id: FuncId,
-        at: encore_ir::InstRef,
-        inst: &Inst,
-    ) -> Result<(), Trap> {
+    /// The general executor: the instructions the sprint does not
+    /// lower to micro-ops, already charged by the sprint.
+    fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
         match inst {
-            Inst::Bin { op, dst, lhs, rhs } => {
-                let a = self.operand(lhs);
-                let b = self.operand(rhs);
-                let v = eval_bin(*op, a, b).map_err(|e| Trap {
-                    kind: TrapKind::Eval(e.message),
-                    at: self.dyn_insts,
-                })?;
-                let v = self.maybe_inject(v);
-                self.set_reg(*dst, v);
-            }
-            Inst::Un { op, dst, src } => {
-                let a = self.operand(src);
-                let v = eval_un(*op, a).map_err(|e| Trap {
-                    kind: TrapKind::Eval(e.message),
-                    at: self.dyn_insts,
-                })?;
-                let v = self.maybe_inject(v);
-                self.set_reg(*dst, v);
-            }
-            Inst::Mov { dst, src } => {
-                let v = self.operand(src);
-                let v = self.maybe_inject(v);
-                self.set_reg(*dst, v);
-            }
-            Inst::Load { dst, addr } => {
-                let (obj, idx) = self.resolve(addr)?;
-                let idx = self.maybe_corrupt_addr(idx);
-                let v = self.mem.read(obj, idx).map_err(|e| Trap {
-                    kind: TrapKind::Memory(e.message),
-                    at: self.dyn_insts,
-                })?;
-                self.trace_mem(encore_ir::AccessKind::Load, obj, idx);
-                self.note_footprint(func_id, at, obj, idx);
-                self.log_mem_access(obj, idx, false);
-                let v = self.maybe_inject(v);
-                self.set_reg(*dst, v);
-            }
-            Inst::Store { addr, src } => {
-                let (obj, idx) = self.resolve(addr)?;
-                let idx = self.maybe_corrupt_addr(idx);
-                let v = self.operand(src);
-                let v = self.maybe_inject(v);
-                self.mem.write(obj, idx, v).map_err(|e| Trap {
-                    kind: TrapKind::Memory(e.message),
-                    at: self.dyn_insts,
-                })?;
-                self.trace_mem(encore_ir::AccessKind::Store, obj, idx);
-                self.note_footprint(func_id, at, obj, idx);
-                self.log_mem_access(obj, idx, true);
-            }
-            Inst::Lea { dst, addr } => {
-                let (obj, idx) = self.resolve(addr)?;
-                self.set_reg(*dst, Value::Ptr { obj, idx });
-            }
             Inst::Alloc { dst, site, size } => {
                 let n = self
                     .operand(size)
@@ -1557,60 +1382,39 @@ impl<'m, 'c> Machine<'m, 'c> {
                 self.call(*callee, &vals, *dst);
             }
             Inst::CallExt { name, dst, args, .. } => {
-                let vals: Vec<Value> = args.iter().map(|a| self.operand(a)).collect();
+                let frame = self.frames.last().expect("frame");
+                let site = (frame.func, frame.block);
+                let vals: Vec<Value> = args.iter().map(|a| opnd(frame, a)).collect();
                 let r = self.externs.call(name, &vals).map_err(|e| Trap {
                     kind: TrapKind::Eval(e.message),
                     at: self.dyn_insts,
                 })?;
                 if let Some(d) = dst {
-                    let r = self.maybe_inject(r);
+                    // The next `step` bounds its sprint by any detection
+                    // this injection scheduled.
+                    let mut fired = false;
+                    let r = inject(
+                        &mut self.fault,
+                        &mut self.eligible_seen,
+                        self.dyn_insts,
+                        &mut self.telemetry,
+                        site,
+                        r,
+                        &mut fired,
+                    );
                     self.set_reg(*d, r);
                 }
             }
+            // Decode lowered every `SetRecovery` whose region has a
+            // recovery block; one that reaches here can only trap.
             Inst::SetRecovery { region } => {
-                let info = self
-                    .map
-                    .and_then(|m| m.regions.get(region.index()))
-                    .ok_or_else(|| Trap {
-                        kind: TrapKind::Eval(format!("SetRecovery for unknown {region}")),
-                        at: self.dyn_insts,
-                    })?;
-                let rb = info.recovery_block.ok_or_else(|| Trap {
-                    kind: TrapKind::Eval(format!("{region} has no recovery block")),
-                    at: self.dyn_insts,
-                })?;
-                let (ordinal, _) = self.splice.on_set_recovery(self.dyn_insts);
-                let frame = self.frames.last_mut().expect("frame");
-                frame.recovery = Some(RecoveryState {
-                    region: *region,
-                    recovery_block: rb,
-                    log: Vec::new(),
-                    log_bytes: 0,
-                    act_ordinal: ordinal,
-                });
-            }
-            Inst::CheckpointMem { addr } => {
-                let (obj, idx) = self.resolve(addr)?;
-                let val = self.mem.read(obj, idx).map_err(|e| Trap {
-                    kind: TrapKind::Memory(e.message),
-                    at: self.dyn_insts,
-                })?;
-                self.log_mem_access(obj, idx, false);
-                let frame = self.frames.last_mut().expect("frame");
-                if let Some(rec) = &mut frame.recovery {
-                    rec.log.push(CkptEntry::Mem { obj, idx, val });
-                    rec.log_bytes += 16;
-                    self.ckpt_high_water = self.ckpt_high_water.max(rec.log_bytes);
-                }
-            }
-            Inst::CheckpointReg { reg } => {
-                let frame = self.frames.last_mut().expect("frame");
-                let val = frame.regs[reg.index()];
-                if let Some(rec) = &mut frame.recovery {
-                    rec.log.push(CkptEntry::Reg { reg: *reg, val });
-                    rec.log_bytes += 8;
-                    self.ckpt_high_water = self.ckpt_high_water.max(rec.log_bytes);
-                }
+                let known = self.map.and_then(|m| m.regions.get(region.index())).is_some();
+                let msg = if known {
+                    format!("{region} has no recovery block")
+                } else {
+                    format!("SetRecovery for unknown {region}")
+                };
+                return Err(Trap { kind: TrapKind::Eval(msg), at: self.dyn_insts });
             }
             Inst::Restore { region } => {
                 let frame = self.frames.last_mut().expect("frame");
@@ -1632,75 +1436,32 @@ impl<'m, 'c> Machine<'m, 'c> {
                                 kind: TrapKind::Memory(e.message),
                                 at: self.dyn_insts,
                             })?;
-                            self.log_mem_access(obj, idx, true);
+                            self.obs.log_access(obj, idx, true);
                         }
                     }
                 }
             }
+            _ => unreachable!("{inst:?} is lowered to a micro-op"),
         }
-        let _ = func_id;
         Ok(())
     }
 
-    fn exec_term(
-        &mut self,
-        func_id: FuncId,
-        block_id: BlockId,
-        term: &Terminator,
-    ) -> Result<(), Trap> {
-        match term {
-            Terminator::Jump(t) => {
-                self.note_edge(func_id, block_id, *t);
-                self.note_block_entry(func_id, *t);
-                let frame = self.frames.last_mut().expect("frame");
-                frame.block = *t;
-                frame.ip = 0;
-            }
-            Terminator::Branch { cond, then_bb, else_bb } => {
-                let c = self.operand(cond);
-                let mut target = if c.truthy() { *then_bb } else { *else_bb };
-                // An armed wrong-edge fault fires at the first
-                // conditional branch after its ordinal, taking the
-                // not-taken edge (mirrors the sprint loop).
-                let wrong_edge = matches!(
-                    &self.fault,
-                    Some(f) if f.armed
-                        && !f.injected
-                        && matches!(f.plan.action, FaultAction::WrongEdge)
-                );
-                if wrong_edge {
-                    target = if target == *then_bb { *else_bb } else { *then_bb };
-                    let site = self.frames.last().map(|fr| (fr.func, fr.block));
-                    let f = self.fault.as_mut().expect("fault");
-                    f.injected = true;
-                    f.detect_at = Some(self.dyn_insts + f.plan.detect_latency);
-                    self.telemetry.injected = true;
-                    self.telemetry.inject_site = site;
-                }
-                self.note_edge(func_id, block_id, target);
-                self.note_block_entry(func_id, target);
-                let frame = self.frames.last_mut().expect("frame");
-                frame.block = target;
-                frame.ip = 0;
-            }
-            Terminator::Ret(v) => {
-                let val = v.as_ref().map(|op| self.operand(op));
-                let frame = self.frames.pop().expect("frame");
-                if let Some(p) = &mut self.profile {
-                    p.func_mut(func_id).invocations += 1;
-                }
-                match self.frames.last_mut() {
-                    Some(caller) => {
-                        if let Some(dst) = frame.ret_dst {
-                            caller.regs[dst.index()] = val.unwrap_or(Value::ZERO);
-                            self.reg_dirty |= 1 << dst.index().min(63);
-                        }
-                    }
-                    None => self.final_ret = val,
-                }
-            }
+    /// Returns from the current frame of `func_id` with value `v`.
+    fn exec_ret(&mut self, func_id: FuncId, v: &Option<Operand>) {
+        let val = v.as_ref().map(|op| self.operand(op));
+        let frame = self.frames.pop().expect("frame");
+        if let Some(p) = &mut self.obs.profile {
+            p.func_mut(func_id).invocations += 1;
         }
-        Ok(())
+        match self.frames.last_mut() {
+            Some(caller) => {
+                if let Some(dst) = frame.ret_dst {
+                    caller.regs[dst.index()] = val.unwrap_or(Value::ZERO);
+                    self.reg_dirty |= 1 << dst.index().min(63);
+                }
+            }
+            None => self.final_ret = val,
+        }
     }
 
     fn fault_live(&self) -> bool {
@@ -1712,8 +1473,8 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// exhaustion) triggers the recovery path instead of terminating
     /// the run. The shared stepping primitive of [`Machine::run_to_end`]
     /// and the splice driver, so both have identical fault semantics.
-    fn step_detected(&mut self, limit: u64) -> Result<bool, Trap> {
-        match self.step(limit) {
+    fn step_detected<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
+        match self.step::<OBSERVE>(limit) {
             Ok(alive) => Ok(alive),
             Err(t) => {
                 if self.fault_live() && !matches!(t.kind, TrapKind::FuelExhausted) {
@@ -1727,8 +1488,16 @@ impl<'m, 'c> Machine<'m, 'c> {
 
     /// Runs until completion or a terminal trap, returning the trap.
     pub(crate) fn run_to_end(&mut self) -> Option<Trap> {
+        if self.obs.any() {
+            self.run_loop::<true>()
+        } else {
+            self.run_loop::<false>()
+        }
+    }
+
+    fn run_loop<const OBSERVE: bool>(&mut self) -> Option<Trap> {
         loop {
-            match self.step_detected(u64::MAX) {
+            match self.step_detected::<OBSERVE>(u64::MAX) {
                 Ok(true) => continue,
                 Ok(false) => return None,
                 Err(t) => return Some(t),
@@ -1748,13 +1517,13 @@ impl<'m, 'c> Machine<'m, 'c> {
         &mut self,
         snapshots: &SnapshotLog,
         golden_final_dyn: u64,
-        incremental: bool,
     ) -> SpliceRun {
+        debug_assert!(!self.obs.any(), "injection runs are not observed");
         self.splice.armed = true;
         // Phase 1: run normally until a rollback's re-executed arming
         // realigns the run (or the run just finishes).
         let (realign_dyn, ordinal) = loop {
-            match self.step_detected(u64::MAX) {
+            match self.step_detected::<false>(u64::MAX) {
                 Ok(true) => {
                     if let Some(r) = self.splice.realign.take() {
                         break r;
@@ -1786,11 +1555,8 @@ impl<'m, 'c> Machine<'m, 'c> {
         // up to `GAP_CAP` — a run whose diff has stayed live that long
         // rarely certifies later, so spaced probes stop charging a
         // sprint pause per snapshot to hopeless runs. Each probe's
-        // *compare* is O(pages dirtied since the previous probe) on
-        // the incremental path, not O(state). The schedule advances
-        // only on misses, which are identical between the incremental
-        // and full-scan compare paths, so both paths probe the same
-        // states and report identically.
+        // *compare* is O(pages dirtied since the previous probe), not
+        // O(state).
         const DENSE_PROBES: u32 = 8;
         const GAP_CAP: usize = 16;
         let mut idx = snapshots.first_at_or_after_dyn(self.dyn_insts.saturating_sub(delta));
@@ -1804,7 +1570,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             };
             let target = snap.dyn_insts + delta;
             loop {
-                match self.step_detected(target) {
+                match self.step_detected::<false>(target) {
                     Ok(true) => {
                         if self.dyn_insts >= target {
                             break;
@@ -1825,9 +1591,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 && golden_final_dyn.saturating_sub(snap.dyn_insts) + self.dyn_insts < self.fuel
             {
                 self.probe.cost.probes += 1;
-                if let Some(rule) =
-                    self.classify_divergence(snapshots, idx, snap, &mut diff, incremental)
-                {
+                if let Some(rule) = self.classify_divergence(snapshots, idx, snap, &mut diff) {
                     return SpliceRun::Spliced(rule, golden_final_dyn - snap.dyn_insts);
                 }
             }
@@ -1877,7 +1641,6 @@ impl<'m, 'c> Machine<'m, 'c> {
         idx: usize,
         snap: &Snapshot,
         diff: &mut Vec<(u32, u32)>,
-        incremental: bool,
     ) -> Option<SpliceRule> {
         // Cheapest fields first so diverged runs fail fast.
         if self.frame_seq != snap.frame_seq
@@ -1888,51 +1651,49 @@ impl<'m, 'c> Machine<'m, 'c> {
         {
             return None;
         }
-        let mem_comparable = if incremental {
-            // Bring the candidate set up to this probe target: golden
-            // pages written between the last absorbed snapshot and this
-            // one (interval lists — absorbed in either direction, since
-            // realignment can land a probe before the resume base),
-            // pages this run wrote since the last drain, and the
-            // snapshot's NaN poison pages. Everything outside the
-            // resulting set is bitwise-identical on both sides.
-            let Machine { mem, probe, base_objects, .. } = self;
-            match probe.absorbed_through {
-                None => {
-                    for j in 0..=idx {
-                        probe.pending.extend_from_slice(snapshots.interval_pages(j));
-                    }
-                }
-                Some(a) if idx > a => {
-                    for j in a + 1..=idx {
-                        probe.pending.extend_from_slice(snapshots.interval_pages(j));
-                    }
-                }
-                Some(a) if idx < a => {
-                    for j in idx + 1..=a {
-                        probe.pending.extend_from_slice(snapshots.interval_pages(j));
-                    }
-                }
-                Some(_) => {}
-            }
-            probe.absorbed_through = Some(idx);
-            mem.drain_dirty_pages(&mut probe.pending);
-            probe.pending.extend_from_slice(snap.page_hashes.poison_pages());
-            probe.pending.sort_unstable();
-            probe.pending.dedup();
-            mem.diff_cells_dirty(
-                &snap.mem,
-                &snap.page_hashes,
-                &mut probe.pending,
-                *base_objects,
-                DIFF_CAP,
-                diff,
-                &mut probe.cost,
-            )
-        } else {
-            self.probe.cost.words_compared += self.mem.cell_count();
-            self.mem.diff_cells(&snap.mem, DIFF_CAP, diff)
+        // Bring the candidate set up to this probe target: golden pages
+        // written between the last absorbed snapshot and this one
+        // (interval lists — absorbed in either direction, since
+        // realignment can land a probe before the resume base), pages
+        // this run wrote since the last drain, and the snapshot's NaN
+        // poison pages. Everything outside the resulting set is
+        // bitwise-identical on both sides.
+        let Machine { mem, probe, base_objects, .. } = self;
+        let unabsorbed = match probe.absorbed_through {
+            None => 0..=idx,
+            Some(a) if idx > a => a + 1..=idx,
+            // Empty when `idx == a`.
+            Some(a) => idx + 1..=a,
         };
+        for j in unabsorbed {
+            probe.pending.extend_from_slice(snapshots.interval_pages(j));
+        }
+        probe.absorbed_through = Some(idx);
+        mem.drain_dirty_pages(&mut probe.pending);
+        probe.pending.extend_from_slice(snap.page_hashes.poison_pages());
+        probe.pending.sort_unstable();
+        probe.pending.dedup();
+        let mem_comparable = mem.diff_cells_dirty(
+            &snap.mem,
+            &snap.page_hashes,
+            &mut probe.pending,
+            *base_objects,
+            DIFF_CAP,
+            diff,
+            &mut probe.cost,
+        );
+        // The full scan is the reference the incremental compare must
+        // reproduce exactly: debug builds check every probe against it.
+        #[cfg(debug_assertions)]
+        {
+            let mut full = Vec::new();
+            let full_comparable = self.mem.diff_cells(&snap.mem, DIFF_CAP, &mut full);
+            assert!(
+                full_comparable == mem_comparable && (!full_comparable || full == *diff),
+                "incremental compare disagrees with the full scan at snapshot {idx}: \
+                 incremental {mem_comparable} {diff:?}, full scan {full_comparable} {full:?}"
+            );
+        }
         if !mem_comparable {
             return None;
         }
@@ -2000,28 +1761,15 @@ impl<'m, 'c> Machine<'m, 'c> {
     }
 
     /// Start recording per-interval memory access chunks for the
-    /// divergence splice's suffix summaries. Forces the general
-    /// executor (the sprint's fast path has no recording hooks) — a
-    /// one-time cost on the golden capture run only.
+    /// divergence splice's suffix summaries (golden capture runs only).
     fn enable_mem_log(&mut self) {
-        self.mem_log = Some(Box::default());
-        self.observing = true;
-    }
-
-    /// Notes one memory access into the active log, if any.
-    #[inline]
-    fn log_mem_access(&mut self, obj: usize, idx: i64, write: bool) {
-        if let Some(log) = &mut self.mem_log {
-            // A successful access bounds-checked both coordinates.
-            let cell = (obj as u32, idx as u32);
-            if write { log.writes.insert(cell) } else { log.reads.insert(cell) };
-        }
+        self.obs.mem_log = Some(Box::default());
     }
 
     /// Seals the final interval and hands back `(read, write)` chunks —
     /// one per inter-snapshot interval plus the capture-to-end tail.
     fn take_mem_chunks(&mut self) -> (AccessChunks, AccessChunks) {
-        let mut log = self.mem_log.take().expect("mem log enabled");
+        let mut log = self.obs.mem_log.take().expect("mem log enabled");
         log.seal();
         (log.read_chunks, log.write_chunks)
     }
@@ -2030,6 +1778,18 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// snapshot into `log` at the first step boundary past each
     /// `stride`-instruction interval.
     fn run_to_end_capturing(&mut self, stride: u64, log: &mut SnapshotLog) -> Option<Trap> {
+        if self.obs.any() {
+            self.capture_loop::<true>(stride, log)
+        } else {
+            self.capture_loop::<false>(stride, log)
+        }
+    }
+
+    fn capture_loop<const OBSERVE: bool>(
+        &mut self,
+        stride: u64,
+        log: &mut SnapshotLog,
+    ) -> Option<Trap> {
         debug_assert!(stride > 0 && self.fault.is_none());
         // Hash every page of the current state once; each capture below
         // re-hashes only the pages written since the previous capture
@@ -2040,7 +1800,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         let mut next_at = stride;
         loop {
             if self.dyn_insts >= next_at && !self.frames.is_empty() {
-                if let Some(ml) = &mut self.mem_log {
+                if let Some(ml) = &mut self.obs.mem_log {
                     ml.seal();
                 }
                 let mut interval = Vec::new();
@@ -2056,7 +1816,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             }
             // Bounding the sprint by `next_at` keeps capture points at
             // exact instruction-count boundaries.
-            match self.step(next_at) {
+            match self.step::<OBSERVE>(next_at) {
                 Ok(true) => continue,
                 Ok(false) => return None,
                 // No fault is live (asserted), so a trap is terminal.
@@ -2084,8 +1844,8 @@ impl<'m, 'c> Machine<'m, 'c> {
             instr_dyn_insts: self.instr_dyn,
             output: self.externs.output,
             globals: self.mem.globals_snapshot(),
-            profile: self.profile,
-            trace: self.trace,
+            profile: self.obs.profile,
+            trace: self.obs.trace,
             region_dyn,
             eligible_insts: self.eligible_seen,
             ckpt_high_water_bytes: self.ckpt_high_water,
@@ -2118,7 +1878,7 @@ impl<'m, 'c> Machine<'m, 'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encore_ir::{AddrExpr, BinOp, ExtEffect, ModuleBuilder};
+    use encore_ir::{AddrExpr, BinOp, ExtEffect, MemBase, ModuleBuilder};
 
     fn run_simple(m: &Module, entry: &str, args: &[Value]) -> RunResult {
         let fid = m.func_by_name(entry).expect("entry exists");

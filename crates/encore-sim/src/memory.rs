@@ -115,12 +115,6 @@ impl Memory {
         Self { objects, global_count: module.globals.len(), touched_objs: Vec::new() }
     }
 
-    /// Handle of global `g`.
-    pub fn global_handle(&self, g: u32) -> usize {
-        debug_assert!((g as usize) < self.global_count);
-        g as usize
-    }
-
     /// Allocates a fresh object of `cells` cells, returning its handle.
     ///
     /// The new object starts *fully dirty*: its contents have never
@@ -264,12 +258,6 @@ impl Memory {
         self.objects.len()
     }
 
-    /// Total number of cells across all objects (the full-scan compare
-    /// footprint, reported as probe cost by the reference path).
-    pub fn cell_count(&self) -> u64 {
-        self.objects.iter().map(|o| o.cells.len() as u64).sum()
-    }
-
     /// `true` when `handle` names a global object (the architecturally
     /// observable segment).
     pub fn is_global(&self, handle: usize) -> bool {
@@ -286,12 +274,11 @@ impl Memory {
     /// `false` as "cannot certify", so the bound is a performance cap,
     /// never a soundness concern.
     ///
-    /// This is the full-scan reference compare — O(state). The splice's
-    /// hot path is [`Memory::diff_cells_dirty`], which short-circuits
+    /// This is the full-scan reference compare — O(state). The splice
+    /// probes with [`Memory::diff_cells_dirty`], which short-circuits
     /// through the dirty bitmap and golden page hashes to visit only
-    /// pages that can possibly differ; this walk remains as the
-    /// `--no-incremental-diff` escape hatch and the differential-test
-    /// oracle.
+    /// pages that can possibly differ; debug builds check every probe's
+    /// verdict and diff against this walk.
     pub fn diff_cells(&self, other: &Memory, cap: usize, out: &mut Vec<(u32, u32)>) -> bool {
         out.clear();
         if self.objects.len() != other.objects.len() || self.global_count != other.global_count {
@@ -342,11 +329,11 @@ impl Memory {
     /// Verdict and diff contract are identical to `diff_cells`:
     /// `false` = incomparable (shape mismatch or diff past `cap`),
     /// `true` = `out` is the complete diff in ascending `(object,
-    /// cell)` order. A hash match is trusted as page equality (FNV-1a
-    /// over 64 cells; a colliding unequal page needs a 2^-64 accident —
-    /// accepted by design, see DESIGN.md §13). Poison pages (golden
-    /// cells unequal to themselves, i.e. NaN floats) bypass the hash
-    /// and always word-compare, preserving `Value` equality semantics
+    /// cell)` order. A hash match is trusted as page equality; that is
+    /// sound only because [`page_hash`] mixes every word with full
+    /// diffusion (see DESIGN.md §13). Poison pages (golden cells
+    /// unequal to themselves, i.e. NaN floats) bypass the hash and
+    /// always word-compare, preserving `Value` equality semantics
     /// exactly.
     #[allow(clippy::too_many_arguments)]
     pub fn diff_cells_dirty(
@@ -425,30 +412,48 @@ impl Memory {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
+const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Independent hash chains per page (see [`page_hash`]).
+const HASH_LANES: usize = 4;
+
+/// One word of the page hash: a full-diffusion bijection of `h ^ w`.
+/// Every input bit must reach every output bit. A step such as FNV's
+/// `(h ^ w) * P` carries a difference only upward, so two cells that
+/// each differ only in bit 63 cancel and an unequal page hashes equal.
 #[inline]
-fn fnv_word(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(FNV_PRIME)
+fn hash_word(h: u64, w: u64) -> u64 {
+    crate::rng::mix64(h ^ w)
 }
 
-/// FNV-1a content hash of one page of cells, over each cell's
-/// `(variant tag, payload bits)` words — distinct `Value`s never encode
-/// to the same word stream.
+/// Folds one cell's `(variant tag, payload bits)` words into `h` —
+/// distinct `Value`s never encode to the same word stream.
+#[inline]
+fn hash_cell(h: u64, v: &Value) -> u64 {
+    match *v {
+        Value::Int(i) => hash_word(hash_word(h, 1), i as u64),
+        Value::Float(f) => hash_word(hash_word(h, 2), f.to_bits()),
+        Value::Ptr { obj, idx } => hash_word(hash_word(hash_word(h, 3), obj as u64), idx as u64),
+    }
+}
+
+/// Content hash of one page of cells. Cells are dealt round-robin to
+/// [`HASH_LANES`] chains with distinct seeds, which the CPU advances in
+/// parallel (one chain would serialize every multiply of every word),
+/// and the lane states are then folded through the same word step.
 #[must_use]
 pub fn page_hash(cells: &[Value]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for v in cells {
-        h = match *v {
-            Value::Int(i) => fnv_word(fnv_word(h, 1), i as u64),
-            Value::Float(f) => fnv_word(fnv_word(h, 2), f.to_bits()),
-            Value::Ptr { obj, idx } => {
-                fnv_word(fnv_word(fnv_word(h, 3), obj as u64), idx as u64)
-            }
-        };
+    let mut lanes: [u64; HASH_LANES] = std::array::from_fn(|k| HASH_SEED ^ k as u64);
+    let mut chunks = cells.chunks_exact(HASH_LANES);
+    for chunk in &mut chunks {
+        for (h, v) in lanes.iter_mut().zip(chunk) {
+            *h = hash_cell(*h, v);
+        }
     }
-    h
+    for (h, v) in lanes.iter_mut().zip(chunks.remainder()) {
+        *h = hash_cell(*h, v);
+    }
+    lanes.into_iter().fold(HASH_SEED, hash_word)
 }
 
 fn page_has_nan(cells: &[Value]) -> bool {
@@ -549,8 +554,8 @@ impl PageHashes {
 /// Telemetry only — two campaign runs that classify every injection
 /// identically are the *same result* regardless of how many pages each
 /// probe hashed, so `ProbeCost` compares equal to any other `ProbeCost`
-/// and report equality stays bit-identical between the incremental and
-/// full-scan compare paths (and across probe schedules).
+/// and report equality does not depend on compare footprints (or probe
+/// schedules).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeCost {
     /// Splice probes attempted (classification attempts at a golden
@@ -558,8 +563,8 @@ pub struct ProbeCost {
     pub probes: u64,
     /// Pages content-hashed by the incremental compare.
     pub pages_hashed: u64,
-    /// Cells compared word-by-word (hash-mismatch fallback, poison
-    /// pages, and the full-scan reference path).
+    /// Cells compared word-by-word (hash-mismatch fallback and poison
+    /// pages).
     pub words_compared: u64,
 }
 
@@ -996,6 +1001,31 @@ mod tests {
         hashes.extend_new_objects(&m);
         hashes.update(&m, &changed);
         assert_eq!(hashes.hash(h as u32, 0), hashes.hash(h as u32, 1), "identical zero pages");
+    }
+
+    /// Two cells of one page that each differ from golden only in bit 63
+    /// must not cancel in the page hash. Under an FNV step `(h ^ w) * P`
+    /// they did: the multiply carries a difference only upward, so a
+    /// bit-63 difference stays confined to bit 63 and a second one
+    /// flips it back.
+    #[test]
+    fn bit63_differences_in_two_cells_do_not_cancel() {
+        let golden = [
+            Value::Int(5),
+            Value::Int(-3),
+            Value::Float(1.5),
+            Value::Float(-2.0),
+            Value::ZERO,
+            Value::ZERO,
+            Value::Float(0.0),
+            Value::Int(7),
+        ];
+        for (i, j) in [(0, 1), (2, 3), (0, 3), (4, 5), (0, 4), (2, 6), (4, 7)] {
+            let mut run = golden;
+            run[i] = run[i].flip_bits(1 << 63);
+            run[j] = run[j].flip_bits(1 << 63);
+            assert_ne!(page_hash(&run), page_hash(&golden), "cells {i} and {j} cancelled");
+        }
     }
 
     /// ProbeCost is telemetry: never part of result equality.

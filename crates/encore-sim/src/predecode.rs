@@ -7,9 +7,10 @@
 //! of dynamic instructions per campaign. [`DecodedModule`] flattens each
 //! function once, up front, into an index-addressable stream:
 //!
-//! * every instruction is stored as a **borrow** (`&Inst`) next to its
-//!   precomputed charge cost, instrumentation flag and [`InstRef`], so
-//!   the `step` loop never clones an instruction or a terminator;
+//! * every instruction is lowered to a flat [`MicroOp`] (slow opcodes
+//!   keep a **borrow** of their `&Inst`) next to its precomputed charge
+//!   cost, instrumentation flag and [`InstRef`], so the `step` loop
+//!   never clones an instruction or a terminator;
 //! * every block is reduced to a `(start, len, terminator, region)`
 //!   record, with the region id **baked in** so per-instruction region
 //!   accounting is an array write instead of two `BTreeMap` probes;
@@ -63,10 +64,10 @@ impl DecodedAddr {
     }
 }
 
-/// A pre-decoded instruction body: the handful of opcodes that dominate
-/// dynamic execution are lowered into flat, match-ready variants; every
-/// other opcode falls back to the original [`Inst`] and the general
-/// executor.
+/// A pre-decoded instruction body: every opcode the sprint loop runs
+/// is lowered into a flat, match-ready variant; the rest (calls,
+/// allocation, externs, `Restore`, an unresolvable `SetRecovery`) keep
+/// the original [`Inst`] for the general executor.
 #[derive(Debug)]
 pub(crate) enum MicroOp<'m> {
     /// Binary operation into a register.
@@ -84,14 +85,14 @@ pub(crate) enum MicroOp<'m> {
     /// Arms the frame's recovery, with the region's recovery block
     /// pre-resolved from the region map at decode time. `SetRecovery`
     /// against an unknown region (or one with no recovery block) stays
-    /// `Slow` so the general path raises its exact trap.
+    /// `Slow` so the general executor raises its trap.
     SetRecovery { region: RegionId, recovery_block: BlockId },
     /// Appends a memory undo entry to the armed recovery log.
     CkptMem { addr: DecodedAddr },
     /// Appends a register undo entry to the armed recovery log.
     CkptReg { reg: Reg },
-    /// Infrequent opcode (calls, allocation, rollback): executed
-    /// through the general interpreter path.
+    /// Infrequent opcode (calls, allocation, externs, rollback):
+    /// executed by the general executor.
     Slow(&'m Inst),
 }
 
@@ -131,9 +132,6 @@ impl<'m> MicroOp<'m> {
 /// One pre-decoded instruction: the lowered body plus everything `step`
 /// would otherwise recompute per retirement.
 pub(crate) struct DecodedInst<'m> {
-    /// The instruction itself, borrowed from the module (the general
-    /// executor path — profiling and tracing runs — interprets this).
-    pub(crate) inst: &'m Inst,
     /// The lowered body the hot loop dispatches on.
     pub(crate) op: MicroOp<'m>,
     /// Location of the instruction (for profiling footprints).
@@ -206,7 +204,6 @@ impl<'m> DecodedModule<'m> {
                                 heap_site_count = heap_site_count.max(site.index() + 1);
                             }
                             steps.push(DecodedInst {
-                                inst,
                                 op: MicroOp::lower(inst, map),
                                 at: InstRef::new(bid, i),
                                 cost: inst.cost(),
@@ -277,7 +274,6 @@ mod tests {
             assert_eq!(db.term, block.term.as_ref());
             for (i, inst) in block.insts.iter().enumerate() {
                 let di = &dfunc.steps[db.start as usize + i];
-                assert!(std::ptr::eq(di.inst, inst));
                 assert_eq!(di.cost, inst.cost());
                 assert_eq!(di.at, InstRef::new(bid, i));
             }

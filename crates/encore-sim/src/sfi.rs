@@ -139,15 +139,6 @@ pub struct SfiConfig {
     /// splice-certifiable run their full suffix regardless of this
     /// flag, so enabling it is always sound.
     pub splice: bool,
-    /// Use the O(dirty) incremental state compare for splice probes:
-    /// diff only the pages the injected run (or the golden timeline
-    /// between probe points) has touched, pruning clean pages by
-    /// precomputed per-page golden hashes. On by default; reports are
-    /// bit-identical either way (both paths compare the same state by
-    /// the same `PartialEq` semantics), so `false` exists as an escape
-    /// hatch and differential-testing reference, mirroring
-    /// [`SfiConfig::splice`].
-    pub incremental_diff: bool,
     /// The fault model plans are sampled from. Defaults to the classic
     /// single-bit flip ([`FaultModelKind::BitFlip`]), which reproduces
     /// pre-taxonomy campaigns bit-for-bit.
@@ -164,7 +155,6 @@ impl Default for SfiConfig {
             workers: 0,
             snapshot_stride: 256,
             splice: true,
-            incremental_diff: true,
             model: FaultModelKind::BitFlip,
         }
     }
@@ -381,9 +371,8 @@ pub struct SpliceStats {
     pub dyn_insts_saved: u64,
     /// Aggregate probe work: how much state-compare effort the splice
     /// spent earning the savings above. Diagnostic only — its
-    /// `PartialEq` always holds, so reports stay bit-identical between
-    /// the incremental and full-scan compare paths even though their
-    /// compare footprints differ.
+    /// `PartialEq` always holds, so reports that classify identically
+    /// are equal whatever their compare footprints.
     pub cost: ProbeCost,
 }
 
@@ -619,18 +608,15 @@ impl<'a> SfiCampaign<'a> {
         plan: FaultPlan,
         splice: bool,
     ) -> (FaultOutcome, Option<SpliceEngagement>) {
-        let (outcome, engagement, _) = self.run_one_impl(plan, splice, true);
+        let (outcome, engagement, _) = self.run_one_impl(plan, splice);
         (outcome, engagement)
     }
 
-    /// [`SfiCampaign::run_one_detailed`] plus the probe-cost counters,
-    /// with the compare path selectable: `incremental: false` forces
-    /// every probe through the full-scan `diff_cells` reference.
+    /// [`SfiCampaign::run_one_detailed`] plus the probe-cost counters.
     fn run_one_impl(
         &self,
         plan: FaultPlan,
         splice: bool,
-        incremental: bool,
     ) -> (FaultOutcome, Option<SpliceEngagement>, ProbeCost) {
         let config = self.injection_config(plan);
         let mut m = match self.snapshots.nearest_at_or_before(plan.inject_at) {
@@ -654,7 +640,7 @@ impl<'a> SfiCampaign<'a> {
         // `classify_machine` (golden-equal final state after a
         // rollback) and rule (c) hits are its `SilentCorruption` arm —
         // each certified without simulating the suffix.
-        match m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts, incremental) {
+        match m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts) {
             SpliceRun::Done(trap) => (self.classify_machine(&m, trap), None, m.probe_cost()),
             SpliceRun::Spliced(rule, dyn_insts_saved) => {
                 let outcome = match rule {
@@ -664,17 +650,6 @@ impl<'a> SfiCampaign<'a> {
                 (outcome, Some(SpliceEngagement { rule, dyn_insts_saved }), m.probe_cost())
             }
         }
-    }
-
-    /// Runs one injection from dynamic instruction 0, ignoring the
-    /// snapshot log. Retained as the differential reference for
-    /// [`SfiCampaign::run_one`]: both paths must classify every plan
-    /// identically.
-    pub fn run_one_from_scratch(&self, plan: FaultPlan) -> FaultOutcome {
-        let config = self.injection_config(plan);
-        let mut m = self.fresh_machine(&config);
-        let trap = m.run_to_end();
-        self.classify_machine(&m, trap)
     }
 
     fn injection_config(&self, plan: FaultPlan) -> RunConfig {
@@ -712,8 +687,7 @@ impl<'a> SfiCampaign<'a> {
         let mut report = CampaignReport::new(*config);
         for index in lo..hi {
             let plan = config.plan_for(index, space);
-            let (outcome, engagement, cost) =
-                self.run_one_impl(plan, config.splice, config.incremental_diff);
+            let (outcome, engagement, cost) = self.run_one_impl(plan, config.splice);
             report.record(plan, outcome);
             report.splice.cost.merge(&cost);
             if let Some(e) = engagement {
@@ -834,6 +808,15 @@ mod tests {
         (module, map, fid)
     }
 
+    /// The protected kernel's campaign without snapshots: every
+    /// injection runs from dynamic instruction 0, the reference the
+    /// snapshot-resume path must match.
+    fn scratch_campaign<'a>(m: &'a Module, map: &'a RegionMap, fid: FuncId) -> SfiCampaign<'a> {
+        let config = SfiConfig { snapshot_stride: 0, ..Default::default() };
+        SfiCampaign::prepare(m, Some(map), fid, &[Value::Int(32)], &config)
+            .expect("golden run completes")
+    }
+
     #[test]
     fn golden_run_is_reference() {
         let (m, map, fid) = protected_kernel();
@@ -949,6 +932,7 @@ mod tests {
         let campaign = SfiCampaign::prepare(&m, Some(&map), fid, &[Value::Int(32)], &config)
             .expect("golden run completes");
         assert!(!campaign.snapshots().is_empty());
+        let scratch = scratch_campaign(&m, &map, fid);
         let space = campaign.golden().eligible_insts.max(1);
         let mut spliced = 0;
         for index in 0..config.injections as u64 {
@@ -956,7 +940,7 @@ mod tests {
             let (fast, engagement) = campaign.run_one_detailed(plan, true);
             assert_eq!(
                 fast,
-                campaign.run_one_from_scratch(plan),
+                scratch.run_one_detailed(plan, false).0,
                 "splice path diverged from scratch on {plan:?}"
             );
             if let Some(e) = engagement {
@@ -1054,7 +1038,7 @@ mod tests {
         let a = campaign.run_one(plan);
         let b = campaign.run_one(plan);
         assert_eq!(a, b);
-        assert_eq!(a, campaign.run_one_from_scratch(plan));
+        assert_eq!(a, scratch_campaign(&m, &map, fid).run_one_detailed(plan, false).0);
     }
 
     #[test]
@@ -1113,11 +1097,12 @@ mod tests {
         let campaign = SfiCampaign::prepare(&m, Some(&map), fid, &[Value::Int(32)], &config)
             .expect("golden run completes");
         assert!(!campaign.snapshots().is_empty(), "stride 16 must capture snapshots");
+        let scratch = scratch_campaign(&m, &map, fid);
         for index in 0..config.injections as u64 {
             let plan = campaign.plan_for_index(&config, index);
             assert_eq!(
                 campaign.run_one(plan),
-                campaign.run_one_from_scratch(plan),
+                scratch.run_one_detailed(plan, false).0,
                 "snapshot resume diverged from scratch for {plan:?}"
             );
         }

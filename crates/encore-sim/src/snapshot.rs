@@ -102,7 +102,7 @@ pub struct Snapshot {
     /// [`SnapshotLog::push`]) — the key the splice's incremental probe
     /// state uses to track which golden intervals it has absorbed.
     pub(crate) index: usize,
-    /// Per-page FNV content hashes of `mem` (plus the NaN poison set),
+    /// Per-page content hashes of `mem` (plus the NaN poison set),
     /// maintained incrementally by the golden run as it captures — the
     /// probe compares an injected run's dirty pages against these
     /// without reading a single golden cell.

@@ -5,12 +5,9 @@
 # variable): the analysis suite into BENCH_analysis.json and the
 # simulator/SFI-campaign suite into BENCH_sim.json (golden_run and
 # campaign_40 rows at 1x — including per-fault-model campaign_40_<model>
-# rows for multi_bit/address/control_flow/power_failure and a
-# campaign_40_fullscan baseline row that disables the O(dirty)
-# incremental state compare so its speedup stays measurable — plus the
-# campaign_40_xl / campaign_40_xl_fullscan tier at 10x data scale; the
-# suite also prints the probe-cost counters (probes attempted, pages
-# hashed, words compared) for the incremental and full-scan paths). Set
+# rows for multi_bit/address/control_flow/power_failure — plus the
+# campaign_40_xl tier at 10x data scale; the suite also prints the
+# probe-cost counters: probes attempted, pages hashed, words compared). Set
 # ENCORE_BENCH_LABEL to tag the emitted rows (e.g. "baseline" vs
 # "post-change" when comparing in one file); by default rows are
 # labeled with the current git commit so results stay attributable

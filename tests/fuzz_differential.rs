@@ -154,72 +154,6 @@ fn fuzzed_campaigns_are_invariant_under_every_fault_model() {
     }
 }
 
-/// The dirty-diff-vs-full-diff differential: the O(dirty) page-hash
-/// probe path (`incremental_diff: true`, the default) and the retained
-/// full-scan reference must produce **bit-identical**
-/// [`CampaignReport`]s — outcomes, latency histograms, *and* splice
-/// engagement counts, because both paths probe the same schedule and
-/// compare the same state by the same `PartialEq` semantics. Only the
-/// config echo of the knob itself may differ.
-fn incremental_diff_invisible_under(prog: &FuzzProgram, model: FaultModelKind) -> PropResult {
-    let (module, map, entry) = instrument(prog).map_err(|e| e.to_string())?;
-    for stride in [0u64, 1, 64] {
-        let base = SfiConfig {
-            injections: 12,
-            dmax: 16,
-            seed: 0xD1FF,
-            workers: 1,
-            snapshot_stride: stride,
-            model,
-            ..Default::default()
-        };
-        let campaign =
-            SfiCampaign::prepare(&module, Some(&map), entry, &[Value::Int(prog.arg)], &base)
-                .map_err(|e| format!("golden run failed: {e}"))?;
-        for workers in [1usize, 8] {
-            let inc = SfiConfig { workers, ..base };
-            let full = SfiConfig { incremental_diff: false, ..inc };
-            let fast = campaign.run_report(&inc);
-            let mut slow = campaign.run_report(&full);
-            // The flag echo is the one intended difference; normalize
-            // it so the assertion covers every other report field.
-            slow.config.incremental_diff = true;
-            prop_assert!(
-                fast == slow,
-                "incremental diff changed {model} report at stride {stride}, \
-                 {workers} workers:\nincremental: {fast:?}\nfull-scan:   {slow:?}"
-            );
-        }
-    }
-    Ok(())
-}
-
-#[test]
-fn fuzzed_campaigns_agree_between_incremental_and_fullscan_diff() {
-    check::<Fuzzed>("fuzz_differential_incremental", case_count(48), |f| {
-        incremental_diff_invisible_under(&f.0, FaultModelKind::default())
-    });
-}
-
-/// The same dirty-diff differential under every non-default fault
-/// model: power failures roll machines back (exercising the
-/// reset-dirty-on-resume seam), address faults corrupt heap traffic
-/// (new-object pages), and deferred-arming models stretch run suffixes
-/// (long incremental probe chains).
-#[test]
-fn fuzzed_campaigns_agree_between_diff_paths_under_every_fault_model() {
-    for model in FaultModelKind::ALL {
-        if model == FaultModelKind::default() {
-            continue;
-        }
-        check::<Fuzzed>(
-            &format!("fuzz_differential_incremental_{}", model.label()),
-            case_count(12),
-            |f| incremental_diff_invisible_under(&f.0, model),
-        );
-    }
-}
-
 /// Draws a stream of deliberately non-uniform [`FaultPlan`]s — sites
 /// clustered at both ends of the eligible range (plus one past it),
 /// dense and sparse multi-bit masks, wrong-edge, address and
@@ -256,19 +190,24 @@ fn adversarial_plans(eligible: u64) -> Vec<FaultPlan> {
 
 /// Beyond model-sampled spaces: for arbitrary plans (any action, any
 /// site, any latency) the snapshot-resume path must classify exactly
-/// like a from-scratch replay. This is the per-plan granularity of the
-/// campaign-level invariance above, on plans no sampler produces.
+/// like a from-scratch replay (a `snapshot_stride: 0` campaign without
+/// splicing). This is the per-plan granularity of the campaign-level
+/// invariance above, on plans no sampler produces.
 #[test]
 fn fuzzed_fault_plans_agree_between_resume_and_scratch() {
     check::<Fuzzed>("fuzz_differential_plans", case_count(24), |f| {
         let (module, map, entry) = instrument(&f.0).map_err(|e| e.to_string())?;
+        let args = [Value::Int(f.0.arg)];
+        let prepare = |cfg: &SfiConfig| {
+            SfiCampaign::prepare(&module, Some(&map), entry, &args, cfg)
+                .map_err(|e| format!("golden run failed: {e}"))
+        };
         let cfg = SfiConfig { dmax: 16, snapshot_stride: 4, ..Default::default() };
-        let campaign =
-            SfiCampaign::prepare(&module, Some(&map), entry, &[Value::Int(f.0.arg)], &cfg)
-                .map_err(|e| format!("golden run failed: {e}"))?;
+        let campaign = prepare(&cfg)?;
+        let from_scratch = prepare(&SfiConfig { snapshot_stride: 0, ..cfg })?;
         for plan in adversarial_plans(campaign.golden().eligible_insts) {
             let resumed = campaign.run_one(plan);
-            let scratch = campaign.run_one_from_scratch(plan);
+            let scratch = from_scratch.run_one_detailed(plan, false).0;
             prop_assert!(
                 resumed == scratch,
                 "resume/scratch diverged on {plan:?}: {resumed:?} vs {scratch:?}"

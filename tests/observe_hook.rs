@@ -1,0 +1,155 @@
+//! Observation must not perturb execution.
+//!
+//! Profiling, tracing and the golden run's memory-access log are hooks
+//! in the interpreter's one sprint executor. These tests pin both halves
+//! of that contract:
+//!
+//! * a run that collects a profile and a trace is the *same run* as a
+//!   plain one — every [`RunResult`] field other than `profile` and
+//!   `trace` is equal, with and without an injected fault;
+//! * what the observers record is pinned by digest per kernel: the
+//!   training [`Profile`](encore::analysis::Profile), its memory-event
+//!   trace, and the golden [`SnapshotLog`] (suffix read/write summaries,
+//!   interval page lists, activation timeline). A change to where or
+//!   how the hooks fire changes what the analyses see and trips these.
+
+use encore::analysis::Profile;
+use encore::core::{Encore, EncoreConfig, InstrumentedModule};
+use encore::ir::Module;
+use encore::sim::{
+    run_function, run_function_with_snapshots, DecodedModule, FaultModelKind, RunConfig, RunResult,
+    SfiConfig, Value,
+};
+use encore::workloads::fuzz;
+
+/// Stable 64-bit FNV-1a digest of a value's `Debug` rendering.
+fn digest(v: &impl std::fmt::Debug) -> u64 {
+    format!("{v:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Asserts `observed` equals `plain` in every field but the two the
+/// observers fill.
+fn assert_same_run(plain: &RunResult, observed: &RunResult, what: &str) {
+    let strip = |r: &RunResult| RunResult { profile: None, trace: None, ..r.clone() };
+    assert!(observed.profile.is_some() && observed.trace.is_some(), "{what}: nothing observed");
+    assert_eq!(strip(plain), strip(observed), "{what}: observation changed the run");
+}
+
+fn observe(config: &RunConfig) -> RunConfig {
+    RunConfig { collect_profile: true, collect_trace: true, ..config.clone() }
+}
+
+/// Instruments `module` from a training profile (budget unlimited so
+/// every region is armed and checkpointed).
+fn protect(module: &Module, profile: &Profile) -> InstrumentedModule {
+    Encore::new(EncoreConfig::default().with_overhead_budget(1e9)).run(module, profile).instrumented
+}
+
+/// Per-kernel digests of `(profile, trace, snapshot log)`, recorded
+/// before observation moved into the sprint loop.
+const KERNEL_DIGESTS: [(&str, u64, u64, u64); 23] = [
+    ("164.gzip", 0x001bf48b8ca0a876, 0x4c63284ea321d96c, 0x4708d7dbd969fbee),
+    ("175.vpr", 0xce2172372931e89b, 0xbddc1fa7b9b04146, 0x8a260a4e8d1b36bd),
+    ("181.mcf", 0xb5c626429cfcd7bf, 0xefd47db0764d1418, 0x85f223c5dd160a89),
+    ("197.parser", 0x666d8d050c3e736e, 0x591c4c590341f4b8, 0x0cf17f1d72d33b08),
+    ("256.bzip2", 0x138d34c5a53f22ba, 0x20b25adc02231466, 0x1e0aea12362df1c3),
+    ("300.twolf", 0x8c3a86cd25ef487a, 0xd2806d4a7e790398, 0xde41b4985697f129),
+    ("172.mgrid", 0x047785c8be1de3bc, 0x92a4c38c70e8783a, 0x5bf7f67f024cf2dd),
+    ("173.applu", 0xe75a8ac73698e6de, 0x4dc5253c80932706, 0xa5905a860b045a1c),
+    ("177.mesa", 0xfae7e6bef20da505, 0x7a409c9be9c40408, 0x961b2575ccd20cc4),
+    ("179.art", 0x4ff55bed8d5c7928, 0x2cdb5dc95e9c6be7, 0x6efda6dc7da36799),
+    ("183.equake", 0x0a89538d94fd20fb, 0x2c1d97b0698ba526, 0xb34a8c4f39add9e5),
+    ("cjpeg", 0xed9900e460a2fd0b, 0x777b7e7ffcc56d8f, 0x640a01fa35fca0cd),
+    ("djpeg", 0x7daee951823bae9d, 0x938735963b49c58f, 0xd9ba6ddf9763560c),
+    ("epic", 0x86688c7c373566fd, 0x387e928231a2683c, 0x9ec797af0079867a),
+    ("unepic", 0x0e959f6cd92bcc5c, 0x123bccd59312527d, 0x684235ad5feeb115),
+    ("g721encode", 0x55e2af37255e094a, 0x4bc925c3754012ef, 0x55848fcc56784855),
+    ("g721decode", 0xe9613355a74e5347, 0x62a33fd20ddfd5ec, 0x4f5049a1ec19177b),
+    ("mpeg2dec", 0x8bbb69f1bc98f5ab, 0x2230adae6987ee3d, 0x5c83f49a242da5f0),
+    ("mpeg2enc", 0x91becc5c9f6168fe, 0x2a8cdf65404e3e02, 0x2ef80c7826148dc2),
+    ("pegwitdec", 0x9aa10d3dadf2fca1, 0x2aabbb462597646c, 0xaaac025976b33768),
+    ("pegwitenc", 0x9aa10d3dadf2fca1, 0x2aabbb462597646c, 0xaaac025976b33768),
+    ("rawcaudio", 0x8c40cb4e464967a6, 0x425d3c837d040004, 0x835685b8f35caca9),
+    ("rawdaudio", 0xc0c042a654c1752f, 0x14ffd16484d63530, 0x1d45fafc2b6825ee),
+];
+
+/// Every kernel: the observed training run equals the plain one, the
+/// instrumented module's observed run (with region accounting) equals
+/// its plain run, and the profile, trace and golden snapshot log match
+/// their pinned digests.
+#[test]
+fn observed_kernel_runs_match_plain_runs_and_pinned_views() {
+    let workloads = encore::workloads::all();
+    assert_eq!(workloads.len(), KERNEL_DIGESTS.len());
+    let mut got = Vec::new();
+    for (w, &(name, ..)) in workloads.iter().zip(&KERNEL_DIGESTS) {
+        assert_eq!(w.name, name, "kernel order changed");
+        let args = [Value::Int(w.train_arg)];
+        let plain = run_function(&w.module, None, w.entry, &args, &RunConfig::default());
+        let observed =
+            run_function(&w.module, None, w.entry, &args, &observe(&RunConfig::default()));
+        assert_same_run(&plain, &observed, name);
+        let profile = observed.profile.as_ref().expect("profile");
+        let trace = observed.trace.as_ref().expect("trace");
+
+        let inst = protect(&w.module, profile);
+        let map = Some(&inst.map);
+        let accounting = RunConfig { region_accounting: true, ..RunConfig::default() };
+        let plain = run_function(&inst.module, map, w.entry, &args, &accounting);
+        let observed = run_function(&inst.module, map, w.entry, &args, &observe(&accounting));
+        assert_same_run(&plain, &observed, name);
+
+        let code = DecodedModule::new(&inst.module, map);
+        let (golden, log) =
+            run_function_with_snapshots(&inst.module, map, &code, w.entry, &args, &accounting, 64);
+        assert_eq!(golden, plain, "{name}: snapshot capture changed the run");
+        got.push((name, digest(profile), digest(trace), digest(&log)));
+    }
+    let table: String = got
+        .iter()
+        .map(|(n, p, t, l)| format!("    (\"{n}\", {p:#018x}, {t:#018x}, {l:#018x}),\n"))
+        .collect();
+    assert!(
+        got.iter().zip(&KERNEL_DIGESTS).all(|(g, w)| g == w),
+        "observed views changed; digests now:\n{table}"
+    );
+}
+
+/// 64 fuzz programs, plain and instrumented, fault-free and under one
+/// planned fault per model: observation never changes the run.
+#[test]
+fn observed_fuzz_runs_match_plain_runs() {
+    let mut rollbacks = 0;
+    for index in 0..64 {
+        let prog = fuzz::program_for(0x0B5E_47E5, index);
+        let (module, entry) = fuzz::build(&prog);
+        let args = [Value::Int(prog.arg)];
+        let plain = run_function(&module, None, entry, &args, &RunConfig::default());
+        let observed = run_function(&module, None, entry, &args, &observe(&RunConfig::default()));
+        let what = format!("fuzz case {index}");
+        assert_same_run(&plain, &observed, &what);
+        if !plain.completed {
+            continue;
+        }
+        let inst = protect(&module, observed.profile.as_ref().expect("profile"));
+        let map = Some(&inst.map);
+        let golden = run_function(&inst.module, map, entry, &args, &RunConfig::default());
+        for (k, model) in FaultModelKind::ALL.into_iter().enumerate() {
+            let sfi = SfiConfig { seed: index, dmax: 16, model, ..SfiConfig::default() };
+            let plan = sfi.plan_for(k as u64, golden.eligible_insts.max(1));
+            let config = RunConfig {
+                fuel: golden.dyn_insts * 4 + 1000,
+                region_accounting: true,
+                fault: Some(plan),
+                ..RunConfig::default()
+            };
+            let plain = run_function(&inst.module, map, entry, &args, &config);
+            let observed = run_function(&inst.module, map, entry, &args, &observe(&config));
+            assert_same_run(&plain, &observed, &format!("{what}, {plan:?}"));
+            rollbacks += usize::from(plain.fault.rolled_back);
+        }
+    }
+    assert!(rollbacks > 0, "no planned fault rolled back: recovery went unobserved");
+}

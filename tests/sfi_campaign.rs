@@ -11,12 +11,13 @@
 //!   `(seed, index)` pair — the whole campaign is just the sum of its
 //!   independently derivable members;
 //! * every [`FaultOutcome`] variant is reachable, and the snapshot and
-//!   from-scratch paths agree on each of them.
+//!   from-scratch paths (a `snapshot_stride: 0` campaign) agree on each
+//!   of them.
 
 use encore::core::{Encore, EncoreConfig, RegionInfo, RegionMap};
 use encore::sim::{
-    run_function, CampaignReport, FaultOutcome, FaultPlan, RunConfig, SfiCampaign, SfiConfig,
-    SpliceRule, Value,
+    run_function, CampaignReport, FaultAction, FaultOutcome, FaultPlan, RunConfig, SfiCampaign,
+    SfiConfig, SpliceRule, Value,
 };
 use encore_ir::{
     AddrExpr, BinOp, BlockId, FuncId, Inst, MemBase, ModuleBuilder, Operand, RegionId,
@@ -160,28 +161,33 @@ fn snapshot_stride_never_changes_campaign_reports() {
     }
 }
 
-/// Fixed-seed incremental-diff smoke (run by name from `scripts/ci.sh`):
-/// one real workload, both compare paths, full reports asserted equal.
-/// The O(dirty) page-hash probe path and the full-scan reference probe
-/// the same schedule and compare the same state by the same `PartialEq`
-/// semantics, so *everything* — outcomes, latency histograms, splice
-/// engagement counts, suffix instructions saved — must match; only the
-/// config echo of the knob itself is normalized away.
+/// Regression: a bit-63 flip on 256.bzip2 whose rolled-back run leaves
+/// two divergent cells in one page, each differing from golden only in
+/// bit 63. A page hash whose per-word step carries differences only
+/// upward cancelled the pair, the probe trusted the page as equal, and
+/// the splice certified `Recovered` for what full execution finds to be
+/// silent corruption.
 #[test]
-fn incremental_diff_smoke_reports_identical_both_paths() {
-    let (module, map, entry, arg) = instrument("rawcaudio");
-    let inc = config(64, 2);
-    assert!(inc.incremental_diff, "incremental compare is the default");
-    let campaign = SfiCampaign::prepare(&module, Some(&map), entry, &[Value::Int(arg)], &inc)
-        .expect("golden run completes");
-    let fast = campaign.run_report(&inc);
-    let mut slow = campaign.run_report(&SfiConfig { incremental_diff: false, ..inc });
-    slow.config.incremental_diff = true;
-    assert_eq!(fast, slow, "full-scan reference disagreed with the incremental path");
-    assert!(
-        fast.splice.cost.probes > 0,
-        "smoke campaign never probed — the property ran vacuously"
+fn bzip2_bit63_flip_splices_to_the_no_splice_outcome() {
+    let w = encore::workloads::by_name("256.bzip2").expect("known workload");
+    let train = run_function(
+        &w.module,
+        None,
+        w.entry,
+        &[Value::Int(w.train_arg)],
+        &RunConfig { collect_profile: true, ..Default::default() },
     );
+    let inst = Encore::new(EncoreConfig::default())
+        .run(&w.module, train.profile.as_ref().expect("profile"))
+        .instrumented;
+    let cfg = SfiConfig { seed: 11, ..Default::default() };
+    let args = [Value::Int(w.eval_arg)];
+    let campaign = SfiCampaign::prepare(&inst.module, Some(&inst.map), w.entry, &args, &cfg)
+        .expect("golden run completes");
+    let plan = campaign.plan_for_index(&cfg, 2816);
+    assert_eq!(plan.action, FaultAction::FlipBits { mask: 1 << 63 });
+    let truth = campaign.run_one_detailed(plan, false).0;
+    assert_eq!(campaign.run_one_detailed(plan, true).0, truth, "{plan:?}");
 }
 
 /// Builds a RegionMap with one entry per (func, header, recovery block).
@@ -205,26 +211,58 @@ fn map_of(entries: &[(FuncId, BlockId, BlockId)]) -> RegionMap {
     map
 }
 
-/// Runs one injection per eligible site (up to `max_sites`) through BOTH
-/// the snapshot-resume path and the retained from-scratch path, asserts
-/// they classify every plan identically, and returns the outcomes.
+/// A campaign and its from-scratch twin: the same golden run without
+/// snapshots, so each of its injections runs from dynamic instruction 0
+/// with no splice — the reference the resume and splice paths match.
+struct Twin<'a> {
+    resume: SfiCampaign<'a>,
+    scratch: SfiCampaign<'a>,
+}
+
+impl<'a> Twin<'a> {
+    fn prepare(
+        m: &'a encore_ir::Module,
+        map: Option<&'a RegionMap>,
+        fid: FuncId,
+        args: &[Value],
+        cfg: &SfiConfig,
+    ) -> Self {
+        let scratch_cfg = SfiConfig { snapshot_stride: 0, ..*cfg };
+        Twin {
+            resume: SfiCampaign::prepare(m, map, fid, args, cfg).expect("golden run completes"),
+            scratch: SfiCampaign::prepare(m, map, fid, args, &scratch_cfg)
+                .expect("golden run completes"),
+        }
+    }
+
+    /// Runs `plan` spliced from the nearest snapshot, asserting the
+    /// from-scratch twin classifies it identically.
+    fn run_checked(&self, plan: FaultPlan) -> (FaultOutcome, Option<SpliceRule>) {
+        let (outcome, engagement) = self.resume.run_one_detailed(plan, true);
+        assert_eq!(
+            outcome,
+            self.scratch.run_one_detailed(plan, false).0,
+            "resume/splice diverged from scratch for {plan:?}"
+        );
+        (outcome, engagement.map(|e| e.rule))
+    }
+
+    fn eligible_insts(&self) -> u64 {
+        self.resume.golden().eligible_insts
+    }
+}
+
+/// Runs one injection per eligible site (up to `max_sites`) through both
+/// twins, asserting they classify every plan identically, and returns
+/// the outcomes.
 fn sweep_outcomes(
-    campaign: &SfiCampaign<'_>,
+    campaign: &Twin<'_>,
     bit: u8,
     detect_latency: u64,
     max_sites: u64,
 ) -> Vec<FaultOutcome> {
-    (0..campaign.golden().eligible_insts.min(max_sites))
-        .map(|inject_at| {
-            let plan = FaultPlan::bit_flip(inject_at, bit, detect_latency);
-            let outcome = campaign.run_one(plan);
-            assert_eq!(
-                outcome,
-                campaign.run_one_from_scratch(plan),
-                "snapshot resume diverged from scratch for {plan:?}"
-            );
-            outcome
-        })
+    (0..campaign.eligible_insts().min(max_sites))
+        .map(|inject_at| campaign.run_checked(FaultPlan::bit_flip(inject_at, bit, detect_latency)).0)
         .collect()
 }
 
@@ -250,8 +288,7 @@ fn every_fault_outcome_variant_is_exercised() {
         f.ret(Some(v2.into()));
     });
     let m = mb.finish();
-    let campaign =
-        SfiCampaign::prepare(&m, None, fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, None, fid, &[], &cfg);
     // Latency long enough that the run completes before detection: the
     // fault either lands in the dead load (benign) or corrupts state.
     let quiet = sweep_outcomes(&campaign, 3, 1000, 64);
@@ -297,8 +334,7 @@ fn every_fault_outcome_variant_is_exercised() {
     });
     let m = mb.finish();
     let map = map_of(&[(fid, BlockId::new(1), BlockId::new(2))]);
-    let campaign =
-        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
     let recovered = sweep_outcomes(&campaign, 1, 0, 64);
     assert!(
         recovered.contains(&FaultOutcome::Recovered),
@@ -321,8 +357,7 @@ fn every_fault_outcome_variant_is_exercised() {
         f.ret(Some(acc.into()));
     });
     let m = mb.finish();
-    let campaign = SfiCampaign::prepare(&m, None, fid, &[Value::Int(32)], &cfg)
-        .expect("golden run completes");
+    let campaign = Twin::prepare(&m, None, fid, &[Value::Int(32)], &cfg);
     let hung = sweep_outcomes(&campaign, 63, 1 << 40, 16);
     assert!(hung.contains(&FaultOutcome::Hung), "no hung outcome: {hung:?}");
 
@@ -358,8 +393,7 @@ fn every_fault_outcome_variant_is_exercised() {
     });
     let m = mb.finish();
     let map = map_of(&[(fid, BlockId::new(1), BlockId::new(2))]);
-    let campaign =
-        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
     let crashed = sweep_outcomes(&campaign, 40, 50, 64);
     assert!(crashed.contains(&FaultOutcome::Crashed), "no crashed outcome: {crashed:?}");
 }
@@ -467,17 +501,11 @@ fn splice_kernel() -> (encore_ir::Module, RegionMap, FuncId) {
 /// asserting the spliced outcome agrees with the from-scratch replay and
 /// that each fired rule implies the outcome it certifies. Returns the
 /// rules that fired.
-fn sweep_rules(campaign: &SfiCampaign<'_>, bit: u8, detect_latency: u64) -> Vec<SpliceRule> {
-    (0..campaign.golden().eligible_insts)
+fn sweep_rules(campaign: &Twin<'_>, bit: u8, detect_latency: u64) -> Vec<SpliceRule> {
+    (0..campaign.eligible_insts())
         .filter_map(|inject_at| {
             let plan = FaultPlan::bit_flip(inject_at, bit, detect_latency);
-            let (outcome, engagement) = campaign.run_one_detailed(plan, true);
-            assert_eq!(
-                outcome,
-                campaign.run_one_from_scratch(plan),
-                "splice misclassified {plan:?}"
-            );
-            let rule = engagement.map(|e| e.rule);
+            let (outcome, rule) = campaign.run_checked(plan);
             match rule {
                 Some(SpliceRule::Converged | SpliceRule::DeadDiff) => {
                     assert_eq!(outcome, FaultOutcome::Recovered, "{plan:?} fired {rule:?}")
@@ -496,8 +524,7 @@ fn sweep_rules(campaign: &SfiCampaign<'_>, bit: u8, detect_latency: u64) -> Vec<
 fn splice_rule_converged_fires_when_rollback_heals_everything() {
     let (m, map, fid) = splice_kernel();
     let cfg = SfiConfig { snapshot_stride: 4, ..Default::default() };
-    let campaign =
-        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
     // Latency 0: the trap fires before the corrupted value escapes to
     // memory, so rollback restores the pre-fault state bit-exactly.
     let rules = sweep_rules(&campaign, 0, 0);
@@ -508,8 +535,7 @@ fn splice_rule_converged_fires_when_rollback_heals_everything() {
 fn splice_rule_dead_diff_fires_when_the_golden_suffix_overwrites() {
     let (m, map, fid) = splice_kernel();
     let cfg = SfiConfig { snapshot_stride: 4, ..Default::default() };
-    let campaign =
-        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
     // Bit 0 on an even `t` strays the store to `dst[t + 1]`, which
     // iteration `t + 1` of the suffix rewrites; latency 4 lets the
     // store retire first.
@@ -521,8 +547,7 @@ fn splice_rule_dead_diff_fires_when_the_golden_suffix_overwrites() {
 fn splice_rule_sdc_fires_on_persistent_dead_corruption() {
     let (m, map, fid) = splice_kernel();
     let cfg = SfiConfig { snapshot_stride: 4, ..Default::default() };
-    let campaign =
-        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
     // Bit 5 sends the stray store to `dst[t + 32]`, which no iteration
     // ever touches again: a dead global divergence that persists to the
     // final state.
