@@ -32,7 +32,7 @@
 //! iteration (min-of-N, the least noise-contaminated figure on a
 //! shared machine) and, for the default configuration, the splice
 //! engagement rate plus its probe-cost footprint (probes attempted,
-//! pages hashed, words compared). Run with
+//! pages compared, words compared). Run with
 //! `cargo bench --bench sim --offline`.
 
 use encore_bench::microbench::Microbench;
@@ -133,7 +133,7 @@ fn main() {
             sp.dyn_insts_saved
         );
         println!(
-            "  {:<18} {} probes, {} pages hashed, {} words compared",
+            "  {:<18} {} probes, {} pages compared, {} words compared",
             "", sp.cost.probes, sp.cost.pages_hashed, sp.cost.words_compared
         );
     }

@@ -125,7 +125,7 @@ pub fn campaign_json(workload: &str, report: &CampaignReport) -> String {
     out.push_str(&format!(
         "  \"splice\": {{\"converged\": {}, \"dead_diff\": {}, \"sdc\": {}, \
          \"total\": {}, \"dyn_insts_saved\": {}, \"probes\": {}, \
-         \"pages_hashed\": {}, \"words_compared\": {}}},\n",
+         \"pages_compared\": {}, \"words_compared\": {}}},\n",
         sp.converged,
         sp.dead_diff,
         sp.sdc,
@@ -211,7 +211,7 @@ pub fn splice_table(injections: usize, splice: &SpliceStats) -> Table {
     // Probe-cost footprint: what the splice paid for those savings.
     for (label, n) in [
         ("probes attempted", splice.cost.probes),
-        ("pages hashed", splice.cost.pages_hashed),
+        ("pages compared", splice.cost.pages_hashed),
         ("words compared", splice.cost.words_compared),
     ] {
         table.row(vec![label.to_string(), n.to_string(), "-".to_string()]);
@@ -310,7 +310,7 @@ mod tests {
             "\"splice\": {\"converged\": 0, \"dead_diff\": 0, \"sdc\": 0",
             "\"dyn_insts_saved\": 0",
             "\"probes\": 0",
-            "\"pages_hashed\": 0",
+            "\"pages_compared\": 0",
             "\"words_compared\": 0",
             "\"latency_histograms\"",
         ] {
@@ -338,7 +338,7 @@ mod tests {
         assert!(rendered.contains("80.0%"), "total share missing:\n{rendered}");
         assert!(rendered.contains("900"), "{rendered}");
         assert!(rendered.contains("probes attempted"), "{rendered}");
-        assert!(rendered.contains("pages hashed"), "{rendered}");
+        assert!(rendered.contains("pages compared"), "{rendered}");
         assert!(rendered.contains("words compared"), "{rendered}");
         assert!(rendered.contains("320"), "{rendered}");
     }

@@ -455,7 +455,7 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "splice probe cost:        {} probes, {} pages hashed, {} words compared",
+            "splice probe cost:        {} probes, {} pages compared, {} words compared",
             s.cost.probes,
             s.cost.pages_hashed,
             s.cost.words_compared

@@ -150,9 +150,9 @@ pub struct LoopSummary {
 }
 
 /// The idempotence analyzer: module-wide immutable inputs plus an alias
-/// oracle, and lazily built per-function tables ([`FuncCache`]) shared by
-/// every region analysis over the same function — including across the
-/// sharded pipeline's worker threads.
+/// oracle, and lazily built per-function tables shared by every region
+/// analysis over the same function — including across the sharded
+/// pipeline's worker threads.
 pub struct IdempotenceAnalyzer<'a> {
     module: &'a Module,
     memsum: MemSummary,

@@ -1,16 +1,17 @@
-//! The pluggable transient-fault taxonomy.
+//! The transient-fault taxonomy.
 //!
 //! Everything the injector knows about *what a fault does* lives here.
-//! A [`FaultModel`] owns plan sampling — each [`FaultPlan`] is a pure
-//! function of the campaign seed and the injection index (the caller
-//! derives the stream with [`SplitMix64::for_index`]), so campaigns
-//! stay bit-reproducible at any worker count no matter which model is
-//! selected. Each plan carries a [`FaultAction`] the interpreter
-//! dispatches on at its injection sites; the action, not the model,
-//! is what the machine executes, so replaying a single plan needs no
-//! model object at all.
+//! [`FaultModelKind::sample`] owns plan sampling — each [`FaultPlan`]
+//! is a pure function of the campaign seed and the injection index (the
+//! caller derives the stream with
+//! [`SplitMix64::for_index`](crate::rng::SplitMix64::for_index)), so
+//! campaigns stay bit-reproducible at any worker count no matter which
+//! model is selected. Each plan carries a [`FaultAction`] the
+//! interpreter dispatches on at its injection sites; the action, not the
+//! model, is what the machine executes, so replaying a single plan
+//! needs no model at all.
 //!
-//! The built-in models, selected by [`FaultModelKind`]:
+//! The models, one [`FaultModelKind`] each:
 //!
 //! | model | action | provenance |
 //! |---|---|---|
@@ -32,9 +33,7 @@
 //! `fault.is_some()` true forever, so no probe can certify, which is the
 //! conservative direction) and for power failures (whose zeroed
 //! volatile registers either get rewritten, restoring state equality, or
-//! keep every probe failing). [`FaultModel::splice_sound`] encodes the
-//! audit decision per model and [`FaultAction::splice_certifiable`]
-//! gates the splice at run time; the differential tests
+//! keep every probe failing). The differential tests
 //! (`tests/fuzz_differential.rs`, `tests/sfi_campaign.rs`) enforce the
 //! claim per model rather than trusting this comment.
 
@@ -42,8 +41,8 @@ use crate::rng::Rng;
 
 /// What the injected fault does when it fires.
 ///
-/// Sampled into a [`FaultPlan`] by a [`FaultModel`]; dispatched by the
-/// interpreter at its injection sites.
+/// Sampled into a [`FaultPlan`] by [`FaultModelKind::sample`];
+/// dispatched by the interpreter at its injection sites.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FaultAction {
     /// XOR `mask` into the 64-bit representation of the value produced
@@ -78,24 +77,6 @@ pub enum FaultAction {
     PowerFailure,
 }
 
-impl FaultAction {
-    /// Whether the divergence splice may certify runs injected with
-    /// this action. `true` for every built-in action (see the module
-    /// docs for the argument); a future action that breaks the
-    /// state-equality argument returns `false` here and
-    /// [`SfiCampaign`](crate::SfiCampaign) falls back to full
-    /// execution for its runs.
-    #[must_use]
-    pub fn splice_certifiable(self) -> bool {
-        match self {
-            FaultAction::FlipBits { .. }
-            | FaultAction::WrongEdge
-            | FaultAction::CorruptAddress { .. }
-            | FaultAction::PowerFailure => true,
-        }
-    }
-}
-
 /// A planned transient fault: at the `inject_at`-th *eligible* dynamic
 /// instruction (value-producing or store), perform `action`, detected
 /// `detect_latency` dynamic instructions after the action fires (`l` of
@@ -125,179 +106,33 @@ impl FaultPlan {
     }
 }
 
-/// A fault model: owns the sampling of [`FaultPlan`]s and the per-model
-/// splice-soundness decision.
-///
-/// Implementations must keep [`FaultModel::sample`] a pure function of
-/// the `rng` stream (and its `eligible_insts`/`dmax` arguments): the
-/// campaign derives one independent stream per `(seed, index)` pair, so
-/// purity here is what makes campaigns bit-reproducible at any worker
-/// count and lets any single injection be replayed in isolation.
-pub trait FaultModel: Sync {
-    /// The selector this model implements.
-    fn kind(&self) -> FaultModelKind;
-
-    /// Samples one plan from `rng`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `eligible_insts == 0`: an empty golden run has no
-    /// sample space. [`SfiCampaign::prepare`](crate::SfiCampaign)
-    /// surfaces that case as
-    /// [`GoldenRunError::NoEligibleInstructions`](crate::GoldenRunError)
-    /// before any plan is drawn.
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan;
-
-    /// Whether every action this model samples is splice-certifiable
-    /// (must agree with [`FaultAction::splice_certifiable`] on every
-    /// plan the model can produce — enforced by test, not by trust).
-    fn splice_sound(&self) -> bool;
-}
-
-/// The classic single-event-upset model: one uniformly chosen bit of
-/// the value produced by a uniformly chosen eligible instruction,
-/// detection latency uniform on `[0, dmax]`. The default model; its
-/// draw order reproduces the pre-taxonomy injector bit for bit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BitFlip;
-
-impl FaultModel for BitFlip {
-    fn kind(&self) -> FaultModelKind {
-        FaultModelKind::BitFlip
-    }
-
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
-        FaultPlan {
-            inject_at: rng.gen_below(eligible_insts),
-            action: FaultAction::FlipBits { mask: 1u64 << rng.gen_below(64) },
-            detect_latency: rng.gen_range_inclusive(0, dmax),
-        }
-    }
-
-    fn splice_sound(&self) -> bool {
-        true
-    }
-}
-
-/// Spatially-correlated multi-bit upset: a burst of 2–4 adjacent bits
-/// (wrapping at bit 63) of one produced value.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MultiBitFlip;
-
-impl FaultModel for MultiBitFlip {
-    fn kind(&self) -> FaultModelKind {
-        FaultModelKind::MultiBit
-    }
-
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
-        let inject_at = rng.gen_below(eligible_insts);
-        let width = 2 + rng.gen_below(3); // 2..=4 adjacent bits
-        let pos = rng.gen_below(64) as u32;
-        let mask = ((1u64 << width) - 1).rotate_left(pos);
-        FaultPlan {
-            inject_at,
-            action: FaultAction::FlipBits { mask },
-            detect_latency: rng.gen_range_inclusive(0, dmax),
-        }
-    }
-
-    fn splice_sound(&self) -> bool {
-        true
-    }
-}
-
-/// Address-path fault: one bit of the resolved cell index of the first
-/// program load/store after the arming point. Strays either land in
-/// bounds (corrupting a neighbour cell) or trap — a symptom the
-/// detection path converts into a rollback.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AddressCorruption;
-
-impl FaultModel for AddressCorruption {
-    fn kind(&self) -> FaultModelKind {
-        FaultModelKind::Address
-    }
-
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
-        FaultPlan {
-            inject_at: rng.gen_below(eligible_insts),
-            action: FaultAction::CorruptAddress { mask: 1u64 << rng.gen_below(16) },
-            detect_latency: rng.gen_range_inclusive(0, dmax),
-        }
-    }
-
-    fn splice_sound(&self) -> bool {
-        true
-    }
-}
-
-/// Control-flow error (Khoshavi et al.): the first conditional branch
-/// after the arming point transfers along the wrong edge.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ControlFlowError;
-
-impl FaultModel for ControlFlowError {
-    fn kind(&self) -> FaultModelKind {
-        FaultModelKind::ControlFlow
-    }
-
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
-        FaultPlan {
-            inject_at: rng.gen_below(eligible_insts),
-            action: FaultAction::WrongEdge,
-            detect_latency: rng.gen_range_inclusive(0, dmax),
-        }
-    }
-
-    fn splice_sound(&self) -> bool {
-        true
-    }
-}
-
-/// Power failure (Choi et al.'s intermittent computation): the device
-/// loses power at a uniformly chosen point, volatile registers are
-/// lost, and the run restarts from the armed recovery block — Encore's
-/// recovery blocks acting as a just-in-time checkpoint/rollback
-/// mechanism. Detection is the event itself, so `detect_latency` is
-/// always 0 (the latency histogram degenerates to bin 0).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PowerFailure;
-
-impl FaultModel for PowerFailure {
-    fn kind(&self) -> FaultModelKind {
-        FaultModelKind::PowerFailure
-    }
-
-    fn sample(&self, rng: &mut dyn Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
-        let _ = dmax; // a power failure has no detection latency
-        FaultPlan {
-            inject_at: rng.gen_below(eligible_insts),
-            action: FaultAction::PowerFailure,
-            detect_latency: 0,
-        }
-    }
-
-    fn splice_sound(&self) -> bool {
-        true
-    }
-}
-
-/// Selector for the built-in [`FaultModel`]s — the `Copy + Eq` handle
+/// The fault model plans are sampled from — the `Copy + Eq` selector
 /// that travels inside [`SfiConfig`](crate::SfiConfig), the CLI and
-/// campaign reports, while the trait objects behind
-/// [`FaultModelKind::model`] carry the behavior.
+/// campaign reports.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum FaultModelKind {
-    /// Single-bit value corruption (the default, the paper's §4.2.1).
+    /// The classic single-event upset (the default, the paper's
+    /// §4.2.1): one uniformly chosen bit of the value produced by a
+    /// uniformly chosen eligible instruction. Its draw order reproduces
+    /// the pre-taxonomy injector bit for bit.
     #[default]
     BitFlip,
-    /// 2–4 adjacent-bit burst of one value.
+    /// Spatially-correlated multi-bit upset: a burst of 2–4 adjacent
+    /// bits (wrapping at bit 63) of one produced value.
     MultiBit,
-    /// Load/store cell-index corruption.
+    /// Address-path fault: one bit of the resolved cell index of the
+    /// first program load/store after the arming point. Strays either
+    /// land in bounds (corrupting a neighbour cell) or trap — a symptom
+    /// the detection path converts into a rollback.
     Address,
-    /// Wrong-edge branch transfer.
+    /// Control-flow error (Khoshavi et al.): the first conditional
+    /// branch after the arming point transfers along the wrong edge.
     ControlFlow,
-    /// Mid-region power loss with restart from the recovery block.
+    /// Power failure (Choi et al.'s intermittent computation): the
+    /// device loses power at a uniformly chosen point, volatile
+    /// registers are lost, and the run restarts from the armed recovery
+    /// block. Detection is the event itself, so `detect_latency` is
+    /// always 0.
     PowerFailure,
 }
 
@@ -311,16 +146,44 @@ impl FaultModelKind {
         FaultModelKind::PowerFailure,
     ];
 
-    /// The model implementation behind this selector.
+    /// Samples one plan from `rng`: the eligible ordinal first, then
+    /// the action's own draws, then a detection latency uniform on
+    /// `[0, dmax]` (none for a power failure).
+    ///
+    /// A pure function of the `rng` stream and the arguments: the
+    /// campaign derives one independent stream per `(seed, index)`
+    /// pair, so purity here is what makes campaigns bit-reproducible at
+    /// any worker count and lets any single injection be replayed in
+    /// isolation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `eligible_insts == 0`: an empty golden run has no
+    /// sample space. [`SfiCampaign::prepare`](crate::SfiCampaign)
+    /// surfaces that case as
+    /// [`GoldenRunError::NoEligibleInstructions`](crate::GoldenRunError)
+    /// before any plan is drawn.
     #[must_use]
-    pub fn model(self) -> &'static dyn FaultModel {
-        match self {
-            FaultModelKind::BitFlip => &BitFlip,
-            FaultModelKind::MultiBit => &MultiBitFlip,
-            FaultModelKind::Address => &AddressCorruption,
-            FaultModelKind::ControlFlow => &ControlFlowError,
-            FaultModelKind::PowerFailure => &PowerFailure,
-        }
+    pub fn sample(self, rng: &mut impl Rng, eligible_insts: u64, dmax: u64) -> FaultPlan {
+        let inject_at = rng.gen_below(eligible_insts);
+        let action = match self {
+            FaultModelKind::BitFlip => FaultAction::FlipBits { mask: 1u64 << rng.gen_below(64) },
+            FaultModelKind::MultiBit => {
+                let width = 2 + rng.gen_below(3); // 2..=4 adjacent bits
+                let pos = rng.gen_below(64) as u32;
+                FaultAction::FlipBits { mask: ((1u64 << width) - 1).rotate_left(pos) }
+            }
+            FaultModelKind::Address => {
+                FaultAction::CorruptAddress { mask: 1u64 << rng.gen_below(16) }
+            }
+            FaultModelKind::ControlFlow => FaultAction::WrongEdge,
+            FaultModelKind::PowerFailure => FaultAction::PowerFailure,
+        };
+        let detect_latency = match self {
+            FaultModelKind::PowerFailure => 0,
+            _ => rng.gen_range_inclusive(0, dmax),
+        };
+        FaultPlan { inject_at, action, detect_latency }
     }
 
     /// Kebab-case name — the CLI value of `--fault-model`.
@@ -374,7 +237,6 @@ mod tests {
         for kind in FaultModelKind::ALL {
             assert_eq!(FaultModelKind::parse(kind.name()), Some(kind));
             assert_eq!(FaultModelKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.model().kind(), kind);
         }
         assert_eq!(FaultModelKind::parse("cosmic-ray"), None);
     }
@@ -382,10 +244,9 @@ mod tests {
     #[test]
     fn every_model_samples_within_bounds() {
         for kind in FaultModelKind::ALL {
-            let model = kind.model();
             for index in 0..200u64 {
                 let mut rng = SplitMix64::for_index(0xFA_017, index);
-                let plan = model.sample(&mut rng, 1000, 50);
+                let plan = kind.sample(&mut rng, 1000, 50);
                 assert!(plan.inject_at < 1000, "{kind}: {plan:?}");
                 assert!(plan.detect_latency <= 50, "{kind}: {plan:?}");
                 match (kind, plan.action) {
@@ -421,31 +282,10 @@ mod tests {
     #[test]
     fn sampling_is_a_pure_function_of_seed_and_index() {
         for kind in FaultModelKind::ALL {
-            let model = kind.model();
             for index in [0u64, 1, 17, 9999] {
-                let a = model.sample(&mut SplitMix64::for_index(7, index), 500, 20);
-                let b = model.sample(&mut SplitMix64::for_index(7, index), 500, 20);
+                let a = kind.sample(&mut SplitMix64::for_index(7, index), 500, 20);
+                let b = kind.sample(&mut SplitMix64::for_index(7, index), 500, 20);
                 assert_eq!(a, b, "{kind} resampled differently at index {index}");
-            }
-        }
-    }
-
-    #[test]
-    fn splice_soundness_claims_match_sampled_actions() {
-        // The model-level audit decision must agree with the per-action
-        // gate on every plan the model can produce — this is the "not
-        // comments" half of the per-model splice audit.
-        for kind in FaultModelKind::ALL {
-            let model = kind.model();
-            for index in 0..200u64 {
-                let mut rng = SplitMix64::for_index(0x51_1CE, index);
-                let plan = model.sample(&mut rng, 1000, 50);
-                assert_eq!(
-                    plan.action.splice_certifiable(),
-                    model.splice_sound(),
-                    "{kind}: action {:?} disagrees with the model-level claim",
-                    plan.action
-                );
             }
         }
     }

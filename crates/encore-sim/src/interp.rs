@@ -28,7 +28,7 @@
 
 use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::memory::{Memory, PageHashes, ProbeCost};
+use crate::memory::{Memory, ProbeCost};
 use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
 use crate::snapshot::{AccessChunks, Snapshot, SnapshotLog};
 use crate::value::{eval_bin, eval_un, Value};
@@ -461,7 +461,7 @@ struct ProbeState {
     /// the golden run's start): interval page lists between here and
     /// the next probe target are unioned in before each compare.
     absorbed_through: Option<usize>,
-    /// Probe/hash/word counters, merged into the campaign's
+    /// Probe/page/word counters, merged into the campaign's
     /// [`SpliceStats`](crate::SpliceStats).
     cost: ProbeCost,
 }
@@ -506,10 +506,6 @@ pub(crate) struct Machine<'m, 'c> {
     base_objects: usize,
     /// Incremental splice-probe state (injection runs only).
     probe: ProbeState,
-    /// Running golden page-hash table (capturing golden runs only):
-    /// updated from the drained dirty set at each snapshot capture and
-    /// cloned into the captured [`Snapshot`].
-    golden_hashes: Option<PageHashes>,
 }
 
 impl std::fmt::Debug for Machine<'_, '_> {
@@ -861,25 +857,6 @@ pub fn run_function_with_snapshots<'m>(
     (m.into_result(trap), log)
 }
 
-/// Resumes execution from `snapshot` under `config` and runs to
-/// completion. With the same module, decoded stream and extern seed the
-/// result is bit-identical to a from-scratch run that reached the
-/// snapshot point — including fault injection: `config.fault` plans
-/// with `inject_at >= snapshot.eligible_seen()` fire exactly as they
-/// would from scratch, because every counter in the snapshot is
-/// absolute.
-pub fn resume_function<'m>(
-    module: &'m Module,
-    map: Option<&'m RegionMap>,
-    code: &DecodedModule<'m>,
-    snapshot: &Snapshot,
-    config: &RunConfig,
-) -> RunResult {
-    let mut m = Machine::from_snapshot(module, code, map, snapshot, config);
-    let trap = m.run_to_end();
-    m.into_result(trap)
-}
-
 impl<'m, 'c> Machine<'m, 'c> {
     fn new(
         module: &'m Module,
@@ -917,7 +894,6 @@ impl<'m, 'c> Machine<'m, 'c> {
             reg_dirty: 0,
             base_objects: module.globals.len(),
             probe: ProbeState::default(),
-            golden_hashes: None,
         }
     }
 
@@ -990,7 +966,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                 absorbed_through: Some(snap.index),
                 ..ProbeState::default()
             },
-            golden_hashes: None,
         }
     }
 
@@ -999,7 +974,6 @@ impl<'m, 'c> Machine<'m, 'c> {
     fn capture_snapshot(&self) -> Snapshot {
         Snapshot {
             index: 0, // assigned by SnapshotLog::push
-            page_hashes: PageHashes::default(), // filled by the capture loop
             frames: self.frames.clone(),
             mem: self.mem.clone(),
             externs: self.externs.clone(),
@@ -1654,10 +1628,9 @@ impl<'m, 'c> Machine<'m, 'c> {
         // Bring the candidate set up to this probe target: golden pages
         // written between the last absorbed snapshot and this one
         // (interval lists — absorbed in either direction, since
-        // realignment can land a probe before the resume base), pages
-        // this run wrote since the last drain, and the snapshot's NaN
-        // poison pages. Everything outside the resulting set is
-        // bitwise-identical on both sides.
+        // realignment can land a probe before the resume base) and
+        // pages this run wrote since the last drain. Everything outside
+        // the resulting set is bitwise-identical on both sides.
         let Machine { mem, probe, base_objects, .. } = self;
         let unabsorbed = match probe.absorbed_through {
             None => 0..=idx,
@@ -1670,12 +1643,10 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
         probe.absorbed_through = Some(idx);
         mem.drain_dirty_pages(&mut probe.pending);
-        probe.pending.extend_from_slice(snap.page_hashes.poison_pages());
         probe.pending.sort_unstable();
         probe.pending.dedup();
         let mem_comparable = mem.diff_cells_dirty(
             &snap.mem,
-            &snap.page_hashes,
             &mut probe.pending,
             *base_objects,
             DIFF_CAP,
@@ -1791,11 +1762,8 @@ impl<'m, 'c> Machine<'m, 'c> {
         log: &mut SnapshotLog,
     ) -> Option<Trap> {
         debug_assert!(stride > 0 && self.fault.is_none());
-        // Hash every page of the current state once; each capture below
-        // re-hashes only the pages written since the previous capture
-        // (the drained dirty set), so golden hash maintenance is
-        // O(pages written), not O(state) per snapshot.
-        self.golden_hashes = Some(PageHashes::of_memory(&self.mem));
+        // Each capture below drains the pages written since the
+        // previous capture into that interval's page list.
         self.mem.reset_dirty();
         let mut next_at = stride;
         loop {
@@ -1805,13 +1773,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 }
                 let mut interval = Vec::new();
                 self.mem.drain_dirty_pages(&mut interval);
-                let mut hashes = self.golden_hashes.take().expect("golden hash state");
-                hashes.extend_new_objects(&self.mem);
-                hashes.update(&self.mem, &interval);
-                let mut snap = self.capture_snapshot();
-                snap.page_hashes = hashes.clone();
-                self.golden_hashes = Some(hashes);
-                log.push(snap, interval);
+                log.push(self.capture_snapshot(), interval);
                 next_at = self.dyn_insts + stride;
             }
             // Bounding the sprint by `next_at` keeps capture points at

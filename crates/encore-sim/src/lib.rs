@@ -11,8 +11,8 @@
 //!   injection;
 //! * [`SfiCampaign`] — Monte-Carlo statistical fault injection with
 //!   uniform fault sites and uniform detection latency (§4.2.1),
-//!   classifying runs against a golden execution under a pluggable
-//!   [`FaultModel`] taxonomy (bit flips, multi-bit bursts, address
+//!   classifying runs against a golden execution under a
+//!   [`FaultModelKind`] taxonomy (bit flips, multi-bit bursts, address
 //!   corruption, wrong-edge control flow, power failure);
 //! * [`MaskingModel`] — the ARM926 hardware-masking rate composition
 //!   (Figure 8).
@@ -49,16 +49,13 @@ mod snapshot;
 mod value;
 
 pub use externs::Externs;
-pub use fault::{
-    AddressCorruption, BitFlip, ControlFlowError, FaultAction, FaultModel, FaultModelKind,
-    FaultPlan, MultiBitFlip, PowerFailure,
-};
+pub use fault::{FaultAction, FaultModelKind, FaultPlan};
 pub use interp::{
-    resume_function, run_function, run_function_with_snapshots, FaultTelemetry, RunConfig,
-    RunResult, SpliceRule, Trap, TrapKind, DIFF_CAP,
+    run_function, run_function_with_snapshots, FaultTelemetry, RunConfig, RunResult, SpliceRule,
+    Trap, TrapKind, DIFF_CAP,
 };
 pub use masking::{ComposedCoverage, MaskingModel};
-pub use memory::{page_hash, MemError, MemObject, Memory, PageHashes, ProbeCost, PAGE_CELLS};
+pub use memory::{MemError, MemObject, Memory, ProbeCost, PAGE_CELLS};
 pub use predecode::DecodedModule;
 pub use sfi::{
     CampaignReport, FaultOutcome, GoldenRunError, LatencyHistogram, SfiCampaign, SfiConfig,

@@ -276,9 +276,9 @@ impl Memory {
     ///
     /// This is the full-scan reference compare — O(state). The splice
     /// probes with [`Memory::diff_cells_dirty`], which short-circuits
-    /// through the dirty bitmap and golden page hashes to visit only
-    /// pages that can possibly differ; debug builds check every probe's
-    /// verdict and diff against this walk.
+    /// through the dirty bitmap and golden interval page lists to visit
+    /// only pages that can possibly differ; debug builds check every
+    /// probe's verdict and diff against this walk.
     pub fn diff_cells(&self, other: &Memory, cap: usize, out: &mut Vec<(u32, u32)>) -> bool {
         out.clear();
         if self.objects.len() != other.objects.len() || self.global_count != other.global_count {
@@ -305,21 +305,21 @@ impl Memory {
 
     /// Incremental variant of [`Memory::diff_cells`]: compares `self`
     /// (a resumed injection run) against `golden` (a golden snapshot's
-    /// memory) touching only the candidate pages in `pending`, using
-    /// `hashes` (the golden snapshot's precomputed page hashes) to
-    /// dismiss candidates without reading a single golden cell.
+    /// memory) word by word, touching only the candidate pages in
+    /// `pending`.
     ///
     /// `pending` must be sorted, deduplicated, and contain every page
     /// where equality with `golden` is not already established: pages
     /// the run wrote since the last compare (drained dirty set), pages
     /// the golden run wrote between the previous probe target and this
-    /// one (interval page lists), pages of objects allocated on either
-    /// side since the resume base (allocation marks the new object
-    /// fully dirty), and the golden snapshot's poison pages. Any page
-    /// outside `pending` is bitwise-identical on both sides to the same
-    /// baseline bytes and therefore equal. On return, `pending` has
-    /// been pruned to the pages that still (or may still) differ —
-    /// carried to the next probe, repeated compares are incremental.
+    /// one (interval page lists), and pages of objects allocated on
+    /// either side since the resume base (allocation marks the new
+    /// object fully dirty). Any page outside `pending` is
+    /// bitwise-identical on both sides to the same baseline bytes and
+    /// therefore equal, because `Value` equality is reflexive. On
+    /// return, `pending` has been pruned to the pages that still
+    /// differ — carried to the next probe, repeated compares are
+    /// incremental.
     ///
     /// `base_objects` is the object count at the run's resume snapshot:
     /// objects below it are shape-identical by construction (handles
@@ -329,17 +329,12 @@ impl Memory {
     /// Verdict and diff contract are identical to `diff_cells`:
     /// `false` = incomparable (shape mismatch or diff past `cap`),
     /// `true` = `out` is the complete diff in ascending `(object,
-    /// cell)` order. A hash match is trusted as page equality; that is
-    /// sound only because [`page_hash`] mixes every word with full
-    /// diffusion (see DESIGN.md §13). Poison pages (golden cells
-    /// unequal to themselves, i.e. NaN floats) bypass the hash and
-    /// always word-compare, preserving `Value` equality semantics
-    /// exactly.
-    #[allow(clippy::too_many_arguments)]
+    /// cell)` order. Every candidate is word-compared under the same
+    /// `Value` equality the full scan uses, so the diff is exact by
+    /// construction.
     pub fn diff_cells_dirty(
         &self,
         golden: &Memory,
-        hashes: &PageHashes,
         pending: &mut Vec<(u32, u32)>,
         base_objects: usize,
         cap: usize,
@@ -369,12 +364,7 @@ impl Memory {
             debug_assert!(start < a.cells.len(), "pending page out of object bounds");
             let run = &a.cells[start..end];
             let gold = &b.cells[start..end];
-            if !hashes.is_poison(obj, page) {
-                cost.pages_hashed += 1;
-                if page_hash(run) == hashes.hash(obj, page) {
-                    continue; // verified equal → pruned from pending
-                }
-            }
+            cost.pages_hashed += 1;
             cost.words_compared += run.len() as u64;
             let before = out.len();
             let mut capped = false;
@@ -388,7 +378,7 @@ impl Memory {
                 }
             }
             if out.len() == before && !capped {
-                // Bitwise-unequal but value-equal (e.g. -0.0 vs +0.0):
+                // Value-equal (bitwise-equal, or e.g. -0.0 vs +0.0):
                 // equality established, prune. A later run write
                 // re-dirties the page; a later golden write re-enters
                 // it via the interval lists.
@@ -412,148 +402,11 @@ impl Memory {
     }
 }
 
-const HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Independent hash chains per page (see [`page_hash`]).
-const HASH_LANES: usize = 4;
-
-/// One word of the page hash: a full-diffusion bijection of `h ^ w`.
-/// Every input bit must reach every output bit. A step such as FNV's
-/// `(h ^ w) * P` carries a difference only upward, so two cells that
-/// each differ only in bit 63 cancel and an unequal page hashes equal.
-#[inline]
-fn hash_word(h: u64, w: u64) -> u64 {
-    crate::rng::mix64(h ^ w)
-}
-
-/// Folds one cell's `(variant tag, payload bits)` words into `h` —
-/// distinct `Value`s never encode to the same word stream.
-#[inline]
-fn hash_cell(h: u64, v: &Value) -> u64 {
-    match *v {
-        Value::Int(i) => hash_word(hash_word(h, 1), i as u64),
-        Value::Float(f) => hash_word(hash_word(h, 2), f.to_bits()),
-        Value::Ptr { obj, idx } => hash_word(hash_word(hash_word(h, 3), obj as u64), idx as u64),
-    }
-}
-
-/// Content hash of one page of cells. Cells are dealt round-robin to
-/// [`HASH_LANES`] chains with distinct seeds, which the CPU advances in
-/// parallel (one chain would serialize every multiply of every word),
-/// and the lane states are then folded through the same word step.
-#[must_use]
-pub fn page_hash(cells: &[Value]) -> u64 {
-    let mut lanes: [u64; HASH_LANES] = std::array::from_fn(|k| HASH_SEED ^ k as u64);
-    let mut chunks = cells.chunks_exact(HASH_LANES);
-    for chunk in &mut chunks {
-        for (h, v) in lanes.iter_mut().zip(chunk) {
-            *h = hash_cell(*h, v);
-        }
-    }
-    for (h, v) in lanes.iter_mut().zip(chunks.remainder()) {
-        *h = hash_cell(*h, v);
-    }
-    lanes.into_iter().fold(HASH_SEED, hash_word)
-}
-
-fn page_has_nan(cells: &[Value]) -> bool {
-    cells.iter().any(|v| matches!(v, Value::Float(f) if f.is_nan()))
-}
-
-/// Per-page content hashes of one golden memory state, plus its poison
-/// set — pages holding a cell that is unequal to itself (NaN floats),
-/// where a bitwise hash cannot stand in for `Value` equality.
-///
-/// Built once for the golden run's initial memory and updated
-/// incrementally (only pages the golden run actually wrote) at each
-/// snapshot capture; cloning for a snapshot is O(objects) refcount
-/// bumps.
-#[derive(Clone, Debug, Default)]
-pub struct PageHashes {
-    per_obj: Vec<Arc<Vec<u64>>>,
-    poison: Vec<(u32, u32)>,
-}
-
-impl PageHashes {
-    /// Hashes every page of every object — the prepare-time baseline.
-    #[must_use]
-    pub fn of_memory(mem: &Memory) -> Self {
-        let mut hashes = Self::default();
-        hashes.extend_new_objects(mem);
-        hashes
-    }
-
-    /// Hashes all pages of objects allocated since this table was last
-    /// extended (object handles only grow and never change shape).
-    pub fn extend_new_objects(&mut self, mem: &Memory) {
-        for h in self.per_obj.len()..mem.objects.len() {
-            let obj = &mem.objects[h];
-            let pages = obj.cells.len().div_ceil(PAGE_CELLS);
-            let mut row = Vec::with_capacity(pages);
-            for p in 0..pages {
-                let start = p * PAGE_CELLS;
-                let end = (start + PAGE_CELLS).min(obj.cells.len());
-                let slice = &obj.cells[start..end];
-                row.push(page_hash(slice));
-                if page_has_nan(slice) {
-                    self.set_poison((h as u32, p as u32), true);
-                }
-            }
-            self.per_obj.push(Arc::new(row));
-        }
-    }
-
-    /// Recomputes the hash (and poison membership) of each changed
-    /// `(object, page)`. Call [`PageHashes::extend_new_objects`] first
-    /// so every changed object has a row.
-    pub fn update(&mut self, mem: &Memory, changed: &[(u32, u32)]) {
-        for &(h, p) in changed {
-            debug_assert!((h as usize) < self.per_obj.len(), "extend_new_objects first");
-            let obj = &mem.objects[h as usize];
-            let start = p as usize * PAGE_CELLS;
-            let end = (start + PAGE_CELLS).min(obj.cells.len());
-            let slice = &obj.cells[start..end];
-            Arc::make_mut(&mut self.per_obj[h as usize])[p as usize] = page_hash(slice);
-            self.set_poison((h, p), page_has_nan(slice));
-        }
-    }
-
-    /// The pages whose golden cells are not self-equal (NaN): always
-    /// probe candidates, never hash-dismissed.
-    #[must_use]
-    pub fn poison_pages(&self) -> &[(u32, u32)] {
-        &self.poison
-    }
-
-    fn hash(&self, obj: u32, page: u32) -> u64 {
-        self.per_obj[obj as usize][page as usize]
-    }
-
-    fn is_poison(&self, obj: u32, page: u32) -> bool {
-        !self.poison.is_empty() && self.poison.binary_search(&(obj, page)).is_ok()
-    }
-
-    fn set_poison(&mut self, key: (u32, u32), poisoned: bool) {
-        match self.poison.binary_search(&key) {
-            Ok(i) => {
-                if !poisoned {
-                    self.poison.remove(i);
-                }
-            }
-            Err(i) => {
-                if poisoned {
-                    self.poison.insert(i, key);
-                }
-            }
-        }
-    }
-}
-
 /// Splice probe cost counters: how much work the state compares did.
 ///
 /// Telemetry only — two campaign runs that classify every injection
 /// identically are the *same result* regardless of how many pages each
-/// probe hashed, so `ProbeCost` compares equal to any other `ProbeCost`
+/// probe compared, so `ProbeCost` compares equal to any other `ProbeCost`
 /// and report equality does not depend on compare footprints (or probe
 /// schedules).
 #[derive(Clone, Copy, Debug, Default)]
@@ -561,10 +414,9 @@ pub struct ProbeCost {
     /// Splice probes attempted (classification attempts at a golden
     /// snapshot).
     pub probes: u64,
-    /// Pages content-hashed by the incremental compare.
+    /// Candidate pages examined by the incremental compare.
     pub pages_hashed: u64,
-    /// Cells compared word-by-word (hash-mismatch fallback and poison
-    /// pages).
+    /// Cells compared word-by-word against the golden snapshot.
     pub words_compared: u64,
 }
 
@@ -782,7 +634,6 @@ mod tests {
     #[test]
     fn diff_cells_dirty_matches_full_scan() {
         let golden = mem();
-        let hashes = PageHashes::of_memory(&golden);
         let mut run = golden.clone();
         run.reset_dirty();
         run.write(0, 1, Value::Int(99)).unwrap();
@@ -795,7 +646,6 @@ mod tests {
         let mut cost = ProbeCost::default();
         assert!(run.diff_cells_dirty(
             &golden,
-            &hashes,
             &mut pending,
             golden.object_count(),
             8,
@@ -809,13 +659,11 @@ mod tests {
         assert!(cost.pages_hashed == 2 && cost.words_compared > 0);
     }
 
-    /// Satellite: a page dirtied and then restored to golden bytes
-    /// hashes back to the golden page hash, so the probe prunes it as
-    /// clean without a word-level compare.
+    /// A page dirtied and then restored to its golden values is
+    /// word-compared once and pruned as clean.
     #[test]
     fn dirtied_then_restored_page_is_pruned_as_clean() {
         let golden = mem();
-        let hashes = PageHashes::of_memory(&golden);
         let mut run = golden.clone();
         run.reset_dirty();
         run.write(0, 1, Value::Int(42)).unwrap();
@@ -828,7 +676,6 @@ mod tests {
         let mut cost = ProbeCost::default();
         assert!(run.diff_cells_dirty(
             &golden,
-            &hashes,
             &mut pending,
             golden.object_count(),
             8,
@@ -836,52 +683,56 @@ mod tests {
             &mut cost
         ));
         assert!(out.is_empty(), "restored page is clean");
-        assert!(pending.is_empty(), "hash match prunes the candidate");
+        assert!(pending.is_empty(), "an equal page is pruned");
         assert_eq!(cost.pages_hashed, 1);
-        assert_eq!(cost.words_compared, 0, "clean page never word-compared");
+        assert_eq!(cost.words_compared, 4, "the page's four cells, once");
     }
 
-    /// NaN-poisoned golden pages bypass the hash: the incremental diff
-    /// must report exactly what the full scan reports (NaN ≠ NaN under
-    /// `Value` equality), even when the run's bytes are identical.
+    /// NaN pages need no special case: `Value` equality is reflexive,
+    /// so a NaN the run holds bit for bit is equal and its page pruned,
+    /// while a NaN of another payload is a diff — in both cases exactly
+    /// the full scan's verdict.
     #[test]
-    fn poison_pages_word_compare_and_match_full_scan() {
+    fn nan_pages_word_compare_and_match_full_scan() {
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
         let mut golden = mem();
-        golden.write(0, 3, Value::Float(f64::NAN)).unwrap();
+        golden.write(0, 3, Value::Float(nan)).unwrap();
         golden.reset_dirty();
-        let hashes = PageHashes::of_memory(&golden);
-        assert_eq!(hashes.poison_pages(), &[(0, 0)]);
-        let mut run = golden.clone();
-        run.reset_dirty();
-        let mut pending = hashes.poison_pages().to_vec();
-        let (mut inc, mut full) = (Vec::new(), Vec::new());
-        let mut cost = ProbeCost::default();
-        assert!(run.diff_cells_dirty(
-            &golden,
-            &hashes,
-            &mut pending,
-            golden.object_count(),
-            8,
-            &mut inc,
-            &mut cost
-        ));
-        assert!(run.diff_cells(&golden, 8, &mut full));
-        assert_eq!(inc, full);
-        assert_eq!(inc, vec![(0, 3)], "NaN is never equal to itself");
-        assert_eq!(pending, vec![(0, 0)], "poison pages stay pending");
-        assert_eq!(cost.pages_hashed, 0, "poison bypasses the hash");
+        for (held, diff, still_pending) in
+            [(nan, vec![], vec![]), (other_nan, vec![(0, 3)], vec![(0, 0)])]
+        {
+            let mut run = golden.clone();
+            run.reset_dirty();
+            run.write(0, 3, Value::Float(held)).unwrap();
+            let mut pending = Vec::new();
+            run.drain_dirty_pages(&mut pending);
+            let (mut inc, mut full) = (Vec::new(), Vec::new());
+            let mut cost = ProbeCost::default();
+            assert!(run.diff_cells_dirty(
+                &golden,
+                &mut pending,
+                golden.object_count(),
+                8,
+                &mut inc,
+                &mut cost
+            ));
+            assert!(run.diff_cells(&golden, 8, &mut full));
+            assert_eq!(inc, full);
+            assert_eq!(inc, diff, "run holds {:#x}", held.to_bits());
+            assert_eq!(pending, still_pending);
+        }
     }
 
-    /// Negative zero: bitwise-unequal to +0.0 (hash mismatch) but
-    /// value-equal, so the word-level fallback finds no diff and the
-    /// page is pruned — exactly the full scan's verdict.
+    /// Negative zero: bitwise-unequal to +0.0 but value-equal, so the
+    /// word compare finds no diff and the page is pruned — exactly the
+    /// full scan's verdict.
     #[test]
-    fn negative_zero_page_falls_back_then_prunes() {
+    fn negative_zero_page_is_pruned() {
         let mut golden = mem();
         golden.write(1, 1, Value::Float(0.0)).unwrap();
         golden.reset_dirty();
-        let hashes = PageHashes::of_memory(&golden);
-        assert!(hashes.poison_pages().is_empty(), "±0.0 is not poison");
         let mut run = golden.clone();
         run.reset_dirty();
         run.write(1, 1, Value::Float(-0.0)).unwrap();
@@ -893,7 +744,6 @@ mod tests {
         let mut cost = ProbeCost::default();
         assert!(run.diff_cells_dirty(
             &golden,
-            &hashes,
             &mut pending,
             golden.object_count(),
             8,
@@ -904,7 +754,6 @@ mod tests {
         assert_eq!(inc, full);
         assert!(inc.is_empty(), "-0.0 == +0.0 under Value equality");
         assert!(pending.is_empty(), "value-equal page is pruned");
-        assert!(cost.words_compared > 0, "hash mismatch forced the fallback");
     }
 
     /// Cap overflow in the incremental path: incomparable verdict, and
@@ -913,7 +762,6 @@ mod tests {
     #[test]
     fn diff_cells_dirty_cap_keeps_candidates() {
         let golden = mem();
-        let hashes = PageHashes::of_memory(&golden);
         let mut run = golden.clone();
         run.reset_dirty();
         run.write(0, 0, Value::Int(50)).unwrap();
@@ -927,7 +775,6 @@ mod tests {
         let mut cost = ProbeCost::default();
         assert!(!run.diff_cells_dirty(
             &golden,
-            &hashes,
             &mut pending,
             golden.object_count(),
             1,
@@ -947,7 +794,6 @@ mod tests {
         let g = golden.alloc(ObjKind::Heap(0), 3);
         golden.write(g, 1, Value::Int(5)).unwrap();
         golden.reset_dirty();
-        let hashes = PageHashes::of_memory(&golden);
         let base = 2; // resume base had only the two globals
         let mut run = mem();
         let r = run.alloc(ObjKind::Heap(0), 3);
@@ -958,7 +804,7 @@ mod tests {
         pending.dedup();
         let (mut inc, mut full) = (Vec::new(), Vec::new());
         let mut cost = ProbeCost::default();
-        assert!(run.diff_cells_dirty(&golden, &hashes, &mut pending, base, 8, &mut inc, &mut cost));
+        assert!(run.diff_cells_dirty(&golden, &mut pending, base, 8, &mut inc, &mut cost));
         assert!(run.diff_cells(&golden, 8, &mut full));
         assert_eq!(inc, full);
         assert_eq!(inc, vec![(g as u32, 1)]);
@@ -966,66 +812,42 @@ mod tests {
         let mut short = mem();
         short.alloc(ObjKind::Heap(0), 2);
         let mut pending2 = vec![(2u32, 0u32)];
-        assert!(!short.diff_cells_dirty(
+        assert!(!short.diff_cells_dirty(&golden, &mut pending2, base, 8, &mut inc, &mut cost));
+    }
+
+    /// Two cells of one page that each differ from golden only in bit
+    /// 63 (an Int and a Float) are both reported. A page hash built on
+    /// an FNV step `(h ^ w) * P` cancelled exactly this pair, since the
+    /// multiply carries a difference only upward; the word compare has
+    /// nothing to cancel.
+    #[test]
+    fn bit63_differences_in_two_cells_are_both_reported() {
+        let mut golden = mem();
+        golden.write(0, 2, Value::Int(5)).unwrap();
+        golden.write(0, 3, Value::Float(1.5)).unwrap();
+        golden.reset_dirty();
+        let mut run = golden.clone();
+        run.reset_dirty();
+        for i in [2, 3] {
+            let v = run.read(0, i).unwrap();
+            run.write(0, i, v.flip_bits(1 << 63)).unwrap();
+        }
+        let mut pending = Vec::new();
+        run.drain_dirty_pages(&mut pending);
+        let (mut inc, mut full) = (Vec::new(), Vec::new());
+        let mut cost = ProbeCost::default();
+        assert!(run.diff_cells_dirty(
             &golden,
-            &hashes,
-            &mut pending2,
-            base,
+            &mut pending,
+            golden.object_count(),
             8,
             &mut inc,
             &mut cost
         ));
-    }
-
-    /// Page-hash maintenance: `update` recomputes changed pages and
-    /// poison membership tracks NaN cells in both directions.
-    #[test]
-    fn page_hashes_update_tracks_content_and_poison() {
-        let mut m = mem();
-        let mut hashes = PageHashes::of_memory(&m);
-        m.write(0, 2, Value::Float(f64::NAN)).unwrap();
-        let mut changed = Vec::new();
-        m.drain_dirty_pages(&mut changed);
-        hashes.extend_new_objects(&m);
-        hashes.update(&m, &changed);
-        assert_eq!(hashes.poison_pages(), &[(0, 0)]);
-        m.write(0, 2, Value::Int(0)).unwrap();
-        changed.clear();
-        m.drain_dirty_pages(&mut changed);
-        hashes.update(&m, &changed);
-        assert!(hashes.poison_pages().is_empty(), "NaN overwritten → poison cleared");
-        // A new allocation gets rows from extend_new_objects.
-        let h = m.alloc(ObjKind::Heap(0), PAGE_CELLS * 2);
-        changed.clear();
-        m.drain_dirty_pages(&mut changed);
-        hashes.extend_new_objects(&m);
-        hashes.update(&m, &changed);
-        assert_eq!(hashes.hash(h as u32, 0), hashes.hash(h as u32, 1), "identical zero pages");
-    }
-
-    /// Two cells of one page that each differ from golden only in bit 63
-    /// must not cancel in the page hash. Under an FNV step `(h ^ w) * P`
-    /// they did: the multiply carries a difference only upward, so a
-    /// bit-63 difference stays confined to bit 63 and a second one
-    /// flips it back.
-    #[test]
-    fn bit63_differences_in_two_cells_do_not_cancel() {
-        let golden = [
-            Value::Int(5),
-            Value::Int(-3),
-            Value::Float(1.5),
-            Value::Float(-2.0),
-            Value::ZERO,
-            Value::ZERO,
-            Value::Float(0.0),
-            Value::Int(7),
-        ];
-        for (i, j) in [(0, 1), (2, 3), (0, 3), (4, 5), (0, 4), (2, 6), (4, 7)] {
-            let mut run = golden;
-            run[i] = run[i].flip_bits(1 << 63);
-            run[j] = run[j].flip_bits(1 << 63);
-            assert_ne!(page_hash(&run), page_hash(&golden), "cells {i} and {j} cancelled");
-        }
+        assert!(run.diff_cells(&golden, 8, &mut full));
+        assert_eq!(inc, full);
+        assert_eq!(inc, vec![(0, 2), (0, 3)]);
+        assert_eq!(pending, vec![(0, 0)]);
     }
 
     /// ProbeCost is telemetry: never part of result equality.

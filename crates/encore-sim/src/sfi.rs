@@ -3,9 +3,9 @@
 //! The paper's full-system evaluation (§4, §5.4) composes an SFI-derived
 //! hardware masking rate with the Encore recoverability model. This
 //! module provides the software half end-to-end: it injects real
-//! transient faults — sampled by a pluggable [`FaultModel`] (bit flips,
+//! transient faults — sampled by a [`FaultModelKind`] (bit flips,
 //! multi-bit bursts, address corruption, wrong-edge control flow, power
-//! failure; see [`FaultModelKind`]) — into the interpreted program,
+//! failure) — into the interpreted program,
 //! models detection latency, lets the Encore runtime roll back, and
 //! classifies each run against the golden (fault-free) execution.
 //!
@@ -14,7 +14,7 @@
 //! Each injection's [`FaultPlan`] is a pure function of the campaign
 //! seed and the injection index ([`SfiConfig::plan_for`], which hands a
 //! [`SplitMix64::for_index`] stream to the configured model's
-//! [`FaultModel::sample`]), never of a shared generator's mutable
+//! [`FaultModelKind::sample`]), never of a shared generator's mutable
 //! state. [`SfiCampaign::run`] therefore shards the index space across
 //! `std::thread::scope` workers and still produces **bit-identical**
 //! [`SfiStats`] for any worker count — and any single injection can be
@@ -25,7 +25,7 @@
 //! let outcome = campaign.run_one(plan);
 //! ```
 
-use crate::fault::{FaultModel, FaultModelKind, FaultPlan};
+use crate::fault::{FaultModelKind, FaultPlan};
 use crate::memory::ProbeCost;
 use crate::interp::{
     run_function_with_snapshots, Machine, RunConfig, RunResult, SpliceRule, SpliceRun, Trap,
@@ -134,10 +134,6 @@ pub struct SfiConfig {
     /// histograms are bit-identical either way (the rules only certify
     /// outcomes full execution would reach), so `false` exists as an
     /// escape hatch and differential-testing reference.
-    ///
-    /// Plans whose [`FaultAction`](crate::FaultAction) is not
-    /// splice-certifiable run their full suffix regardless of this
-    /// flag, so enabling it is always sound.
     pub splice: bool,
     /// The fault model plans are sampled from. Defaults to the classic
     /// single-bit flip ([`FaultModelKind::BitFlip`]), which reproduces
@@ -175,7 +171,7 @@ impl SfiConfig {
 
     /// The fault plan of injection `index`, given the golden run's
     /// eligible-instruction count: a fresh [`SplitMix64::for_index`]
-    /// stream handed to the configured model's [`FaultModel::sample`].
+    /// stream handed to the configured model's [`FaultModelKind::sample`].
     ///
     /// A pure function of `(self.seed, self.model, index)` — thread-
     /// and order-independent by construction.
@@ -188,9 +184,7 @@ impl SfiConfig {
     /// any plan is drawn, so campaign paths never hit this.
     #[must_use]
     pub fn plan_for(&self, index: u64, eligible_insts: u64) -> FaultPlan {
-        let mut rng = SplitMix64::for_index(self.seed, index);
-        let model: &'static dyn FaultModel = self.model.model();
-        model.sample(&mut rng, eligible_insts, self.dmax)
+        self.model.sample(&mut SplitMix64::for_index(self.seed, index), eligible_insts, self.dmax)
     }
 }
 
@@ -540,7 +534,7 @@ impl<'a> SfiCampaign<'a> {
     /// traps — the workload must be fault-free before injecting faults
     /// into it — and [`GoldenRunError::NoEligibleInstructions`] if it
     /// completes without a single injection site (the sample space
-    /// [`FaultModel::sample`] draws from would be empty).
+    /// [`FaultModelKind::sample`] draws from would be empty).
     pub fn prepare(
         module: &'a Module,
         map: Option<&'a RegionMap>,
@@ -625,12 +619,7 @@ impl<'a> SfiCampaign<'a> {
             }
             None => self.fresh_machine(&config),
         };
-        // The splice gate is per-action, not per-campaign: a plan whose
-        // action the splice argument does not cover runs its full
-        // suffix even when the campaign enables splicing, so model
-        // soundness claims (`FaultModel::splice_sound`) are enforced
-        // here rather than trusted. See `FaultAction::splice_certifiable`.
-        if !splice || !plan.action.splice_certifiable() || self.snapshots.is_empty() {
+        if !splice || self.snapshots.is_empty() {
             let trap = m.run_to_end();
             return (self.classify_machine(&m, trap), None, m.probe_cost());
         }
@@ -729,7 +718,7 @@ impl<'a> SfiCampaign<'a> {
         // valid `gen_below` bound.
         let space = self.golden.eligible_insts;
         let n = config.injections as u64;
-        let workers = self.effective_workers(config) as u64;
+        let workers = config.effective_workers() as u64;
         if workers <= 1 {
             return self.run_shard(config, space, 0, n);
         }
@@ -753,10 +742,6 @@ impl<'a> SfiCampaign<'a> {
             report.merge(part);
         }
         report
-    }
-
-    fn effective_workers(&self, config: &SfiConfig) -> usize {
-        config.effective_workers()
     }
 }
 

@@ -30,7 +30,7 @@
 
 use crate::externs::Externs;
 use crate::interp::Frame;
-use crate::memory::{Memory, PageHashes};
+use crate::memory::Memory;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -102,11 +102,6 @@ pub struct Snapshot {
     /// [`SnapshotLog::push`]) — the key the splice's incremental probe
     /// state uses to track which golden intervals it has absorbed.
     pub(crate) index: usize,
-    /// Per-page content hashes of `mem` (plus the NaN poison set),
-    /// maintained incrementally by the golden run as it captures — the
-    /// probe compares an injected run's dirty pages against these
-    /// without reading a single golden cell.
-    pub(crate) page_hashes: PageHashes,
     pub(crate) frames: Vec<Frame>,
     pub(crate) mem: Memory,
     pub(crate) externs: Externs,

@@ -4,7 +4,7 @@ use encore_ir::{BinOp, UnOp};
 use std::fmt;
 
 /// A runtime value held in a register or memory cell.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -19,6 +19,27 @@ pub enum Value {
         idx: i64,
     },
 }
+
+/// Float payloads compare as numbers (`0.0 == -0.0`), except that a
+/// float always equals its own bit pattern, NaN included. Equality is
+/// therefore reflexive: two states holding the same bits are equal,
+/// which is what lets the splice's incremental memory compare skip
+/// every page nobody wrote since a shared baseline.
+impl PartialEq for Value {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b || a.to_bits() == b.to_bits(),
+            (Value::Ptr { obj: o1, idx: i1 }, Value::Ptr { obj: o2, idx: i2 }) => {
+                o1 == o2 && i1 == i2
+            }
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Value {}
 
 impl Value {
     /// Integer zero — the initial value of registers and memory cells.
@@ -265,6 +286,16 @@ mod tests {
         assert_eq!(eval_un(UnOp::FToI, Value::Float(3.9)).unwrap(), Value::Int(3));
         assert_eq!(eval_un(UnOp::FToI, Value::Float(f64::NAN)).unwrap(), Value::Int(0));
         assert_eq!(eval_un(UnOp::Abs, Value::Int(-3)).unwrap(), Value::Int(3));
+    }
+
+    #[test]
+    fn equality_is_numeric_and_reflexive() {
+        let nan = Value::Float(f64::NAN);
+        assert_eq!(nan, nan);
+        assert_ne!(nan, nan.flip_bits(1), "another NaN payload is another value");
+        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert_ne!(Value::Int(0), Value::Float(0.0));
+        assert_ne!(Value::Int(1), Value::Ptr { obj: 0, idx: 1 });
     }
 
     #[test]

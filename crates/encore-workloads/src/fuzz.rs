@@ -28,7 +28,7 @@
 //!
 //! # Termination and safety argument
 //!
-//! Every generated module passes [`encore_ir::verify`] and its golden
+//! Every generated module passes [`encore_ir::verify_module`] and its golden
 //! run completes within a statically bounded fuel:
 //!
 //! * **No trapping arithmetic.** The IR defines `Div`/`Rem` by zero as

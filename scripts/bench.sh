@@ -7,7 +7,7 @@
 # campaign_40 rows at 1x — including per-fault-model campaign_40_<model>
 # rows for multi_bit/address/control_flow/power_failure — plus the
 # campaign_40_xl tier at 10x data scale; the suite also prints the
-# probe-cost counters: probes attempted, pages hashed, words compared). Set
+# probe-cost counters: probes attempted, pages compared, words compared). Set
 # ENCORE_BENCH_LABEL to tag the emitted rows (e.g. "baseline" vs
 # "post-change" when comparing in one file); by default rows are
 # labeled with the current git commit so results stay attributable

@@ -18,6 +18,11 @@ cargo test -q --offline --workspace
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Intra-doc links rot silently when an item they name is deleted or
+# made private; rustdoc reports them only as warnings, so deny them.
+echo "==> cargo doc --offline (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Fixed-seed campaign smoke: exercises the snapshot-and-resume +
 # convergence-splice injection path end-to-end on a real workload, once
 # per fault model so every sampler and its injection machinery (bit
