@@ -8,7 +8,9 @@
 //! * recovery unwinds through pure callee frames;
 //! * stale arming (detection after region exit) rolls back to the wrong
 //!   region and is visible as state divergence;
-//! * detection with no armed frame is unrecoverable.
+//! * detection with no armed frame is unrecoverable;
+//! * a callee's second activation starts with zeroed registers and no
+//!   armed recovery, whatever the first one left behind.
 
 use encore_core::{RegionInfo, RegionMap};
 use encore_ir::{
@@ -334,4 +336,88 @@ fn checkpoint_reg_restores_live_in() {
             );
         }
     }
+}
+
+#[test]
+fn recycled_activations_start_clean() {
+    // `main` arms region 0 and calls `callee` twice. The first
+    // activation takes the path that writes `x` and arms region 1; the
+    // second takes neither. A second activation must therefore read `x`
+    // as 0, and a fault detected in it before its own `SetRecovery`
+    // must unwind to the caller's region 0, not to region 1 left over
+    // from the first activation — whatever the interpreter reuses
+    // between activations.
+    let mut mb = ModuleBuilder::new("m");
+    let g = mb.global("g", 1);
+    let callee = mb.function("callee", 1, |f| {
+        let flag = f.param(0);
+        let x = f.reg();
+        let set = f.add_block();
+        let arm = f.add_block();
+        let recovery = f.add_block();
+        let exit = f.add_block();
+        // The one fault-eligible instruction before either arming.
+        f.bin(BinOp::Add, flag.into(), Operand::ImmI(1));
+        f.branch(flag.into(), set, exit);
+        f.switch_to(set);
+        f.mov_to(x, Operand::ImmI(42));
+        f.jump(arm);
+        f.switch_to(arm);
+        f.emit(Inst::SetRecovery { region: RegionId::new(1) });
+        f.emit(Inst::CheckpointReg { reg: x });
+        f.jump(exit);
+        f.switch_to(recovery);
+        f.emit(Inst::Restore { region: RegionId::new(1) });
+        f.jump(arm);
+        f.switch_to(exit);
+        f.ret(Some(x.into()));
+    });
+    let main = mb.function("main", 0, |f| {
+        let hdr = f.add_block();
+        let recovery = f.add_block();
+        let exit = f.add_block();
+        f.jump(hdr);
+        f.switch_to(hdr);
+        f.emit(Inst::SetRecovery { region: RegionId::new(0) });
+        f.call(callee, &[Operand::ImmI(1)]);
+        let second = f.call(callee, &[Operand::ImmI(0)]);
+        f.store(AddrExpr::global(g, 0), second.into());
+        f.jump(exit);
+        f.switch_to(recovery);
+        f.emit(Inst::Restore { region: RegionId::new(0) });
+        f.jump(hdr);
+        f.switch_to(exit);
+        f.ret(Some(second.into()));
+    });
+    let m = mb.finish();
+    let map = map_of(&[
+        (main, BlockId::new(1), BlockId::new(2)),
+        (callee, BlockId::new(2), BlockId::new(3)),
+    ]);
+    let golden = run_function(&m, Some(&map), main, &[], &RunConfig::default());
+    assert!(golden.completed, "{:?}", golden.trap);
+    assert_eq!(golden.ret, Some(Value::Int(0)), "the second activation read a stale register");
+
+    // The callee's entry block retires its one eligible instruction
+    // once per activation; the second such ordinal is the second
+    // activation's, before it reaches `SetRecovery`.
+    let entry_faults: Vec<_> = (0..golden.eligible_insts)
+        .map(|inject_at| {
+            let config = RunConfig {
+                fault: Some(FaultPlan::bit_flip(inject_at, 5, 0)),
+                ..Default::default()
+            };
+            run_function(&m, Some(&map), main, &[], &config)
+        })
+        .filter(|r| r.fault.inject_site == Some((callee, BlockId::new(0))))
+        .collect();
+    assert_eq!(entry_faults.len(), 2, "one entry-block fault site per activation");
+    let second = &entry_faults[1];
+    assert!(second.fault.rolled_back, "latency-0 detection must roll back");
+    assert_eq!(
+        second.fault.rollback_region,
+        Some(RegionId::new(0)),
+        "the second activation unwound to a recovery it never armed"
+    );
+    assert!(second.completed && second.observably_equal(&golden), "{:?}", second.trap);
 }
