@@ -39,6 +39,7 @@ use encore_ir::{
     RegionId, Terminator,
 };
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Why a run stopped abnormally.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -69,6 +70,22 @@ impl std::fmt::Display for Trap {
 }
 
 impl std::error::Error for Trap {}
+
+// Trap texts are built out of line, in these two cold helpers, so that
+// the sprint loop and the helpers inlined into it carry only their `Ok`
+// paths.
+
+#[cold]
+#[inline(never)]
+fn memory_trap(at: u64, msg: fmt::Arguments<'_>) -> Trap {
+    Trap { kind: TrapKind::Memory(msg.to_string()), at }
+}
+
+#[cold]
+#[inline(never)]
+fn eval_trap(at: u64, msg: fmt::Arguments<'_>) -> Trap {
+    Trap { kind: TrapKind::Eval(msg.to_string()), at }
+}
 
 /// What happened to the planned fault during the run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -158,15 +175,12 @@ impl RunResult {
     }
 }
 
-#[derive(Clone)]
+/// The recovery a `SetRecovery` armed in a frame. Its checkpoint log
+/// lives in the [`Frame`].
+#[derive(Clone, Copy)]
 struct RecoveryState {
     region: RegionId,
     recovery_block: BlockId,
-    log: Vec<CkptEntry>,
-    /// Running byte size of `log` (memory entries 16 B, register entries
-    /// 8 B), maintained incrementally so the per-checkpoint high-water
-    /// update is O(1) instead of a rescan of the whole log.
-    log_bytes: u64,
     /// Global activation ordinal assigned when this recovery was armed
     /// (see [`SpliceTrack`]).
     act_ordinal: u64,
@@ -181,18 +195,18 @@ struct RecoveryState {
 /// preceded it).
 impl PartialEq for RecoveryState {
     fn eq(&self, other: &Self) -> bool {
-        self.region == other.region
-            && self.recovery_block == other.recovery_block
-            && self.log == other.log
-            && self.log_bytes == other.log_bytes
+        self.region == other.region && self.recovery_block == other.recovery_block
     }
 }
 
 #[derive(Clone, PartialEq)]
 enum CkptEntry {
-    Mem { obj: usize, idx: i64, val: Value },
+    Mem { obj: u32, idx: i64, val: Value },
     Reg { reg: Reg, val: Value },
 }
+
+// Each checkpoint retires one entry; keep it as narrow as `Value` allows.
+const _: () = assert!(std::mem::size_of::<CkptEntry>() <= 32);
 
 /// Bookkeeping for the campaign's *convergence splice*.
 ///
@@ -268,8 +282,16 @@ pub(crate) struct Frame {
     block: BlockId,
     ip: usize,
     regs: Vec<Value>,
-    slots: Vec<usize>,
+    slots: Vec<u32>,
     recovery: Option<RecoveryState>,
+    /// The armed recovery's checkpoint log, empty while none is armed.
+    /// It sits beside `recovery` rather than in it so that re-arming
+    /// clears it in place and a recycled frame keeps its buffer.
+    log: Vec<CkptEntry>,
+    /// Running byte size of `log` (memory entries 16 B, register entries
+    /// 8 B), maintained incrementally so the per-checkpoint high-water
+    /// update is O(1) instead of a rescan of the whole log.
+    log_bytes: u64,
     ret_dst: Option<Reg>,
 }
 
@@ -291,8 +313,6 @@ impl FaultState {
     }
 }
 
-/// Which early-exit rule certified a spliced run's outcome.
-///
 /// Residual-diff size cap for the divergence splice: a run diverging
 /// from the golden snapshot in more than this many cells is not worth
 /// scanning suffix summaries for (and is very unlikely to be dead), so
@@ -300,6 +320,8 @@ impl FaultState {
 /// incomparable and the run falls back to plain execution.
 pub const DIFF_CAP: usize = 64;
 
+/// Which early-exit rule certified a spliced run's outcome.
+///
 /// All three rules fire at a probe point where the run's control state
 /// (frames, allocation counters, extern PRNG/clock) equals a golden
 /// snapshot's at the realigned position — they differ only in what the
@@ -423,7 +445,7 @@ impl Observers {
         mem: &Memory,
         func: FuncId,
         at: InstRef,
-        obj: usize,
+        obj: u32,
         idx: i64,
         now: u64,
         kind: AccessKind,
@@ -439,10 +461,10 @@ impl Observers {
 
     /// Notes one memory access into the golden memory log, if any.
     #[inline]
-    fn log_access(&mut self, obj: usize, idx: i64, write: bool) {
+    fn log_access(&mut self, obj: u32, idx: i64, write: bool) {
         if let Some(log) = &mut self.mem_log {
             // A successful access bounds-checked both coordinates.
-            let cell = (obj as u32, idx as u32);
+            let cell = (obj, idx as u32);
             if write { log.writes.insert(cell) } else { log.reads.insert(cell) };
         }
     }
@@ -480,7 +502,7 @@ pub(crate) struct Machine<'m, 'c> {
     instr_dyn: u64,
     frame_seq: u32,
     heap_seq: u32,
-    last_alloc_of_site: Vec<Option<usize>>,
+    last_alloc_of_site: Vec<Option<u32>>,
     obs: Observers,
     region_dyn: Vec<u64>,
     region_touched: Vec<bool>,
@@ -506,6 +528,10 @@ pub(crate) struct Machine<'m, 'c> {
     base_objects: usize,
     /// Incremental splice-probe state (injection runs only).
     probe: ProbeState,
+    /// Frames popped off the call stack, kept for their buffers so the
+    /// next activation allocates nothing. Not machine state: every
+    /// field is reset before a frame is reused.
+    spare_frames: Vec<Frame>,
 }
 
 impl std::fmt::Debug for Machine<'_, '_> {
@@ -533,42 +559,30 @@ fn opnd(frame: &Frame, op: &Operand) -> Value {
 /// Resolves a pre-decoded address to `(object handle, cell index)`,
 /// with global bases already reduced to their object handle at decode
 /// time.
-#[inline]
+#[inline(always)]
 fn resolve_decoded(
     frame: &Frame,
-    last_alloc_of_site: &[Option<usize>],
+    last_alloc_of_site: &[Option<u32>],
     now: u64,
     addr: &DecodedAddr,
-) -> Result<(usize, i64), Trap> {
+) -> Result<(u32, i64), Trap> {
     let (obj, base_idx) = match addr.base {
         BaseMode::Global(h) => (h, 0i64),
-        BaseMode::Slot(s) => {
-            let h = *frame.slots.get(s.index()).ok_or_else(|| Trap {
-                kind: TrapKind::Memory(format!("undeclared slot {s}")),
-                at: now,
-            })?;
-            (h, 0)
-        }
-        BaseMode::Heap(h) => {
-            let handle = last_alloc_of_site
-                .get(h.index())
-                .copied()
-                .flatten()
-                .ok_or_else(|| Trap {
-                    kind: TrapKind::Memory(format!("heap site {h} has no allocation")),
-                    at: now,
-                })?;
-            (handle, 0)
-        }
+        BaseMode::Slot(s) => match frame.slots.get(s.index()) {
+            Some(&h) => (h, 0),
+            None => return Err(memory_trap(now, format_args!("undeclared slot {s}"))),
+        },
+        BaseMode::Heap(h) => match last_alloc_of_site.get(h.index()).copied().flatten() {
+            Some(handle) => (handle, 0),
+            None => return Err(memory_trap(now, format_args!("heap site {h} has no allocation"))),
+        },
         BaseMode::RegPtr(r) => match frame.regs[r.index()] {
             Value::Ptr { obj, idx } => (obj, idx),
             other => {
-                return Err(Trap {
-                    kind: TrapKind::Memory(format!(
-                        "register {r} does not hold a pointer (holds {other})"
-                    )),
-                    at: now,
-                })
+                return Err(memory_trap(
+                    now,
+                    format_args!("register {r} does not hold a pointer (holds {other})"),
+                ))
             }
         },
     };
@@ -577,12 +591,10 @@ fn resolve_decoded(
         Offset::Scaled { index, scale, disp } => match frame.regs[index.index()] {
             Value::Int(i) => i.wrapping_mul(scale).wrapping_add(disp),
             other => {
-                return Err(Trap {
-                    kind: TrapKind::Memory(format!(
-                        "index register {index} is not an integer (holds {other})"
-                    )),
-                    at: now,
-                })
+                return Err(memory_trap(
+                    now,
+                    format_args!("index register {index} is not an integer (holds {other})"),
+                ))
             }
         },
     };
@@ -690,7 +702,7 @@ fn exec_fast<const OBSERVE: bool>(
     fault: &mut Option<FaultState>,
     eligible_seen: &mut u64,
     telemetry: &mut FaultTelemetry,
-    last_alloc_of_site: &[Option<usize>],
+    last_alloc_of_site: &[Option<u32>],
     ckpt_high_water: &mut u64,
     splice: &mut SpliceTrack,
     reg_dirty: &mut u64,
@@ -761,10 +773,10 @@ fn exec_fast<const OBSERVE: bool>(
             frame.recovery = Some(RecoveryState {
                 region: *region,
                 recovery_block: *recovery_block,
-                log: Vec::new(),
-                log_bytes: 0,
                 act_ordinal: ordinal,
             });
+            frame.log.clear();
+            frame.log_bytes = 0;
             if event {
                 fired = true;
             }
@@ -777,18 +789,18 @@ fn exec_fast<const OBSERVE: bool>(
             if OBSERVE {
                 obs.log_access(obj, idx, false);
             }
-            if let Some(rec) = &mut frame.recovery {
-                rec.log.push(CkptEntry::Mem { obj, idx, val });
-                rec.log_bytes += 16;
-                *ckpt_high_water = (*ckpt_high_water).max(rec.log_bytes);
+            if frame.recovery.is_some() {
+                frame.log.push(CkptEntry::Mem { obj, idx, val });
+                frame.log_bytes += 16;
+                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
             }
         }
         MicroOp::CkptReg { reg } => {
             let val = frame.regs[reg.index()];
-            if let Some(rec) = &mut frame.recovery {
-                rec.log.push(CkptEntry::Reg { reg: *reg, val });
-                rec.log_bytes += 8;
-                *ckpt_high_water = (*ckpt_high_water).max(rec.log_bytes);
+            if frame.recovery.is_some() {
+                frame.log.push(CkptEntry::Reg { reg: *reg, val });
+                frame.log_bytes += 8;
+                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
             }
         }
         // The sprint loop hands `Slow` to the general executor.
@@ -812,8 +824,8 @@ pub fn run_function(
     config: &RunConfig,
 ) -> RunResult {
     let code = DecodedModule::new(module, map);
-    let mut m = Machine::start(module, &code, map, entry, args, config);
-    let trap = m.run_to_end();
+    let mut m = Machine::new(module, &code, map, config);
+    let trap = m.enter(entry, args).err().or_else(|| m.run_to_end());
     m.into_result(trap)
 }
 
@@ -840,14 +852,16 @@ pub fn run_function_with_snapshots<'m>(
         !config.collect_profile && !config.collect_trace,
         "snapshots do not capture profiles or traces"
     );
-    let mut m = Machine::start(module, code, map, entry, args, config);
+    let mut m = Machine::new(module, code, map, config);
     let mut log = SnapshotLog::new(stride);
-    let trap = if stride == 0 {
-        m.run_to_end()
-    } else {
+    if stride > 0 {
         m.enable_act_log();
         m.enable_mem_log();
-        m.run_to_end_capturing(stride, &mut log)
+    }
+    let trap = match m.enter(entry, args) {
+        Err(t) => Some(t),
+        Ok(()) if stride == 0 => m.run_to_end(),
+        Ok(()) => m.run_to_end_capturing(stride, &mut log),
     };
     log.set_activation_dyn(m.take_act_log());
     if stride > 0 {
@@ -858,7 +872,9 @@ pub fn run_function_with_snapshots<'m>(
 }
 
 impl<'m, 'c> Machine<'m, 'c> {
-    fn new(
+    /// A machine with no activation yet: [`Machine::enter`] makes the
+    /// entry call.
+    pub(crate) fn new(
         module: &'m Module,
         code: &'c DecodedModule<'m>,
         map: Option<&'m RegionMap>,
@@ -894,21 +910,24 @@ impl<'m, 'c> Machine<'m, 'c> {
             reg_dirty: 0,
             base_objects: module.globals.len(),
             probe: ProbeState::default(),
+            spare_frames: Vec::new(),
         }
     }
 
-    /// A machine poised at the first instruction of `entry(args)`.
-    pub(crate) fn start(
-        module: &'m Module,
-        code: &'c DecodedModule<'m>,
-        map: Option<&'m RegionMap>,
-        entry: FuncId,
-        args: &[Value],
-        config: &RunConfig,
-    ) -> Self {
-        let mut m = Self::new(module, code, map, config);
-        m.call(entry, args, None);
-        m
+    /// Calls `entry(args)`, leaving the machine at its first
+    /// instruction.
+    ///
+    /// # Errors
+    ///
+    /// The trap of allocating the entry frame's slots.
+    pub(crate) fn enter(&mut self, entry: FuncId, args: &[Value]) -> Result<(), Trap> {
+        let mut frame = self.new_frame(entry, None)?;
+        let params = self.module.func(entry).param_count as usize;
+        for (i, a) in args.iter().enumerate().take(params) {
+            frame.regs[i] = *a;
+        }
+        self.frames.push(frame);
+        Ok(())
     }
 
     /// A machine restored to `snap`'s state, ready to resume under
@@ -966,6 +985,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 absorbed_through: Some(snap.index),
                 ..ProbeState::default()
             },
+            spare_frames: Vec::new(),
         }
     }
 
@@ -990,35 +1010,42 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
     }
 
-    fn call(&mut self, func: FuncId, args: &[Value], ret_dst: Option<Reg>) {
+    /// A new activation of `func` with zeroed registers and fresh slot
+    /// objects, not yet on the call stack: the caller fills in the
+    /// parameters, reading its own frame if it is a `Call`, and pushes
+    /// it. Reuses a spare frame's buffers when there is one.
+    fn new_frame(&mut self, func: FuncId, ret_dst: Option<Reg>) -> Result<Frame, Trap> {
         let f = self.module.func(func);
-        let mut regs = vec![Value::ZERO; f.reg_count as usize];
-        for (i, a) in args.iter().enumerate().take(f.param_count as usize) {
-            regs[i] = *a;
-        }
+        let (mut regs, mut slots, mut log) = match self.spare_frames.pop() {
+            Some(spare) => (spare.regs, spare.slots, spare.log),
+            None => Default::default(),
+        };
+        regs.clear();
+        regs.resize(f.reg_count as usize, Value::ZERO);
+        slots.clear();
+        log.clear();
         let frame_no = self.frame_seq;
         self.frame_seq += 1;
-        let slots = f
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                self.mem.alloc(
-                    ObjKind::Slot { frame: frame_no, slot: i as u32 },
-                    s.cells as usize,
-                )
-            })
-            .collect();
+        for (i, s) in f.slots.iter().enumerate() {
+            let kind = ObjKind::Slot { frame: frame_no, slot: i as u32 };
+            let handle = self
+                .mem
+                .alloc(kind, s.cells as usize)
+                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: self.dyn_insts })?;
+            slots.push(handle);
+        }
         self.obs.block_entry(func, f.entry());
-        self.frames.push(Frame {
+        Ok(Frame {
             func,
             block: f.entry(),
             ip: 0,
             regs,
             slots,
             recovery: None,
+            log,
+            log_bytes: 0,
             ret_dst,
-        });
+        })
     }
 
     fn operand(&self, op: &Operand) -> Value {
@@ -1069,36 +1096,27 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
         self.telemetry.detected = true;
         // Find the deepest armed frame.
-        while let Some(frame) = self.frames.last() {
-            if let Some(rec) = &frame.recovery {
-                let (region, block) = (rec.region, rec.recovery_block);
-                let ordinal = rec.act_ordinal;
-                let lost: Vec<usize> = if power {
-                    rec.log
-                        .iter()
-                        .filter_map(|e| match e {
-                            CkptEntry::Reg { reg, .. } => Some(reg.index()),
-                            CkptEntry::Mem { .. } => None,
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let frame = self.frames.last_mut().expect("frame");
-                frame.block = block;
+        while let Some(frame) = self.frames.last_mut() {
+            if let Some(rec) = frame.recovery {
+                frame.block = rec.recovery_block;
                 frame.ip = 0;
-                for r in lost {
-                    frame.regs[r] = Value::ZERO;
-                    self.reg_dirty |= 1 << r.min(63);
+                if power {
+                    for entry in &frame.log {
+                        if let CkptEntry::Reg { reg, .. } = entry {
+                            frame.regs[reg.index()] = Value::ZERO;
+                            self.reg_dirty |= 1 << reg.index().min(63);
+                        }
+                    }
                 }
                 self.telemetry.rolled_back = true;
-                self.telemetry.rollback_region = Some(region);
-                self.splice.on_rollback(ordinal);
+                self.telemetry.rollback_region = Some(rec.region);
+                self.splice.on_rollback(rec.act_ordinal);
                 // The fault is consumed: re-execution is fault-free.
                 self.fault = None;
                 return Ok(());
             }
-            self.frames.pop();
+            let popped = self.frames.pop().expect("frame");
+            self.spare_frames.push(popped);
         }
         Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.dyn_insts })
     }
@@ -1266,10 +1284,10 @@ impl<'m, 'c> Machine<'m, 'c> {
                 } else {
                     frame.ip = ip;
                     let Some(term) = block.term else {
-                        return Err(Trap {
-                            kind: TrapKind::Eval(format!("unterminated block {}", frame.block)),
-                            at: *dyn_insts,
-                        });
+                        return Err(eval_trap(
+                            *dyn_insts,
+                            format_args!("unterminated block {}", frame.block),
+                        ));
                     };
                     *dyn_insts += 1;
                     if region_accounting {
@@ -1337,23 +1355,29 @@ impl<'m, 'c> Machine<'m, 'c> {
     fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
         match inst {
             Inst::Alloc { dst, site, size } => {
-                let n = self
-                    .operand(size)
-                    .as_int()
-                    .filter(|n| *n >= 0)
-                    .ok_or_else(|| Trap {
-                        kind: TrapKind::Memory("alloc size must be a non-negative int".into()),
-                        at: self.dyn_insts,
-                    })?;
-                let handle = self.mem.alloc(ObjKind::Heap(self.heap_seq), n as usize);
+                let Some(n) = self.operand(size).as_int().filter(|n| *n >= 0) else {
+                    return Err(memory_trap(
+                        self.dyn_insts,
+                        format_args!("alloc size must be a non-negative int"),
+                    ));
+                };
+                let handle = self
+                    .mem
+                    .alloc(ObjKind::Heap(self.heap_seq), n as usize)
+                    .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: self.dyn_insts })?;
                 self.heap_seq += 1;
                 // Decode sized the table over every Alloc site.
                 self.last_alloc_of_site[site.index()] = Some(handle);
                 self.set_reg(*dst, Value::Ptr { obj: handle, idx: 0 });
             }
             Inst::Call { callee, dst, args } => {
-                let vals: Vec<Value> = args.iter().map(|a| self.operand(a)).collect();
-                self.call(*callee, &vals, *dst);
+                let mut frame = self.new_frame(*callee, *dst)?;
+                let caller = self.frames.last().expect("frame");
+                let params = self.module.func(*callee).param_count as usize;
+                for (i, a) in args.iter().enumerate().take(params) {
+                    frame.regs[i] = opnd(caller, a);
+                }
+                self.frames.push(frame);
             }
             Inst::CallExt { name, dst, args, .. } => {
                 let frame = self.frames.last().expect("frame");
@@ -1383,28 +1407,26 @@ impl<'m, 'c> Machine<'m, 'c> {
             // recovery block; one that reaches here can only trap.
             Inst::SetRecovery { region } => {
                 let known = self.map.and_then(|m| m.regions.get(region.index())).is_some();
-                let msg = if known {
-                    format!("{region} has no recovery block")
+                let at = self.dyn_insts;
+                return Err(if known {
+                    eval_trap(at, format_args!("{region} has no recovery block"))
                 } else {
-                    format!("SetRecovery for unknown {region}")
-                };
-                return Err(Trap { kind: TrapKind::Eval(msg), at: self.dyn_insts });
+                    eval_trap(at, format_args!("SetRecovery for unknown {region}"))
+                });
             }
             Inst::Restore { region } => {
                 let frame = self.frames.last_mut().expect("frame");
-                let Some(rec) = &mut frame.recovery else {
-                    return Err(Trap {
-                        kind: TrapKind::Eval(format!("Restore {region} with no armed recovery")),
-                        at: self.dyn_insts,
-                    });
-                };
-                let log = std::mem::take(&mut rec.log);
-                rec.log_bytes = 0;
-                for entry in log.into_iter().rev() {
+                if frame.recovery.is_none() {
+                    return Err(eval_trap(
+                        self.dyn_insts,
+                        format_args!("Restore {region} with no armed recovery"),
+                    ));
+                }
+                // Newest entry first; popping keeps the log's buffer.
+                frame.log_bytes = 0;
+                while let Some(entry) = frame.log.pop() {
                     match entry {
-                        CkptEntry::Reg { reg, val } => {
-                            self.frames.last_mut().expect("frame").regs[reg.index()] = val;
-                        }
+                        CkptEntry::Reg { reg, val } => frame.regs[reg.index()] = val,
                         CkptEntry::Mem { obj, idx, val } => {
                             self.mem.write(obj, idx, val).map_err(|e| Trap {
                                 kind: TrapKind::Memory(e.message),
@@ -1436,6 +1458,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             }
             None => self.final_ret = val,
         }
+        self.spare_frames.push(frame);
     }
 
     fn fault_live(&self) -> bool {
@@ -1686,7 +1709,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         // persists into the final observable state.
         let persists = diff
             .iter()
-            .any(|&(o, i)| self.mem.is_global(o as usize) && !writes.contains(o, i));
+            .any(|&(o, i)| self.mem.is_global(o) && !writes.contains(o, i));
         if out_eq && !persists {
             Some(SpliceRule::DeadDiff)
         } else {

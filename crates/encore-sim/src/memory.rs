@@ -1,10 +1,12 @@
 //! Segmented machine memory.
 //!
 //! Memory is a table of objects (globals, per-activation stack slots,
-//! heap allocations), each an array of 8-byte cells holding [`Value`]s.
-//! Object handles are plain indices into the table; objects are never
-//! deallocated (arena style), which keeps dangling-pointer semantics
-//! deterministic during fault-injection runs.
+//! heap allocations), each an array of cells. A cell holds one
+//! [`Value`]: a tagged 64-bit integer, float or pointer, 16 bytes in
+//! all. Object handles are `u32` indices into the table, minted only by
+//! [`Memory::alloc`], which traps rather than let the table outgrow
+//! them; objects are never deallocated (arena style), which keeps
+//! dangling-pointer semantics deterministic during fault-injection runs.
 //!
 //! ## Dirty tracking and copy-on-write
 //!
@@ -32,7 +34,7 @@ pub struct MemObject {
     pub kind: ObjKind,
     /// The cells, shared copy-on-write across snapshots and resumed
     /// runs.
-    cells: Arc<Vec<Value>>,
+    cells: Arc<[Value]>,
     /// One bit per cell, one word per [`PAGE_CELLS`]-cell page; bit set
     /// = cell written since the last drain/reset.
     dirty: Vec<u64>,
@@ -72,6 +74,39 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+// Error texts are built out of line, so that inlining `read` and
+// `write` into the interpreter loop copies only their `Ok` paths.
+
+#[cold]
+#[inline(never)]
+fn dangling(access: &str, handle: u32) -> MemError {
+    MemError { message: format!("{access} dangling object handle {handle}") }
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_bounds(access: &str, obj: &MemObject, idx: i64) -> MemError {
+    MemError {
+        message: format!("out-of-bounds {access}: {}[{idx}] (size {})", obj.kind, obj.cells.len()),
+    }
+}
+
+/// The copy-on-write step of [`Memory::write`]: the first write to an
+/// object whose cells a snapshot still shares copies them.
+#[cold]
+#[inline(never)]
+fn write_shared(cells: &mut Arc<[Value]>, i: usize, v: Value) {
+    Arc::make_mut(cells)[i] = v;
+}
+
+#[cold]
+#[inline(never)]
+fn handles_exhausted(kind: ObjKind) -> MemError {
+    MemError {
+        message: format!("cannot allocate {kind}: all {} object handles are in use", 1u64 << 32),
+    }
+}
+
 /// The machine's memory state.
 #[derive(Clone, Debug)]
 pub struct Memory {
@@ -100,15 +135,14 @@ impl Memory {
             .iter()
             .enumerate()
             .map(|(i, g)| {
-                let mut cells = vec![Value::ZERO; g.cells as usize];
-                for (j, v) in g.init.iter().enumerate().take(cells.len()) {
-                    cells[j] = Value::Int(*v);
-                }
+                let cells: Arc<[Value]> = (0..g.cells as usize)
+                    .map(|j| g.init.get(j).map_or(Value::ZERO, |&v| Value::Int(v)))
+                    .collect();
                 MemObject {
                     kind: ObjKind::Global(i as u32),
                     dirty: vec![0; cells.len().div_ceil(PAGE_CELLS)],
                     touched: Vec::new(),
-                    cells: Arc::new(cells),
+                    cells,
                 }
             })
             .collect();
@@ -120,19 +154,24 @@ impl Memory {
     /// The new object starts *fully dirty*: its contents have never
     /// been verified against anything, so every page must be a
     /// candidate at the next incremental compare.
-    pub fn alloc(&mut self, kind: ObjKind, cells: usize) -> usize {
-        let handle = self.objects.len();
+    ///
+    /// # Errors
+    ///
+    /// A [`MemError`] when every `u32` handle is in use: the table never
+    /// hands out a truncated handle.
+    pub fn alloc(&mut self, kind: ObjKind, cells: usize) -> Result<u32, MemError> {
+        let handle = u32::try_from(self.objects.len()).map_err(|_| handles_exhausted(kind))?;
         let pages = cells.div_ceil(PAGE_CELLS);
         self.objects.push(MemObject {
             kind,
-            cells: Arc::new(vec![Value::ZERO; cells]),
+            cells: std::iter::repeat_n(Value::ZERO, cells).collect(),
             dirty: vec![!0u64; pages],
             touched: (0..pages as u32).collect(),
         });
         if pages > 0 {
-            self.touched_objs.push(handle as u32);
+            self.touched_objs.push(handle);
         }
-        handle
+        Ok(handle)
     }
 
     /// Reads cell `idx` of object `handle`.
@@ -141,21 +180,15 @@ impl Memory {
     ///
     /// Out-of-bounds or negative indices and dangling handles produce a
     /// [`MemError`] (the simulator turns it into a detected symptom).
-    #[inline]
-    pub fn read(&self, handle: usize, idx: i64) -> Result<Value, MemError> {
-        let obj = self.objects.get(handle).ok_or_else(|| MemError {
-            message: format!("read from dangling object handle {handle}"),
-        })?;
-        if idx < 0 || idx as usize >= obj.cells.len() {
-            return Err(MemError {
-                message: format!(
-                    "out-of-bounds read: {}[{idx}] (size {})",
-                    obj.kind,
-                    obj.cells.len()
-                ),
-            });
+    #[inline(always)]
+    pub fn read(&self, handle: u32, idx: i64) -> Result<Value, MemError> {
+        let Some(obj) = self.objects.get(handle as usize) else {
+            return Err(dangling("read from", handle));
+        };
+        match usize::try_from(idx).ok().and_then(|i| obj.cells.get(i)) {
+            Some(&v) => Ok(v),
+            None => Err(out_of_bounds("read", obj, idx)),
         }
-        Ok(obj.cells[idx as usize])
     }
 
     /// Writes cell `idx` of object `handle`.
@@ -169,26 +202,23 @@ impl Memory {
     /// # Errors
     ///
     /// Same conditions as [`Memory::read`].
-    #[inline]
-    pub fn write(&mut self, handle: usize, idx: i64, v: Value) -> Result<(), MemError> {
-        let obj = self.objects.get_mut(handle).ok_or_else(|| MemError {
-            message: format!("write to dangling object handle {handle}"),
-        })?;
-        if idx < 0 || idx as usize >= obj.cells.len() {
-            return Err(MemError {
-                message: format!(
-                    "out-of-bounds write: {}[{idx}] (size {})",
-                    obj.kind,
-                    obj.cells.len()
-                ),
-            });
+    #[inline(always)]
+    pub fn write(&mut self, handle: u32, idx: i64, v: Value) -> Result<(), MemError> {
+        let Some(obj) = self.objects.get_mut(handle as usize) else {
+            return Err(dangling("write to", handle));
+        };
+        let i = match usize::try_from(idx) {
+            Ok(i) if i < obj.cells.len() => i,
+            _ => return Err(out_of_bounds("write", obj, idx)),
+        };
+        match Arc::get_mut(&mut obj.cells) {
+            Some(cells) => cells[i] = v,
+            None => write_shared(&mut obj.cells, i, v),
         }
-        let i = idx as usize;
-        Arc::make_mut(&mut obj.cells)[i] = v;
         let w = &mut obj.dirty[i / PAGE_CELLS];
         if *w == 0 {
             if obj.touched.is_empty() {
-                self.touched_objs.push(handle as u32);
+                self.touched_objs.push(handle);
             }
             obj.touched.push((i / PAGE_CELLS) as u32);
         }
@@ -224,10 +254,10 @@ impl Memory {
     }
 
     /// The trace-event cell identity for `(handle, idx)`.
-    pub fn cell_of(&self, handle: usize, idx: i64) -> Cell {
+    pub fn cell_of(&self, handle: u32, idx: i64) -> Cell {
         let kind = self
             .objects
-            .get(handle)
+            .get(handle as usize)
             .map(|o| o.kind)
             .unwrap_or(ObjKind::Heap(u32::MAX));
         Cell { obj: kind, index: idx.max(0) as u64 }
@@ -238,7 +268,7 @@ impl Memory {
     pub fn globals_snapshot(&self) -> Vec<Vec<Value>> {
         self.objects[..self.global_count]
             .iter()
-            .map(|o| o.cells.as_ref().clone())
+            .map(|o| o.cells.to_vec())
             .collect()
     }
 
@@ -250,7 +280,7 @@ impl Memory {
             && self.objects[..self.global_count]
                 .iter()
                 .zip(golden)
-                .all(|(o, g)| *o.cells == *g)
+                .all(|(o, g)| *o.cells == **g)
     }
 
     /// Total number of objects ever created.
@@ -260,8 +290,8 @@ impl Memory {
 
     /// `true` when `handle` names a global object (the architecturally
     /// observable segment).
-    pub fn is_global(&self, handle: usize) -> bool {
-        handle < self.global_count
+    pub fn is_global(&self, handle: u32) -> bool {
+        (handle as usize) < self.global_count
     }
 
     /// Collects into `out` every `(object, cell)` where `self` and
@@ -477,7 +507,7 @@ mod tests {
     #[test]
     fn alloc_extends_object_table() {
         let mut m = mem();
-        let h = m.alloc(ObjKind::Heap(0), 3);
+        let h = m.alloc(ObjKind::Heap(0), 3).unwrap();
         assert_eq!(h, 2);
         m.write(h, 2, Value::Int(9)).unwrap();
         assert_eq!(m.read(h, 2).unwrap(), Value::Int(9));
@@ -487,7 +517,7 @@ mod tests {
     #[test]
     fn snapshot_covers_globals_only() {
         let mut m = mem();
-        m.alloc(ObjKind::Heap(0), 8);
+        m.alloc(ObjKind::Heap(0), 8).unwrap();
         let snap = m.globals_snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0][0], Value::Int(1));
@@ -501,7 +531,7 @@ mod tests {
         m.write(1, 0, Value::Int(5)).unwrap();
         assert!(!m.globals_equal(&snap));
         m.write(1, 0, Value::ZERO).unwrap();
-        m.alloc(ObjKind::Heap(0), 4); // heap objects are not observable
+        m.alloc(ObjKind::Heap(0), 4).unwrap(); // heap objects are not observable
         assert!(m.globals_equal(&snap));
         assert!(!m.globals_equal(&snap[..1]));
     }
@@ -521,7 +551,7 @@ mod tests {
         assert!(!a.diff_cells(&b, 1, &mut out));
         // Object-shape mismatch → incomparable.
         let mut c = mem();
-        c.alloc(ObjKind::Heap(0), 2);
+        c.alloc(ObjKind::Heap(0), 2).unwrap();
         assert!(!a.diff_cells(&c, 8, &mut out));
     }
 
@@ -561,18 +591,18 @@ mod tests {
         let mut out = vec![(9, 9)];
         // Extra object on one side.
         let mut extra = mem();
-        extra.alloc(ObjKind::Heap(0), 2);
+        extra.alloc(ObjKind::Heap(0), 2).unwrap();
         assert!(!a.diff_cells(&extra, 8, &mut out));
         assert!(out.is_empty(), "failed compare must leave no stale diff");
         // Same object count, different kind.
         let mut heap_a = mem();
-        heap_a.alloc(ObjKind::Heap(0), 2);
+        heap_a.alloc(ObjKind::Heap(0), 2).unwrap();
         let mut slot_b = mem();
-        slot_b.alloc(ObjKind::Slot { frame: 0, slot: 0 }, 2);
+        slot_b.alloc(ObjKind::Slot { frame: 0, slot: 0 }, 2).unwrap();
         assert!(!heap_a.diff_cells(&slot_b, 8, &mut out));
         // Same kind, different size.
         let mut big = mem();
-        big.alloc(ObjKind::Heap(0), 3);
+        big.alloc(ObjKind::Heap(0), 3).unwrap();
         assert!(!heap_a.diff_cells(&big, 8, &mut out));
         // And the symmetric view agrees.
         assert!(!extra.diff_cells(&a, 8, &mut out));
@@ -582,7 +612,7 @@ mod tests {
     fn globals_are_the_leading_objects() {
         let mut m = mem();
         assert!(m.is_global(0) && m.is_global(1));
-        let h = m.alloc(ObjKind::Heap(0), 1);
+        let h = m.alloc(ObjKind::Heap(0), 1).unwrap();
         assert!(!m.is_global(h));
     }
 
@@ -604,10 +634,10 @@ mod tests {
         m.write(0, 1, Value::Int(7)).unwrap();
         m.write(0, 2, Value::Int(8)).unwrap(); // same page: one entry
         m.write(1, 0, Value::Int(9)).unwrap();
-        let h = m.alloc(ObjKind::Heap(0), PAGE_CELLS + 1); // 2 pages, fully dirty
+        let h = m.alloc(ObjKind::Heap(0), PAGE_CELLS + 1).unwrap(); // 2 pages, fully dirty
         m.drain_dirty_pages(&mut pages);
         pages.sort_unstable();
-        assert_eq!(pages, vec![(0, 0), (1, 0), (h as u32, 0), (h as u32, 1)]);
+        assert_eq!(pages, vec![(0, 0), (1, 0), (h, 0), (h, 1)]);
         // Drain cleared the set.
         pages.clear();
         m.drain_dirty_pages(&mut pages);
@@ -791,12 +821,12 @@ mod tests {
     #[test]
     fn diff_cells_dirty_covers_new_objects() {
         let mut golden = mem();
-        let g = golden.alloc(ObjKind::Heap(0), 3);
+        let g = golden.alloc(ObjKind::Heap(0), 3).unwrap();
         golden.write(g, 1, Value::Int(5)).unwrap();
         golden.reset_dirty();
         let base = 2; // resume base had only the two globals
         let mut run = mem();
-        let r = run.alloc(ObjKind::Heap(0), 3);
+        let r = run.alloc(ObjKind::Heap(0), 3).unwrap();
         run.write(r, 1, Value::Int(6)).unwrap();
         let mut pending = Vec::new();
         run.drain_dirty_pages(&mut pending);
@@ -807,10 +837,10 @@ mod tests {
         assert!(run.diff_cells_dirty(&golden, &mut pending, base, 8, &mut inc, &mut cost));
         assert!(run.diff_cells(&golden, 8, &mut full));
         assert_eq!(inc, full);
-        assert_eq!(inc, vec![(g as u32, 1)]);
+        assert_eq!(inc, vec![(g, 1)]);
         // Mismatched new-object shape → incomparable, as in the full scan.
         let mut short = mem();
-        short.alloc(ObjKind::Heap(0), 2);
+        short.alloc(ObjKind::Heap(0), 2).unwrap();
         let mut pending2 = vec![(2u32, 0u32)];
         assert!(!short.diff_cells_dirty(&golden, &mut pending2, base, 8, &mut inc, &mut cost));
     }

@@ -34,7 +34,7 @@ use encore_ir::{
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum BaseMode {
     /// A global, pre-resolved to its object handle.
-    Global(usize),
+    Global(u32),
     /// A stack slot of the current activation.
     Slot(SlotId),
     /// The most recent allocation of a heap site.
@@ -55,7 +55,7 @@ pub(crate) struct DecodedAddr {
 impl DecodedAddr {
     fn lower(addr: &AddrExpr) -> Self {
         let base = match addr.base {
-            MemBase::Global(g) => BaseMode::Global(g.index()),
+            MemBase::Global(g) => BaseMode::Global(g.raw()),
             MemBase::Slot(s) => BaseMode::Slot(s),
             MemBase::Heap(h) => BaseMode::Heap(h),
             MemBase::Reg(r) => BaseMode::RegPtr(r),

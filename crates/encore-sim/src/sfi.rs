@@ -646,7 +646,9 @@ impl<'a> SfiCampaign<'a> {
     }
 
     fn fresh_machine(&self, config: &RunConfig) -> Machine<'a, '_> {
-        Machine::start(self.module, &self.code, self.map, self.entry, &self.args, config)
+        let mut m = Machine::new(self.module, &self.code, self.map, config);
+        m.enter(self.entry, &self.args).expect("the golden run made the same entry call");
+        m
     }
 
     /// Classifies a finished machine against the golden run without

@@ -109,7 +109,7 @@ pub struct Snapshot {
     pub(crate) instr_dyn: u64,
     pub(crate) frame_seq: u32,
     pub(crate) heap_seq: u32,
-    pub(crate) last_alloc_of_site: Vec<Option<usize>>,
+    pub(crate) last_alloc_of_site: Vec<Option<u32>>,
     pub(crate) region_dyn: Vec<u64>,
     pub(crate) region_touched: Vec<bool>,
     pub(crate) eligible_seen: u64,

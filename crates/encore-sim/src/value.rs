@@ -13,12 +13,16 @@ pub enum Value {
     /// Pointer: object handle + cell index.
     Ptr {
         /// Index into the machine's object table.
-        obj: usize,
+        obj: u32,
         /// Cell index within the object (may be temporarily out of
         /// bounds; bounds are checked on dereference).
         idx: i64,
     },
 }
+
+// Every register, memory cell, snapshot and checkpoint entry holds
+// `Value`s, so a variant or field that widened it would widen them all.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 /// Float payloads compare as numbers (`0.0 == -0.0`), except that a
 /// float always equals its own bit pattern, NaN included. Equality is
@@ -132,12 +136,20 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-fn type_err(op: &str, a: &Value, b: Option<&Value>) -> EvalError {
-    let msg = match b {
-        Some(b) => format!("type error: {op} on {a} and {b}"),
-        None => format!("type error: {op} on {a}"),
-    };
-    EvalError { message: msg }
+// The type-error texts are built out of line, so that inlining
+// `eval_bin` and `eval_un` into the interpreter loop copies only their
+// `Ok` paths.
+
+#[cold]
+#[inline(never)]
+fn bin_type_err(op: BinOp, a: Value, b: Value) -> EvalError {
+    EvalError { message: format!("type error: {} on {a} and {b}", op.mnemonic()) }
+}
+
+#[cold]
+#[inline(never)]
+fn un_type_err(op: UnOp, a: Value) -> EvalError {
+    EvalError { message: format!("type error: {} on {a}", op.mnemonic()) }
 }
 
 /// Evaluates a binary operation.
@@ -151,7 +163,7 @@ fn type_err(op: &str, a: &Value, b: Option<&Value>) -> EvalError {
 ///
 /// Returns [`EvalError`] on operand-type mismatches the machine cannot
 /// interpret (e.g. float `Add`, pointer `Mul`).
-#[inline]
+#[inline(always)]
 pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     use BinOp::*;
     use Value::*;
@@ -197,7 +209,7 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
         (Le, Ptr { obj: o1, idx: i1 }, Ptr { obj: o2, idx: i2 }) if o1 == o2 => {
             Int((i1 <= i2) as i64)
         }
-        (_, a, b) => return Err(type_err(op.mnemonic(), &a, Some(&b))),
+        (_, a, b) => return Err(bin_type_err(op, a, b)),
     })
 }
 
@@ -206,7 +218,7 @@ pub fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
 /// # Errors
 ///
 /// Returns [`EvalError`] on operand-type mismatches.
-#[inline]
+#[inline(always)]
 pub fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
     use UnOp::*;
     use Value::*;
@@ -222,7 +234,7 @@ pub fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
         } else {
             x.clamp(i64::MIN as f64, i64::MAX as f64) as i64
         }),
-        (_, a) => return Err(type_err(op.mnemonic(), &a, None)),
+        (_, a) => return Err(un_type_err(op, a)),
     })
 }
 

@@ -15,6 +15,12 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+# The simulator's unit tests again in release: overflow wraps and
+# `debug_assert!` is compiled out there, so its handle conversions and
+# inlined arithmetic can behave differently than under the debug run.
+echo "==> cargo test --release -q --offline -p encore-sim"
+cargo test --release -q --offline -p encore-sim
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
