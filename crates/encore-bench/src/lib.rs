@@ -9,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod microbench;
 pub mod report;
 
 use encore_analysis::Profile;
@@ -106,11 +105,6 @@ pub fn encore_run(prepared: &PreparedWorkload, config: &EncoreConfig) -> EncoreR
     let base = prepared.baseline.dyn_insts.max(1) as f64;
     let measured_overhead = (instrumented_run.dyn_insts as f64 - base) / base;
     EncoreRun { outcome, instrumented_run, measured_overhead }
-}
-
-/// Prepares every workload (in figure order).
-pub fn prepare_all() -> Vec<PreparedWorkload> {
-    encore_workloads::all().into_iter().map(prepare).collect()
 }
 
 /// Parses a `--workloads a,b,c` filter from argv; `None` = all.

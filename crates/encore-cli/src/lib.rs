@@ -411,7 +411,6 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         snapshot_stride: opts.snapshot_stride,
         splice: opts.splice,
         model: opts.fault_model,
-        ..Default::default()
     };
     let campaign = SfiCampaign::prepare(
         &outcome.instrumented.module,

@@ -102,6 +102,9 @@ pub struct FaultTelemetry {
     pub inject_site: Option<(FuncId, BlockId)>,
 }
 
+/// Seed for the deterministic extern environment every run starts from.
+const EXTERN_SEED: u64 = 0x5EED;
+
 /// Execution options.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunConfig {
@@ -114,8 +117,6 @@ pub struct RunConfig {
     pub collect_trace: bool,
     /// Attribute dynamic instructions to regions (needs a region map).
     pub region_accounting: bool,
-    /// Seed for the deterministic extern environment.
-    pub extern_seed: u64,
     /// Fault to inject, if any.
     pub fault: Option<FaultPlan>,
 }
@@ -127,7 +128,6 @@ impl Default for RunConfig {
             collect_profile: false,
             collect_trace: false,
             region_accounting: false,
-            extern_seed: 0x5EED,
             fault: None,
         }
     }
@@ -886,7 +886,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             map,
             mem: Memory::for_module(module),
             frames: Vec::new(),
-            externs: Externs::new(config.extern_seed),
+            externs: Externs::new(EXTERN_SEED),
             dyn_insts: 0,
             instr_dyn: 0,
             frame_seq: 0,

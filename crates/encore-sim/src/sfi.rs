@@ -99,6 +99,10 @@ impl FaultOutcome {
     }
 }
 
+/// Fuel multiplier over the golden run's dynamic instruction count
+/// (faulted runs may loop longer before detection).
+const FUEL_FACTOR: u64 = 4;
+
 /// SFI campaign parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SfiConfig {
@@ -111,9 +115,6 @@ pub struct SfiConfig {
     /// bit-identical [`SfiStats`] for **any** worker count, and
     /// injection `i` can be replayed alone from `(seed, i)`.
     pub seed: u64,
-    /// Fuel multiplier over the golden run's dynamic instruction count
-    /// (faulted runs may loop longer before detection).
-    pub fuel_factor: u64,
     /// Worker threads for [`SfiCampaign::run`]; `0` (the default) uses
     /// [`std::thread::available_parallelism`].
     pub workers: usize,
@@ -147,7 +148,6 @@ impl Default for SfiConfig {
             injections: 200,
             dmax: 100,
             seed: 0xE7_C04E,
-            fuel_factor: 4,
             workers: 0,
             snapshot_stride: 256,
             splice: true,
@@ -259,11 +259,6 @@ impl SfiStats {
             return 0.0;
         }
         self.recovered as f64 / self.injections as f64
-    }
-
-    /// Fraction ending in any failure (SDC, unrecoverable, crash, hang).
-    pub fn failure_fraction(&self) -> f64 {
-        1.0 - self.safe_fraction()
     }
 }
 
@@ -558,7 +553,7 @@ impl<'a> SfiCampaign<'a> {
         if golden.eligible_insts == 0 {
             return Err(GoldenRunError::NoEligibleInstructions);
         }
-        let fuel = golden.dyn_insts.saturating_mul(config.fuel_factor).max(100_000);
+        let fuel = golden.dyn_insts.saturating_mul(FUEL_FACTOR).max(100_000);
         Ok(Self { module, map, entry, args: args.to_vec(), code, golden, snapshots, fuel })
     }
 

@@ -3,12 +3,15 @@
 //! Generates arbitrary — but always *verifiable, terminating and
 //! trap-free* — programs for differential testing of the simulator's
 //! fault-injection engine, where 23 hand-written kernels cannot give
-//! confidence but a few thousand machine-written ones can. The design
-//! extends the statement-tree generator the integration tests have used
-//! since PR 2 with everything the divergence splice's proof obligations
-//! touch: aliased global/slot/heap access, pointer-based stores the
-//! static alias analysis cannot see through, branchy CFGs, extern
-//! output (the SDC certification channel) and data-dependent loops.
+//! confidence but a few thousand machine-written ones can. It is the
+//! one program grammar of the integration tests: the differential
+//! suites and every random-program property (analysis laws, optimizer
+//! semantics, latency-0 recovery) draw from it. Beyond arithmetic,
+//! global access, branches and constant-trip loops it covers everything
+//! the divergence splice's proof obligations touch: aliased
+//! global/slot/heap access, pointer-based stores the static alias
+//! analysis cannot see through, extern output (the SDC certification
+//! channel) and data-dependent loops.
 //!
 //! # Generator grammar
 //!

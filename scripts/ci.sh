@@ -29,6 +29,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc --offline (rustdoc -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+# The experiment binaries regenerate EXPERIMENTS.md's tables and
+# figures; run them at small campaign sizes so a panic or a nonzero
+# exit fails here rather than when the document is next regenerated.
+echo "==> experiment binaries (experiments --sfi 150, ablations --sfi 120)"
+./target/release/experiments --sfi 150 > /dev/null
+./target/release/ablations --sfi 120 > /dev/null
+
 # Fixed-seed campaign smoke: exercises the snapshot-and-resume +
 # convergence-splice injection path end-to-end on a real workload, once
 # per fault model so every sampler and its injection machinery (bit

@@ -44,29 +44,9 @@ impl Gen {
         &mut self.rng
     }
 
-    /// Uniform `usize` in `[0, bound)`.
-    pub fn usize(&mut self, bound: usize) -> usize {
-        self.rng.gen_usize(bound)
-    }
-
     /// Uniform `i64` in `[lo, hi)`.
     pub fn i64(&mut self, lo: i64, hi: i64) -> i64 {
         self.rng.gen_i64(lo, hi)
-    }
-
-    /// Uniform `u8` in `[lo, hi)`.
-    pub fn u8(&mut self, lo: u8, hi: u8) -> u8 {
-        self.rng.gen_i64(lo as i64, hi as i64) as u8
-    }
-
-    /// A fair coin.
-    pub fn bool(&mut self) -> bool {
-        self.rng.gen_bool()
-    }
-
-    /// True with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.rng.gen_below(den) < num
     }
 }
 

@@ -19,28 +19,14 @@
 
 mod common;
 
-use common::prop::{check, prop_assert, Arbitrary, Gen, PropResult};
+use common::prop::{check, prop_assert, PropResult};
+use common::Fuzzed;
 use encore::core::{Encore, EncoreConfig};
 use encore::sim::{
     run_function, CampaignReport, FaultAction, FaultModelKind, FaultPlan, LatencyHistogram,
     RunConfig, SfiCampaign, SfiConfig, FaultOutcome, SfiStats, SpliceRule, Value,
 };
 use encore::workloads::fuzz::{self, FuzzProgram, FuzzStmt};
-
-/// Newtype so the fuzzer's program type can implement the local
-/// [`Arbitrary`] trait.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Fuzzed(FuzzProgram);
-
-impl Arbitrary for Fuzzed {
-    fn arbitrary(g: &mut Gen) -> Self {
-        Fuzzed(fuzz::gen_program(g.rng()))
-    }
-
-    fn shrink(&self) -> Vec<Self> {
-        fuzz::shrink_program(&self.0).into_iter().map(Fuzzed).collect()
-    }
-}
 
 /// `ENCORE_FUZZ_CASES` override, defaulting to a tier-1-friendly count.
 fn case_count(default: u64) -> u64 {

@@ -52,20 +52,23 @@ fn results(r: &CampaignReport) -> (encore::sim::SfiStats, &[encore::sim::Latency
 
 #[test]
 fn parallel_campaign_is_bit_identical_to_sequential() {
-    let (module, map, entry, arg) = instrument("rawcaudio");
-    let base = config(96, 1);
-    let campaign = SfiCampaign::prepare(&module, Some(&map), entry, &[Value::Int(arg)], &base)
-        .expect("golden run completes");
-    let sequential = campaign.run_report(&base);
-    assert_eq!(sequential.stats.injections, 96);
+    for name in ["rawcaudio", "g721encode"] {
+        let (module, map, entry, arg) = instrument(name);
+        let base = config(96, 1);
+        let campaign =
+            SfiCampaign::prepare(&module, Some(&map), entry, &[Value::Int(arg)], &base)
+                .expect("golden run completes");
+        let sequential = campaign.run_report(&base);
+        assert_eq!(sequential.stats.injections, 96);
 
-    for workers in [2, 3, 8] {
-        let parallel = campaign.run_report(&config(96, workers));
-        assert_eq!(
-            results(&sequential),
-            results(&parallel),
-            "workers = {workers} changed campaign results"
-        );
+        for workers in [2, 3, 4, 8] {
+            let parallel = campaign.run_report(&config(96, workers));
+            assert_eq!(
+                results(&sequential),
+                results(&parallel),
+                "{name}: workers = {workers} changed campaign results"
+            );
+        }
     }
 }
 
