@@ -454,10 +454,13 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         );
         let _ = writeln!(
             out,
-            "splice probe cost:        {} probes, {} pages compared, {} words compared",
+            "splice probe cost:        {} probes, {} pages compared, {} words compared; \
+             memo {} hits, {} insts skipped",
             s.cost.probes,
             s.cost.pages_hashed,
-            s.cost.words_compared
+            s.cost.words_compared,
+            s.cost.memo_hits,
+            s.cost.memo_insts_skipped
         );
     }
     let _ = writeln!(

@@ -228,6 +228,18 @@ impl<'a> Parser<'a> {
         self.expect_int()
     }
 
+    /// `v` as the `u32` count `what` is stored as, or an error when it
+    /// does not fit.
+    fn count(&self, v: i64, what: &str) -> Result<u32, ParseError> {
+        u32::try_from(v).map_err(|_| self.error(format!("{what} {v} does not fit in a u32")))
+    }
+
+    /// `key=int` for a count stored as `u32`.
+    fn expect_kv_count(&mut self, key: &str) -> Result<u32, ParseError> {
+        let v = self.expect_kv_int(key)?;
+        self.count(v, key)
+    }
+
     /// `key=[int,int,...]`
     fn expect_kv_int_list(&mut self, key: &str) -> Result<Vec<i64>, ParseError> {
         self.expect_keyword(key)?;
@@ -452,14 +464,14 @@ impl<'a> Parser<'a> {
 
     fn parse_function(&mut self) -> Result<Function, ParseError> {
         let name = self.expect_str()?;
-        let params = self.expect_kv_int("params")? as u32;
-        let regs = self.expect_kv_int("regs")? as u32;
+        let params = self.expect_kv_count("params")?;
+        let regs = self.expect_kv_count("regs")?;
         let slots = self.expect_kv_int_list("slots")?;
         self.expect_punct('{')?;
         let mut func = Function::new(name, params);
         func.reg_count = regs;
         for cells in slots {
-            func.add_slot(cells as u32);
+            func.add_slot(self.count(cells, "slot cells")?);
         }
         func.blocks.clear();
         // blocks: `bbN:` then lines until next `bbN:` or `}`
@@ -530,7 +542,8 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
     p.expect_punct('{')?;
     let mut module = Module::new(name);
     p.expect_keyword("heap_sites")?;
-    module.heap_sites = p.expect_int()? as u32;
+    let heap_sites = p.expect_int()?;
+    module.heap_sites = p.count(heap_sites, "heap_sites")?;
     loop {
         match p.peek() {
             Some(Tok::Punct('}')) => {
@@ -540,7 +553,7 @@ pub fn parse_module(src: &str) -> Result<Module, ParseError> {
             Some(Tok::Ident(kw)) if kw == "global" => {
                 p.advance()?;
                 let name = p.expect_str()?;
-                let cells = p.expect_kv_int("cells")? as u32;
+                let cells = p.expect_kv_count("cells")?;
                 let init = p.expect_kv_int_list("init")?;
                 module.add_global_init(name, cells, init);
             }
@@ -638,6 +651,31 @@ mod tests {
         let text = "module \"m\" {\n  heap_sites 0\n  bogus\n}";
         let err = parse_module(text).unwrap_err();
         assert_eq!(err.line, 3);
+    }
+
+    #[test]
+    fn counts_that_do_not_fit_a_u32_are_parse_errors() {
+        let module = |heap: &str, cells: &str, params: &str, regs: &str, slot: &str| {
+            format!(
+                "module \"m\" {{\n  heap_sites {heap}\n  global \"g\" cells={cells} init=[]\n  \
+                 func \"f\" params={params} regs={regs} slots=[{slot}] {{\n  \
+                 bb0:\n    ret\n  }}\n}}"
+            )
+        };
+        assert!(parse_module(&module("0", "1", "0", "1", "1")).is_ok());
+        let huge = "9223372036854775807";
+        for (text, what) in [
+            (module(huge, "1", "0", "1", "1"), "heap_sites"),
+            (module("0", huge, "0", "1", "1"), "cells"),
+            (module("0", "-1", "0", "1", "1"), "cells"),
+            (module("0", "1", "4294967296", "1", "1"), "params"),
+            (module("0", "1", "0", huge, "1"), "regs"),
+            (module("0", "1", "0", "1", huge), "slot cells"),
+        ] {
+            let err = parse_module(&text).unwrap_err();
+            assert!(err.message.starts_with(what), "{what}: {err}");
+            assert!(err.message.ends_with("does not fit in a u32"), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::value::{EvalError, Value};
 
 /// The external-function environment of a machine.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct Externs {
     /// Values printed by `print_i64` / `print_f64` (the observable
     /// output channel compared against golden runs).

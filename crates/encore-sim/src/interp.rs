@@ -199,7 +199,15 @@ impl PartialEq for RecoveryState {
     }
 }
 
-#[derive(Clone, PartialEq)]
+/// Hashes what equality compares, leaving out `act_ordinal`.
+impl std::hash::Hash for RecoveryState {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.region.hash(state);
+        self.recovery_block.hash(state);
+    }
+}
+
+#[derive(Clone, PartialEq, Hash)]
 enum CkptEntry {
     Mem { obj: u32, idx: i64, val: Value },
     Reg { reg: Reg, val: Value },
@@ -275,8 +283,9 @@ impl SpliceTrack {
 
 /// One activation record. `Clone` because frames are part of a
 /// [`Snapshot`]; `PartialEq` because frames are part of the splice's
-/// convergence predicate.
-#[derive(Clone, PartialEq)]
+/// convergence predicate; `Hash` because they are part of the campaign
+/// memo's key.
+#[derive(Clone, PartialEq, Hash)]
 pub(crate) struct Frame {
     func: FuncId,
     block: BlockId,
@@ -364,7 +373,7 @@ impl SpliceRule {
 }
 
 /// How [`Machine::run_to_end_or_splice`] finished.
-pub(crate) enum SpliceRun {
+pub(crate) enum SpliceRun<M> {
     /// Ran to completion or a terminal trap, exactly like
     /// [`Machine::run_to_end`].
     Done(Option<Trap>),
@@ -372,6 +381,33 @@ pub(crate) enum SpliceRun {
     /// is the golden-suffix dynamic instruction count the run did *not*
     /// execute.
     Spliced(SpliceRule, u64),
+    /// The caller's first-miss hook answered for the rest of the run.
+    Answered(M),
+}
+
+/// A realigned run's probe position: golden snapshot `idx`, probed at
+/// `snapshot dyn + delta`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct ProbeAt {
+    /// Index of the golden snapshot in the log.
+    pub(crate) idx: usize,
+    /// How far the run's dynamic instruction count is ahead of the
+    /// golden run's at the same program point.
+    pub(crate) delta: u64,
+    /// `golden final dyn + delta < fuel`: the fuel headroom check every
+    /// probe that lands exactly on its position reduces to.
+    pub(crate) headroom: bool,
+}
+
+/// How [`Machine::advance_to_first_probe`] stopped.
+pub(crate) enum Advance<'s> {
+    /// The run ended before reaching a probe position.
+    Done(Option<Trap>),
+    /// The run cannot be aligned with the golden timeline, or realigned
+    /// past the last snapshot: only plain execution is left.
+    Unaligned,
+    /// Paused at, or just past, the first probe position.
+    Probe(ProbeAt, &'s Snapshot),
 }
 
 /// Golden-capture bookkeeping for the divergence splice: the memory
@@ -1502,6 +1538,68 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
     }
 
+    /// Steps until the dynamic instruction count reaches `target`.
+    /// `Err` carries how the run ended first: completion (`None`) or a
+    /// terminal trap.
+    fn step_to(&mut self, target: u64) -> Result<(), Option<Trap>> {
+        loop {
+            match self.step_detected::<false>(target) {
+                Ok(true) if self.dyn_insts >= target => return Ok(()),
+                Ok(true) => {}
+                Ok(false) => return Err(None),
+                Err(t) => return Err(Some(t)),
+            }
+        }
+    }
+
+    /// The splice's approach: runs normally until a rollback's
+    /// re-executed arming realigns the run against the golden
+    /// activation timeline, measures `delta`, and steps to the first
+    /// golden snapshot's realigned position. A deterministic function
+    /// of the injection, so replaying a plan lands on the same probe
+    /// position in the same state.
+    pub(crate) fn advance_to_first_probe<'s>(
+        &mut self,
+        snapshots: &'s SnapshotLog,
+        golden_final_dyn: u64,
+    ) -> Advance<'s> {
+        debug_assert!(!self.obs.any(), "injection runs are not observed");
+        self.splice.armed = true;
+        let (realign_dyn, ordinal) = loop {
+            match self.step_detected::<false>(u64::MAX) {
+                Ok(true) => {
+                    if let Some(r) = self.splice.realign.take() {
+                        break r;
+                    }
+                }
+                Ok(false) => return Advance::Done(None),
+                Err(t) => return Advance::Done(Some(t)),
+            }
+        };
+        // `delta`: how many more dynamic instructions this run has
+        // retired than the golden run had at the same program point.
+        // Unmeasurable (ordinal past the golden log, or the golden run
+        // was ahead) means the timelines cannot be aligned.
+        let Some(delta) = snapshots
+            .activation_dyn()
+            .get(ordinal as usize)
+            .and_then(|&golden_dyn| realign_dyn.checked_sub(golden_dyn))
+        else {
+            return Advance::Unaligned;
+        };
+        let idx = snapshots.first_at_or_after_dyn(self.dyn_insts.saturating_sub(delta));
+        let Some(snap) = snapshots.get(idx) else {
+            return Advance::Unaligned;
+        };
+        match self.step_to(snap.dyn_insts + delta) {
+            Ok(()) => {
+                let headroom = golden_final_dyn + delta < self.fuel;
+                Advance::Probe(ProbeAt { idx, delta, headroom }, snap)
+            }
+            Err(end) => Advance::Done(end),
+        }
+    }
+
     /// [`Machine::run_to_end`] for campaign injection runs, with the
     /// divergence-tracked splice: after a rollback realigns the run
     /// against the golden activation timeline, successive golden
@@ -1510,41 +1608,25 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// rule ends the run early; a miss merely falls back to plain
     /// execution. See [`SpliceTrack`] for the realignment mechanics
     /// and [`SpliceRule`] for the per-rule soundness arguments.
-    pub(crate) fn run_to_end_or_splice(
+    ///
+    /// When the run lands exactly on its first probe position and no
+    /// rule certifies it there, `first_miss` is asked once; an answer
+    /// ends the run as [`SpliceRun::Answered`]. The campaign memo
+    /// answers from an earlier injection that stood in the same state.
+    pub(crate) fn run_to_end_or_splice<M>(
         &mut self,
         snapshots: &SnapshotLog,
         golden_final_dyn: u64,
-    ) -> SpliceRun {
-        debug_assert!(!self.obs.any(), "injection runs are not observed");
-        self.splice.armed = true;
-        // Phase 1: run normally until a rollback's re-executed arming
-        // realigns the run (or the run just finishes).
-        let (realign_dyn, ordinal) = loop {
-            match self.step_detected::<false>(u64::MAX) {
-                Ok(true) => {
-                    if let Some(r) = self.splice.realign.take() {
-                        break r;
-                    }
-                }
-                Ok(false) => return SpliceRun::Done(None),
-                Err(t) => return SpliceRun::Done(Some(t)),
-            }
+        mut first_miss: impl FnMut(&mut Self, ProbeAt) -> Option<M>,
+    ) -> SpliceRun<M> {
+        let (mut at, mut snap) = match self.advance_to_first_probe(snapshots, golden_final_dyn) {
+            Advance::Done(end) => return SpliceRun::Done(end),
+            Advance::Unaligned => return SpliceRun::Done(self.run_to_end()),
+            Advance::Probe(at, snap) => (at, snap),
         };
-        // `delta`: how many more dynamic instructions this run has
-        // retired than the golden run had at the same program point.
-        // Unmeasurable (ordinal past the golden log, or the golden run
-        // was ahead) means the timelines cannot be aligned: finish
-        // normally.
-        let Some(delta) = snapshots
-            .activation_dyn()
-            .get(ordinal as usize)
-            .and_then(|&golden_dyn| realign_dyn.checked_sub(golden_dyn))
-        else {
-            return SpliceRun::Done(self.run_to_end());
-        };
-        // Phase 2: execute on, pausing at golden snapshots' realigned
-        // positions (`snapshot dyn + delta`) to classify the state
-        // diff. The probe *schedule* is dense-then-backoff: the first
+        // Execute on, pausing at golden snapshots' realigned positions
+        // (`snapshot dyn + delta`) to classify the state diff. The
+        // probe *schedule* is dense-then-backoff: the first
         // `DENSE_PROBES` misses probe consecutive snapshots (the
         // earliest certifying snapshot saves the most suffix, and runs
         // that certify at all usually do so within a few snapshots of
@@ -1556,53 +1638,52 @@ impl<'m, 'c> Machine<'m, 'c> {
         // O(state).
         const DENSE_PROBES: u32 = 8;
         const GAP_CAP: usize = 16;
-        let mut idx = snapshots.first_at_or_after_dyn(self.dyn_insts.saturating_sub(delta));
         let mut diff: Vec<(u32, u32)> = Vec::new();
         let mut misses = 0u32;
         let mut gap = 1usize;
         loop {
-            let Some(snap) = snapshots.get(idx) else {
-                // Past the last golden snapshot: finish normally.
-                return SpliceRun::Done(self.run_to_end());
-            };
-            let target = snap.dyn_insts + delta;
-            loop {
-                match self.step_detected::<false>(target) {
-                    Ok(true) => {
-                        if self.dyn_insts >= target {
-                            break;
-                        }
-                    }
-                    Ok(false) => return SpliceRun::Done(None),
-                    Err(t) => return SpliceRun::Done(Some(t)),
-                }
-            }
             // A probe is only meaningful when the pause landed exactly
             // on the realigned position (instruction costs can
             // overshoot a bound), no fault is pending, and the fuel
             // headroom covers the golden suffix at this run's offset —
             // otherwise the continuation could diverge by a fuel trap
             // the golden run never hit.
-            if self.dyn_insts == target
-                && self.fault.is_none()
-                && golden_final_dyn.saturating_sub(snap.dyn_insts) + self.dyn_insts < self.fuel
-            {
+            let landed = self.dyn_insts == snap.dyn_insts + at.delta && self.fault.is_none();
+            if landed && at.headroom {
                 self.probe.cost.probes += 1;
-                if let Some(rule) = self.classify_divergence(snapshots, idx, snap, &mut diff) {
+                if let Some(rule) = self.classify_divergence(snapshots, at.idx, snap, &mut diff) {
                     return SpliceRun::Spliced(rule, golden_final_dyn - snap.dyn_insts);
+                }
+            }
+            if landed && misses == 0 {
+                if let Some(answer) = first_miss(self, at) {
+                    return SpliceRun::Answered(answer);
                 }
             }
             misses += 1;
             if misses >= DENSE_PROBES && gap < GAP_CAP {
                 gap *= 2;
             }
-            idx += gap;
+            at.idx += gap;
+            let Some(next) = snapshots.get(at.idx) else {
+                // Past the last golden snapshot: finish normally.
+                return SpliceRun::Done(self.run_to_end());
+            };
+            snap = next;
+            if let Err(end) = self.step_to(snap.dyn_insts + at.delta) {
+                return SpliceRun::Done(end);
+            }
         }
     }
 
     /// The accumulated probe-cost counters of this run.
     pub(crate) fn probe_cost(&self) -> ProbeCost {
         self.probe.cost
+    }
+
+    /// Dynamic instructions retired so far.
+    pub(crate) fn dyn_insts(&self) -> u64 {
+        self.dyn_insts
     }
 
     /// The splice's probe predicate: classifies the run's divergence
@@ -1645,50 +1726,8 @@ impl<'m, 'c> Machine<'m, 'c> {
             || self.last_alloc_of_site != snap.last_alloc_of_site
             || !self.externs.state_equal_ignoring_output(&snap.externs)
             || !self.frames_equal(snap)
+            || !self.golden_diff(snapshots, idx, snap, diff)
         {
-            return None;
-        }
-        // Bring the candidate set up to this probe target: golden pages
-        // written between the last absorbed snapshot and this one
-        // (interval lists — absorbed in either direction, since
-        // realignment can land a probe before the resume base) and
-        // pages this run wrote since the last drain. Everything outside
-        // the resulting set is bitwise-identical on both sides.
-        let Machine { mem, probe, base_objects, .. } = self;
-        let unabsorbed = match probe.absorbed_through {
-            None => 0..=idx,
-            Some(a) if idx > a => a + 1..=idx,
-            // Empty when `idx == a`.
-            Some(a) => idx + 1..=a,
-        };
-        for j in unabsorbed {
-            probe.pending.extend_from_slice(snapshots.interval_pages(j));
-        }
-        probe.absorbed_through = Some(idx);
-        mem.drain_dirty_pages(&mut probe.pending);
-        probe.pending.sort_unstable();
-        probe.pending.dedup();
-        let mem_comparable = mem.diff_cells_dirty(
-            &snap.mem,
-            &mut probe.pending,
-            *base_objects,
-            DIFF_CAP,
-            diff,
-            &mut probe.cost,
-        );
-        // The full scan is the reference the incremental compare must
-        // reproduce exactly: debug builds check every probe against it.
-        #[cfg(debug_assertions)]
-        {
-            let mut full = Vec::new();
-            let full_comparable = self.mem.diff_cells(&snap.mem, DIFF_CAP, &mut full);
-            assert!(
-                full_comparable == mem_comparable && (!full_comparable || full == *diff),
-                "incremental compare disagrees with the full scan at snapshot {idx}: \
-                 incremental {mem_comparable} {diff:?}, full scan {full_comparable} {full:?}"
-            );
-        }
-        if !mem_comparable {
             return None;
         }
         let out_eq = self.externs.output == snap.externs.output;
@@ -1715,6 +1754,117 @@ impl<'m, 'c> Machine<'m, 'c> {
         } else {
             Some(SpliceRule::Sdc)
         }
+    }
+
+    /// Collects into `diff` every memory cell where this run differs
+    /// from golden snapshot `snap` (index `idx`), `false` when the two
+    /// memories are not comparable (shape mismatch, or more than
+    /// [`DIFF_CAP`] cells).
+    ///
+    /// First brings the candidate set up to this snapshot: golden pages
+    /// written between the last absorbed snapshot and this one
+    /// (interval lists — absorbed in either direction, since
+    /// realignment can land a probe before the resume base) and pages
+    /// this run wrote since the last drain. Everything outside the
+    /// resulting set is bitwise-identical on both sides.
+    pub(crate) fn golden_diff(
+        &mut self,
+        snapshots: &SnapshotLog,
+        idx: usize,
+        snap: &Snapshot,
+        diff: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        let Machine { mem, probe, base_objects, .. } = self;
+        let unabsorbed = match probe.absorbed_through {
+            None => 0..=idx,
+            Some(a) if idx > a => a + 1..=idx,
+            // Empty when `idx == a`.
+            Some(a) => idx + 1..=a,
+        };
+        for j in unabsorbed {
+            probe.pending.extend_from_slice(snapshots.interval_pages(j));
+        }
+        probe.absorbed_through = Some(idx);
+        mem.drain_dirty_pages(&mut probe.pending);
+        probe.pending.sort_unstable();
+        probe.pending.dedup();
+        let comparable = mem.diff_cells_dirty(
+            &snap.mem,
+            &mut probe.pending,
+            *base_objects,
+            DIFF_CAP,
+            diff,
+            &mut probe.cost,
+        );
+        // The full scan is the reference the incremental compare must
+        // reproduce exactly: debug builds check every compare against it.
+        #[cfg(debug_assertions)]
+        {
+            let mut full = Vec::new();
+            let full_comparable = self.mem.diff_cells(&snap.mem, DIFF_CAP, &mut full);
+            assert!(
+                full_comparable == comparable && (!full_comparable || full == *diff),
+                "incremental compare disagrees with the full scan at snapshot {idx}: \
+                 incremental {comparable} {diff:?}, full scan {full_comparable} {full:?}"
+            );
+        }
+        comparable
+    }
+
+    /// The campaign memo's key for a run paused exactly on probe
+    /// position `at`: a hash of everything the rest of the run reads —
+    /// the snapshot index, the headroom bit, the frames, the allocation
+    /// counters, the extern state with its output, and each cell of the
+    /// golden diff (left in `diff`) with its value. `dyn_insts` is left
+    /// out: it enters only through the headroom bit and the memo's fuel
+    /// rule. `None` when the golden diff is not comparable.
+    pub(crate) fn probe_key(
+        &mut self,
+        snapshots: &SnapshotLog,
+        at: ProbeAt,
+        diff: &mut Vec<(u32, u32)>,
+    ) -> Option<u64> {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let snap = snapshots.get(at.idx)?;
+        if !self.golden_diff(snapshots, at.idx, snap, diff) {
+            return None;
+        }
+        let mut h = DefaultHasher::new();
+        (at.idx, at.headroom).hash(&mut h);
+        self.frames.hash(&mut h);
+        (self.frame_seq, self.heap_seq, &self.last_alloc_of_site).hash(&mut h);
+        self.externs.hash(&mut h);
+        for &(obj, idx) in diff.iter() {
+            (obj, idx, self.mem.read(obj, idx.into()).ok()).hash(&mut h);
+        }
+        Some(h.finish())
+    }
+
+    /// `true` when this run and `other`, both paused exactly on the
+    /// same probe position with golden diffs `diff` and `other_diff`
+    /// against its snapshot, hold the same state in everything
+    /// [`Machine::probe_key`] hashes, with no fault pending and the
+    /// same rollback flag (which classification reads). Both memories
+    /// equal the snapshot's outside their diffs, so equal diffs with
+    /// equal values make the memories equal.
+    pub(crate) fn same_probe_state(
+        &self,
+        diff: &[(u32, u32)],
+        other: &Machine<'_, '_>,
+        other_diff: &[(u32, u32)],
+    ) -> bool {
+        self.fault.is_none()
+            && other.fault.is_none()
+            && self.telemetry.rolled_back == other.telemetry.rolled_back
+            && self.frame_seq == other.frame_seq
+            && self.heap_seq == other.heap_seq
+            && self.last_alloc_of_site == other.last_alloc_of_site
+            && self.externs == other.externs
+            && self.frames == other.frames
+            && diff == other_diff
+            && diff.iter().all(|&(obj, idx)| {
+                self.mem.read(obj, idx.into()) == other.mem.read(obj, idx.into())
+            })
     }
 
     /// Exactly `self.frames == snap.frames`, ordered to fail fast:
@@ -2093,6 +2243,56 @@ mod tests {
             .collect();
         assert_eq!(sites.len(), 2);
         assert!(profile.mem.observed_disjoint(sites[0], sites[1]));
+    }
+
+    /// The campaign memo's exact compare looks at every part of the
+    /// state its key hashes, so a key collision can never pass as a
+    /// match: each single change below makes two otherwise identical
+    /// machines differ.
+    #[test]
+    fn same_probe_state_compares_everything_the_key_hashes() {
+        let mut mb = ModuleBuilder::new("m");
+        let g = mb.global("g", 2);
+        mb.function("f", 0, |f| {
+            let p = f.alloc(Operand::ImmI(1));
+            f.store(AddrExpr::reg(p, 0), Operand::ImmI(3));
+            f.store(AddrExpr::global(g, 1), Operand::ImmI(1));
+            f.ret(None);
+        });
+        let m = mb.finish();
+        let fid = m.func_by_name("f").expect("entry exists");
+        let code = DecodedModule::new(&m, None);
+        let fresh = || {
+            let mut mach = Machine::new(&m, &code, None, &RunConfig::default());
+            mach.enter(fid, &[]).expect("entry frame");
+            mach
+        };
+        let diff = [(0u32, 1u32)];
+        assert!(fresh().same_probe_state(&diff, &fresh(), &diff));
+        type Change = fn(&mut Machine<'_, '_>);
+        let changes: [(&str, Change); 9] = [
+            ("register", |b| b.frames[0].regs[0] = Value::Int(7)),
+            ("position", |b| b.frames[0].ip = 1),
+            ("extern state", |b| {
+                b.externs.call("prng", &[]).expect("prng");
+            }),
+            ("output", |b| b.externs.output.push(1)),
+            ("diff cell value", |b| b.mem.write(0, 1, Value::Int(5)).expect("in bounds")),
+            ("frame_seq", |b| b.frame_seq += 1),
+            ("heap_seq", |b| b.heap_seq += 1),
+            ("heap allocation", |b| b.last_alloc_of_site[0] = Some(9)),
+            ("rollback flag", |b| b.telemetry.rolled_back = true),
+        ];
+        for (what, change) in changes {
+            let mut b = fresh();
+            change(&mut b);
+            assert!(!fresh().same_probe_state(&diff, &b, &diff), "{what} ignored");
+        }
+        assert!(!fresh().same_probe_state(&diff, &fresh(), &[(0, 0)]), "diff cells ignored");
+        let faulted = RunConfig { fault: Some(FaultPlan::bit_flip(0, 0, 0)), ..Default::default() };
+        let mut b = Machine::new(&m, &code, None, &faulted);
+        b.enter(fid, &[]).expect("entry frame");
+        assert!(!fresh().same_probe_state(&diff, &b, &diff), "pending fault ignored");
     }
 
     #[test]

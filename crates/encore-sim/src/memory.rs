@@ -408,8 +408,8 @@ impl Memory {
                 }
             }
             if out.len() == before && !capped {
-                // Value-equal (bitwise-equal, or e.g. -0.0 vs +0.0):
-                // equality established, prune. A later run write
+                // Bitwise-equal: equality established, prune. A later
+                // run write
                 // re-dirties the page; a later golden write re-enters
                 // it via the interval lists.
                 continue;
@@ -432,13 +432,16 @@ impl Memory {
     }
 }
 
-/// Splice probe cost counters: how much work the state compares did.
+/// Splice probe cost counters: how much work the state compares did,
+/// and how much the campaign memo saved.
 ///
 /// Telemetry only — two campaign runs that classify every injection
 /// identically are the *same result* regardless of how many pages each
 /// probe compared, so `ProbeCost` compares equal to any other `ProbeCost`
 /// and report equality does not depend on compare footprints (or probe
-/// schedules).
+/// schedules). Unlike the outcomes, the counters depend on how a
+/// campaign's injections are sharded: each shard's memo answers only
+/// from that shard's earlier runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeCost {
     /// Splice probes attempted (classification attempts at a golden
@@ -448,6 +451,12 @@ pub struct ProbeCost {
     pub pages_hashed: u64,
     /// Cells compared word-by-word against the golden snapshot.
     pub words_compared: u64,
+    /// Runs the campaign memo answered at their first probe, from an
+    /// earlier injection of the same shard that stood in the same state.
+    pub memo_hits: u64,
+    /// Dynamic instructions those runs did not execute past their first
+    /// probe.
+    pub memo_insts_skipped: u64,
 }
 
 impl ProbeCost {
@@ -456,6 +465,8 @@ impl ProbeCost {
         self.probes += other.probes;
         self.pages_hashed += other.pages_hashed;
         self.words_compared += other.words_compared;
+        self.memo_hits += other.memo_hits;
+        self.memo_insts_skipped += other.memo_insts_skipped;
     }
 }
 
@@ -755,11 +766,11 @@ mod tests {
         }
     }
 
-    /// Negative zero: bitwise-unequal to +0.0 but value-equal, so the
-    /// word compare finds no diff and the page is pruned — exactly the
-    /// full scan's verdict.
+    /// Negative zero differs from +0.0 in its sign bit, which the
+    /// program can observe, so the word compare reports a one-cell diff
+    /// and keeps the page pending — exactly the full scan's verdict.
     #[test]
-    fn negative_zero_page_is_pruned() {
+    fn negative_zero_page_is_a_one_cell_diff() {
         let mut golden = mem();
         golden.write(1, 1, Value::Float(0.0)).unwrap();
         golden.reset_dirty();
@@ -782,8 +793,8 @@ mod tests {
         ));
         assert!(run.diff_cells(&golden, 8, &mut full));
         assert_eq!(inc, full);
-        assert!(inc.is_empty(), "-0.0 == +0.0 under Value equality");
-        assert!(pending.is_empty(), "value-equal page is pruned");
+        assert_eq!(inc, vec![(1, 1)], "-0.0 != +0.0 under Value equality");
+        assert_eq!(pending, vec![(1, 0)], "the diverged page stays pending");
     }
 
     /// Cap overflow in the incremental path: incomparable verdict, and
@@ -883,12 +894,20 @@ mod tests {
     /// ProbeCost is telemetry: never part of result equality.
     #[test]
     fn probe_cost_compares_equal_always() {
-        let a = ProbeCost { probes: 1, pages_hashed: 2, words_compared: 3 };
+        let a = ProbeCost {
+            probes: 1,
+            pages_hashed: 2,
+            words_compared: 3,
+            memo_hits: 4,
+            memo_insts_skipped: 5,
+        };
         let mut b = ProbeCost::default();
         assert_eq!(a, b);
         b.merge(&a);
         assert_eq!(b.probes, 1);
         assert_eq!(b.pages_hashed, 2);
         assert_eq!(b.words_compared, 3);
+        assert_eq!(b.memo_hits, 4);
+        assert_eq!(b.memo_insts_skipped, 5);
     }
 }

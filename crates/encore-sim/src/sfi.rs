@@ -24,12 +24,23 @@
 //! let plan = campaign.plan_for_index(&config, index);
 //! let outcome = campaign.run_one(plan);
 //! ```
+//!
+//! # A memo of earlier injections
+//!
+//! Different faults often leave a run in the same state. Each shard
+//! therefore remembers, for a bounded number of its runs, the state key
+//! at the run's first splice probe and the result. A later run of the
+//! shard that reaches a remembered key at its own first probe replays
+//! the remembered injection to that probe, compares the two states
+//! exactly, and takes the result instead of executing its suffix
+//! (DESIGN.md §14). Reports are unchanged field for field; only wall
+//! time and the telemetry-only [`ProbeCost`] move.
 
 use crate::fault::{FaultModelKind, FaultPlan};
 use crate::memory::ProbeCost;
 use crate::interp::{
-    run_function_with_snapshots, Machine, RunConfig, RunResult, SpliceRule, SpliceRun, Trap,
-    TrapKind,
+    run_function_with_snapshots, Advance, Machine, ProbeAt, RunConfig, RunResult, SpliceRule,
+    SpliceRun, Trap, TrapKind,
 };
 use crate::predecode::DecodedModule;
 use crate::rng::SplitMix64;
@@ -37,6 +48,7 @@ use crate::snapshot::SnapshotLog;
 use crate::value::Value;
 use encore_core::RegionMap;
 use encore_ir::{FuncId, Module};
+use std::collections::HashMap;
 
 /// Classification of one fault-injection run.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -344,6 +356,61 @@ pub struct SpliceEngagement {
     pub dyn_insts_saved: u64,
 }
 
+/// Most entries one shard's memo holds: a hash table of 1,024 buckets
+/// at its 7/8 load limit, allocated whole at the first insert.
+const MEMO_CAP: usize = 896;
+
+/// An injection's result, stored under its state key at its first
+/// splice probe. See [`SfiCampaign::recall`] for when it answers for a
+/// later run.
+#[derive(Clone, Copy)]
+struct MemoEntry {
+    /// The injection, replayable as `config.plan_for(index, space)`.
+    index: u64,
+    /// Its dynamic instruction count at its first probe.
+    probe_dyn: u64,
+    /// Dynamic instructions it executed past its first probe.
+    executed: u64,
+    /// Its classification, and the rule that certified it if a later
+    /// probe spliced, with the golden-suffix work that saved.
+    outcome: FaultOutcome,
+    rule: Option<SpliceRule>,
+    dyn_insts_saved: u64,
+}
+
+// Key and entry together stay within 48 bytes per bucket.
+const _: () = assert!(std::mem::size_of::<(u64, MemoEntry)>() <= 48);
+
+/// One shard's memo of injection results, keyed by
+/// [`Machine::probe_key`] at each run's first splice probe.
+struct Memo {
+    config: SfiConfig,
+    space: u64,
+    table: HashMap<u64, MemoEntry>,
+}
+
+impl Memo {
+    fn new(config: SfiConfig, space: u64) -> Self {
+        Self { config, space, table: HashMap::new() }
+    }
+
+    /// Stores `entry` under `key`, first come first kept, when it ran
+    /// more than one snapshot `stride` past its first probe (a shorter
+    /// suffix costs about what replaying its prefix would) and the
+    /// table has room.
+    fn insert(&mut self, key: u64, entry: MemoEntry, stride: u64) {
+        if entry.executed <= stride {
+            return;
+        }
+        if self.table.capacity() == 0 {
+            self.table.reserve(MEMO_CAP);
+        }
+        if self.table.len() < MEMO_CAP {
+            self.table.entry(key).or_insert(entry);
+        }
+    }
+}
+
 /// Per-rule splice engagement counts over a campaign — the observable
 /// breakdown of where the divergence splice's speedup comes from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -359,9 +426,10 @@ pub struct SpliceStats {
     /// spliced runs.
     pub dyn_insts_saved: u64,
     /// Aggregate probe work: how much state-compare effort the splice
-    /// spent earning the savings above. Diagnostic only — its
-    /// `PartialEq` always holds, so reports that classify identically
-    /// are equal whatever their compare footprints.
+    /// spent earning the savings above, and the runs the campaign memo
+    /// answered. Diagnostic only — its `PartialEq` always holds, so
+    /// reports that classify identically are equal whatever their
+    /// compare footprints or worker counts.
     pub cost: ProbeCost,
 }
 
@@ -592,28 +660,30 @@ impl<'a> SfiCampaign<'a> {
     /// executing its full suffix. Pass `splice: false` to force full
     /// execution (the differential reference — the outcome must be
     /// identical either way).
+    ///
+    /// Unlike a campaign's runs, this one never consults a memo of
+    /// earlier injections: it executes everything it reports.
     pub fn run_one_detailed(
         &self,
         plan: FaultPlan,
         splice: bool,
     ) -> (FaultOutcome, Option<SpliceEngagement>) {
-        let (outcome, engagement, _) = self.run_one_impl(plan, splice);
+        let (outcome, engagement, _) = self.run_one_impl(plan, splice, None);
         (outcome, engagement)
     }
 
     /// [`SfiCampaign::run_one_detailed`] plus the probe-cost counters.
+    /// With `memo` (the shard's memo and this injection's index), a run
+    /// the splice does not certify at its first probe asks the memo for
+    /// an earlier injection's result there, and feeds its own result
+    /// back when it has to execute on.
     fn run_one_impl(
         &self,
         plan: FaultPlan,
         splice: bool,
+        memo: Option<(&mut Memo, u64)>,
     ) -> (FaultOutcome, Option<SpliceEngagement>, ProbeCost) {
-        let config = self.injection_config(plan);
-        let mut m = match self.snapshots.nearest_at_or_before(plan.inject_at) {
-            Some(snap) => {
-                Machine::from_snapshot(self.module, &self.code, self.map, snap, &config)
-            }
-            None => self.fresh_machine(&config),
-        };
+        let mut m = self.resume(plan);
         if !splice || self.snapshots.is_empty() {
             let trap = m.run_to_end();
             return (self.classify_machine(&m, trap), None, m.probe_cost());
@@ -624,15 +694,112 @@ impl<'a> SfiCampaign<'a> {
         // `classify_machine` (golden-equal final state after a
         // rollback) and rule (c) hits are its `SilentCorruption` arm —
         // each certified without simulating the suffix.
-        match m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts) {
-            SpliceRun::Done(trap) => (self.classify_machine(&m, trap), None, m.probe_cost()),
+        let mut recall_cost = ProbeCost::default();
+        let mut missed = None;
+        let run = m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts, |m, at| {
+            let (memo, _) = memo.as_ref()?;
+            let mut diff = Vec::new();
+            let key = m.probe_key(&self.snapshots, at, &mut diff)?;
+            let answer = self.recall(memo, key, m, at, &diff, &mut recall_cost);
+            if answer.is_none() {
+                missed = Some((key, m.dyn_insts()));
+            }
+            answer
+        });
+        let (outcome, engagement) = match run {
+            SpliceRun::Done(trap) => (self.classify_machine(&m, trap), None),
             SpliceRun::Spliced(rule, dyn_insts_saved) => {
                 let outcome = match rule {
                     SpliceRule::Converged | SpliceRule::DeadDiff => FaultOutcome::Recovered,
                     SpliceRule::Sdc => FaultOutcome::SilentCorruption,
                 };
-                (outcome, Some(SpliceEngagement { rule, dyn_insts_saved }), m.probe_cost())
+                (outcome, Some(SpliceEngagement { rule, dyn_insts_saved }))
             }
+            SpliceRun::Answered(answer) => answer,
+        };
+        if let (Some((memo, index)), Some((key, probe_dyn))) = (memo, missed) {
+            let entry = MemoEntry {
+                index,
+                probe_dyn,
+                executed: m.dyn_insts() - probe_dyn,
+                outcome,
+                rule: engagement.map(|e| e.rule),
+                dyn_insts_saved: engagement.map_or(0, |e| e.dyn_insts_saved),
+            };
+            memo.insert(key, entry, self.snapshots.stride());
+        }
+        let mut cost = m.probe_cost();
+        cost.merge(&recall_cost);
+        (outcome, engagement, cost)
+    }
+
+    /// The result the memo holds for run `m`, paused exactly on its
+    /// first probe position `at` with golden diff `diff` and key `key`,
+    /// when it carries over exactly (DESIGN.md §14). The key only
+    /// indexes: the stored injection is replayed to its own first probe
+    /// and must stand on the same snapshot with the same headroom bit,
+    /// in a state equal to `m`'s under `==`. The rollback consumed both
+    /// faults, so from there each run is a deterministic function of
+    /// that state, except that fuel may end one sooner:
+    ///
+    /// * a source that spliced did so at a later probe, which the
+    ///   shared headroom bit lets this run reach as well;
+    /// * a hung source applies when this run has no more fuel left than
+    ///   the source had at its probe;
+    /// * any other source applies when this run's fuel covers all the
+    ///   source executed past its probe.
+    fn recall(
+        &self,
+        memo: &Memo,
+        key: u64,
+        m: &Machine<'_, '_>,
+        at: ProbeAt,
+        diff: &[(u32, u32)],
+        cost: &mut ProbeCost,
+    ) -> Option<(FaultOutcome, Option<SpliceEngagement>)> {
+        let e = memo.table.get(&key)?;
+        let now = m.dyn_insts();
+        let fuel_carries = match (e.rule, e.outcome) {
+            (Some(_), _) => true,
+            (None, FaultOutcome::Hung) => now >= e.probe_dyn,
+            (None, _) => now + e.executed < self.fuel,
+        };
+        if !fuel_carries {
+            return None;
+        }
+        let mut src = self.resume(memo.config.plan_for(e.index, memo.space));
+        let same = match src.advance_to_first_probe(&self.snapshots, self.golden.dyn_insts) {
+            Advance::Probe(src_at, snap)
+                if src_at.idx == at.idx
+                    && src_at.headroom == at.headroom
+                    && src.dyn_insts() == e.probe_dyn =>
+            {
+                let mut src_diff = Vec::new();
+                src.golden_diff(&self.snapshots, src_at.idx, snap, &mut src_diff)
+                    && m.same_probe_state(diff, &src, &src_diff)
+            }
+            _ => false,
+        };
+        cost.merge(&src.probe_cost());
+        if !same {
+            return None;
+        }
+        cost.memo_hits += 1;
+        cost.memo_insts_skipped += e.executed.min(self.fuel.saturating_sub(now));
+        let engagement =
+            e.rule.map(|rule| SpliceEngagement { rule, dyn_insts_saved: e.dyn_insts_saved });
+        Some((e.outcome, engagement))
+    }
+
+    /// A machine for `plan`, restored from the nearest golden
+    /// checkpoint at-or-before its injection point.
+    fn resume(&self, plan: FaultPlan) -> Machine<'a, '_> {
+        let config = self.injection_config(plan);
+        match self.snapshots.nearest_at_or_before(plan.inject_at) {
+            Some(snap) => {
+                Machine::from_snapshot(self.module, &self.code, self.map, snap, &config)
+            }
+            None => self.fresh_machine(&config),
         }
     }
 
@@ -669,11 +836,17 @@ impl<'a> SfiCampaign<'a> {
     }
 
     /// Runs the injections in `[lo, hi)` sequentially into a report.
+    /// The shard keeps one memo of its injections' results, so a run
+    /// that reaches a state an earlier one already simulated past is
+    /// answered instead of executed; its report is field for field what
+    /// executing it would give.
     fn run_shard(&self, config: &SfiConfig, space: u64, lo: u64, hi: u64) -> CampaignReport {
         let mut report = CampaignReport::new(*config);
+        let mut memo = Memo::new(*config, space);
         for index in lo..hi {
             let plan = config.plan_for(index, space);
-            let (outcome, engagement, cost) = self.run_one_impl(plan, config.splice);
+            let (outcome, engagement, cost) =
+                self.run_one_impl(plan, config.splice, Some((&mut memo, index)));
             report.record(plan, outcome);
             report.splice.cost.merge(&cost);
             if let Some(e) = engagement {
@@ -748,8 +921,8 @@ mod tests {
     use crate::interp::run_function;
     use crate::rng::Rng;
     use encore_analysis::Profile;
-    use encore_core::{Encore, EncoreConfig};
-    use encore_ir::{AddrExpr, BinOp, MemBase, ModuleBuilder, Operand};
+    use encore_core::{Encore, EncoreConfig, RegionInfo};
+    use encore_ir::{AddrExpr, BinOp, BlockId, Inst, MemBase, ModuleBuilder, Operand, RegionId};
 
     /// A small kernel with a WAR-carrying accumulation loop and a
     /// streaming loop; protected by Encore.
@@ -1158,6 +1331,177 @@ mod tests {
             stats.silent_corruption, 0,
             "a detected-on-injection fault cannot corrupt silently: {stats:?}"
         );
+    }
+
+    /// Four unprotected steps OR `src[0]` (zero) into `cnt[0]` through
+    /// two reused registers, cleared afterwards, so a flip of bit `b` at
+    /// any of their 16 eligible instructions leaves the same state
+    /// behind: `cnt[0] = 1 << b`. An 8-iteration protected store loop
+    /// follows, where detection rolls back, then a loop summing
+    /// `0..cnt[0]` and `pad` `lea`s (one dynamic instruction each, none
+    /// fault-eligible, so `pad` moves every run's length without
+    /// moving any plan).
+    fn fuel_edge_kernel(pad: usize) -> (Module, RegionMap, FuncId) {
+        let mut mb = ModuleBuilder::new("fuel_edge");
+        let src = mb.global("src", 1);
+        let cnt = mb.global("cnt", 1);
+        let dst = mb.global("dst", 8);
+        let out = mb.global("out", 1);
+        let (hdr, recovery) = (BlockId::new(1), BlockId::new(2));
+        let fid = mb.function("f", 0, |f| {
+            assert_eq!((f.add_block(), f.add_block()), (hdr, recovery));
+            let tail = f.add_block();
+            let (t, c) = (f.reg(), f.reg());
+            for _ in 0..4 {
+                f.load_to(t, AddrExpr::global(src, 0));
+                f.load_to(c, AddrExpr::global(cnt, 0));
+                f.bin_to(c, BinOp::Or, c.into(), t.into());
+                f.store(AddrExpr::global(cnt, 0), c.into());
+            }
+            f.mov_to(t, Operand::ImmI(0));
+            f.mov_to(c, Operand::ImmI(0));
+            let i = f.mov(Operand::ImmI(0));
+            f.jump(hdr);
+            f.switch_to(hdr);
+            f.emit(Inst::SetRecovery { region: RegionId::new(0) });
+            f.emit(Inst::CheckpointReg { reg: i });
+            f.store(AddrExpr::indexed(MemBase::Global(dst), i, 1, 0), i.into());
+            f.bin_to(i, BinOp::Add, i.into(), Operand::ImmI(1));
+            let more = f.bin(BinOp::Lt, i.into(), Operand::ImmI(8));
+            f.branch(more.into(), hdr, tail);
+            f.switch_to(recovery);
+            f.emit(Inst::Restore { region: RegionId::new(0) });
+            f.jump(hdr);
+            f.switch_to(tail);
+            let n = f.load(AddrExpr::global(cnt, 0));
+            let sum = f.mov(Operand::ImmI(0));
+            f.for_range(Operand::ImmI(0), n.into(), |f, j| {
+                f.bin_to(sum, BinOp::Add, sum.into(), j.into());
+            });
+            let p = f.reg();
+            for _ in 0..pad {
+                f.emit(Inst::Lea { dst: p, addr: AddrExpr::global(out, 0) });
+            }
+            f.store(AddrExpr::global(out, 0), sum.into());
+            f.ret(None);
+        });
+        let mut map = RegionMap::default();
+        map.regions.push(RegionInfo {
+            id: RegionId::new(0),
+            func: fid,
+            header: hdr,
+            blocks: vec![hdr],
+            recovery_block: Some(recovery),
+            protected: true,
+            idempotent: false,
+            mem_ckpts: 0,
+            reg_ckpts: 1,
+            avg_activation_len: 0.0,
+            exec_fraction: 0.0,
+        });
+        (mb.finish(), map, fid)
+    }
+
+    /// The first-probe key of `plan`'s run, and how the run ends when it
+    /// executes everything: its outcome and final dynamic instruction
+    /// count.
+    fn key_and_end(
+        campaign: &SfiCampaign<'_>,
+        plan: FaultPlan,
+    ) -> (Option<u64>, FaultOutcome, u64) {
+        let mut m = campaign.resume(plan);
+        let key = match m.advance_to_first_probe(&campaign.snapshots, campaign.golden.dyn_insts) {
+            Advance::Probe(at, snap) if m.dyn_insts() == snap.dyn_insts() + at.delta => {
+                m.probe_key(&campaign.snapshots, at, &mut Vec::new())
+            }
+            _ => None,
+        };
+        let mut m = campaign.resume(plan);
+        let run = m.run_to_end_or_splice(&campaign.snapshots, campaign.golden.dyn_insts, |_, _| {
+            None::<()>
+        });
+        let SpliceRun::Done(trap) = run else { panic!("{plan:?} spliced") };
+        (key, campaign.classify_machine(&m, trap), m.dyn_insts())
+    }
+
+    /// The memo's fuel rule. A flip of bit 14 in `fuel_edge_kernel`
+    /// makes its final loop run 16,384 iterations, about 82,000
+    /// dynamic instructions, and `pad` puts the end of that run at the
+    /// campaign's fuel budget (100,000: the golden run is short). Runs
+    /// realigned a few instructions apart then stand in the same state
+    /// at their first probe, yet one completes (silent corruption) and
+    /// the other hangs. Each run must take a stored result only when its
+    /// own fuel reaches it.
+    #[test]
+    fn memo_answers_only_where_fuel_carries_the_stored_result() {
+        let config = SfiConfig { dmax: 64, snapshot_stride: 16, workers: 1, ..Default::default() };
+        let mask = 1u64 << 14;
+        // Unpadded, every such run completes: measure where each ends.
+        let (m, map, fid) = fuel_edge_kernel(0);
+        let campaign =
+            SfiCampaign::prepare(&m, Some(&map), fid, &[], &config).expect("golden run completes");
+        let space = campaign.golden().eligible_insts;
+        let indices: Vec<u64> = (0..20_000)
+            .filter(|&i| {
+                let plan = config.plan_for(i, space);
+                plan.inject_at < 16 && plan.action == crate::FaultAction::FlipBits { mask }
+            })
+            .take(40)
+            .collect();
+        let ends: Vec<(Option<u64>, u64)> = indices
+            .iter()
+            .map(|&i| {
+                let (key, outcome, end) = key_and_end(&campaign, config.plan_for(i, space));
+                assert!(outcome != FaultOutcome::Hung, "index {i} hung unpadded");
+                (key, end)
+            })
+            .collect();
+        // Pad so the largest key group's runs end on both sides of fuel.
+        let mut groups: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        for &(key, end) in &ends {
+            if let Some(key) = key {
+                groups.entry(key).or_default().push(end);
+            }
+        }
+        let mut group = groups.into_values().max_by_key(Vec::len).expect("some run realigned");
+        group.sort_unstable();
+        group.dedup();
+        assert!(group.len() >= 2, "runs of one state end at {group:?}");
+        let pad = (campaign.fuel - group[0]) as usize;
+
+        let (m, map, fid) = fuel_edge_kernel(pad);
+        let campaign =
+            SfiCampaign::prepare(&m, Some(&map), fid, &[], &config).expect("golden run completes");
+        assert_eq!(campaign.golden().eligible_insts, space, "padding moved the plans");
+        let truth: Vec<_> = indices
+            .iter()
+            .map(|&i| key_and_end(&campaign, config.plan_for(i, space)))
+            .collect();
+        assert!(truth.iter().any(|t| t.1 == FaultOutcome::Hung));
+        assert!(truth.iter().any(|t| t.1 == FaultOutcome::SilentCorruption));
+
+        // Store a hung run first, then a completed one: each of the two
+        // fuel rules must keep the stored result from runs it does not
+        // fit. (A memo answers in any order; a campaign's is index order.)
+        let mut hits = 0;
+        for first in [FaultOutcome::Hung, FaultOutcome::SilentCorruption] {
+            let mut order: Vec<usize> = (0..indices.len()).collect();
+            order.sort_by_key(|&k| truth[k].1 != first);
+            let mut memo = Memo::new(config, space);
+            let mut refused = 0;
+            for k in order {
+                let (index, (key, outcome, _)) = (indices[k], truth[k]);
+                let stored = key.and_then(|key| memo.table.get(&key)).map(|e| e.outcome);
+                let plan = config.plan_for(index, space);
+                let (got, engagement, cost) =
+                    campaign.run_one_impl(plan, true, Some((&mut memo, index)));
+                assert_eq!((got, engagement), (outcome, None), "index {index}, {first:?} first");
+                hits += cost.memo_hits;
+                refused += u32::from(stored.is_some_and(|s| s != outcome));
+            }
+            assert!(refused > 0, "{first:?} first: no stored result was kept from a run");
+        }
+        assert!(hits > 0, "the memo never answered");
     }
 
     #[test]

@@ -24,17 +24,18 @@ pub enum Value {
 // `Value`s, so a variant or field that widened it would widen them all.
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
-/// Float payloads compare as numbers (`0.0 == -0.0`), except that a
-/// float always equals its own bit pattern, NaN included. Equality is
-/// therefore reflexive: two states holding the same bits are equal,
-/// which is what lets the splice's incremental memory compare skip
-/// every page nobody wrote since a shared baseline.
+/// Equality is bit identity: floats compare by `to_bits`, so a NaN
+/// equals its own bit pattern and `0.0 != -0.0`. Two equal states can
+/// therefore never diverge (`print_f64` emits the bits, and
+/// `pow(-0.0, -1.0)` is −∞), and equality is reflexive, which lets the
+/// splice's incremental memory compare skip every page nobody wrote
+/// since a shared baseline.
 impl PartialEq for Value {
     #[inline]
     fn eq(&self, other: &Self) -> bool {
         match (*self, *other) {
             (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a == b || a.to_bits() == b.to_bits(),
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
             (Value::Ptr { obj: o1, idx: i1 }, Value::Ptr { obj: o2, idx: i2 }) => {
                 o1 == o2 && i1 == i2
             }
@@ -44,6 +45,27 @@ impl PartialEq for Value {
 }
 
 impl Eq for Value {}
+
+/// Hashes exactly the bits equality compares.
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match *self {
+            Value::Int(v) => {
+                state.write_u8(0);
+                state.write_i64(v);
+            }
+            Value::Float(v) => {
+                state.write_u8(1);
+                state.write_u64(v.to_bits());
+            }
+            Value::Ptr { obj, idx } => {
+                state.write_u8(2);
+                state.write_u32(obj);
+                state.write_i64(idx);
+            }
+        }
+    }
+}
 
 impl Value {
     /// Integer zero — the initial value of registers and memory cells.
@@ -301,11 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn equality_is_numeric_and_reflexive() {
+    fn equality_is_bit_identity() {
         let nan = Value::Float(f64::NAN);
         assert_eq!(nan, nan);
         assert_ne!(nan, nan.flip_bits(1), "another NaN payload is another value");
-        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        assert_ne!(Value::Float(0.0), Value::Float(-0.0), "the sign bit is observable");
+        assert_eq!(Value::Float(-0.0), Value::Float(0.0).flip_bits(1 << 63));
         assert_ne!(Value::Int(0), Value::Float(0.0));
         assert_ne!(Value::Int(1), Value::Ptr { obj: 0, idx: 1 });
     }

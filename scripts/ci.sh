@@ -54,10 +54,14 @@ done
 # in which all three early-exit rules (converged / dead-diff / sdc) must
 # engage, plus the differential test proving splicing never changes
 # outcomes. Catches a splice path that silently stopped firing — a pure
-# performance regression invisible to correctness tests.
+# performance regression invisible to correctness tests. Also run in
+# release: the campaign memo's invisibility test (memo'd reports equal
+# executed ones, and the memo must answer some runs) and the -0.0
+# regression (a sign-bit flip the splice once certified as recovered).
 echo "==> divergence-splice smoke (fixed seed)"
 cargo test --release -q --offline --test sfi_campaign -- \
-    splice_smoke_all_rules_engage splice_never_changes_campaign_results
+    splice_smoke_all_rules_engage splice_never_changes_campaign_results \
+    memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome
 
 # Differential fuzz smoke: 64 machine-generated programs (fixed seed —
 # cases are a pure function of the property name and index) through the

@@ -16,17 +16,19 @@
 
 use encore::core::{Encore, EncoreConfig, RegionInfo, RegionMap};
 use encore::sim::{
-    run_function, CampaignReport, FaultAction, FaultOutcome, FaultPlan, RunConfig, SfiCampaign,
-    SfiConfig, SpliceRule, Value,
+    run_function, CampaignReport, FaultAction, FaultModelKind, FaultOutcome, FaultPlan, RunConfig,
+    SfiCampaign, SfiConfig, SpliceRule, Value,
 };
 use encore_ir::{
-    AddrExpr, BinOp, BlockId, FuncId, Inst, MemBase, ModuleBuilder, Operand, RegionId,
+    AddrExpr, BinOp, BlockId, ExtEffect, FuncId, Inst, MemBase, ModuleBuilder, Operand, RegionId,
+    UnOp,
 };
 
-/// Profiles and instruments `name`, returning the protected module and
-/// its region map (owned, so tests can borrow them into a campaign).
-fn instrument(name: &str) -> (encore_ir::Module, RegionMap, FuncId, i64) {
-    let w = encore::workloads::by_name(name).expect("known workload");
+/// Profiles and instruments `spec` (a workload name, or `name@Nx` for a
+/// scaled one), returning the protected module and its region map
+/// (owned, so tests can borrow them into a campaign).
+fn instrument(spec: &str) -> (encore_ir::Module, RegionMap, FuncId, i64) {
+    let w = encore::workloads::by_spec(spec).expect("known workload");
     let train = run_function(
         &w.module,
         None,
@@ -117,6 +119,50 @@ fn replaying_each_index_reconstructs_the_parallel_report() {
     assert_eq!(results(&parallel), results(&replayed));
 }
 
+/// A campaign's shards answer a run from an earlier injection that stood
+/// in the same state at its first splice probe; `run_one_detailed`
+/// executes every run. The memo must be invisible: the campaign report
+/// equals the one assembled from `run_one_detailed` field for field,
+/// `SpliceStats` included, at 1 and 4 workers (which split the memo's
+/// population differently). Workloads where many bit flips collapse to
+/// one corrupted state: 175.vpr, 164.gzip under every fault model, and
+/// mpeg2enc@3x, whose runs splice only after several probes.
+#[test]
+fn memo_never_changes_campaign_reports() {
+    let mut hits = 0;
+    for (spec, models, injections) in [
+        ("175.vpr", &[FaultModelKind::BitFlip][..], 300),
+        ("164.gzip", &FaultModelKind::ALL[..], 200),
+        ("mpeg2enc@3x", &[FaultModelKind::BitFlip][..], 300),
+    ] {
+        let (module, map, entry, arg) = instrument(spec);
+        let args = [Value::Int(arg)];
+        for &model in models {
+            let cfg =
+                SfiConfig { injections, model, seed: 0x3E30, workers: 1, ..Default::default() };
+            let campaign = SfiCampaign::prepare(&module, Some(&map), entry, &args, &cfg)
+                .expect("golden run completes");
+            let mut executed = CampaignReport::new(cfg);
+            for index in 0..injections as u64 {
+                let plan = campaign.plan_for_index(&cfg, index);
+                let (outcome, engagement) = campaign.run_one_detailed(plan, true);
+                executed.record(plan, outcome);
+                if let Some(e) = engagement {
+                    executed.splice.record(e);
+                }
+            }
+            let report = campaign.run_report(&cfg);
+            assert_eq!(report, executed, "{spec} {model}: the memo changed the report");
+            hits += report.splice.cost.memo_hits;
+            let parallel = campaign.run_report(&SfiConfig { workers: 4, ..cfg });
+            assert_eq!(results(&parallel), results(&executed), "{spec} {model}: 4 workers");
+            assert_eq!(parallel.splice, executed.splice, "{spec} {model}: 4 workers");
+            hits += parallel.splice.cost.memo_hits;
+        }
+    }
+    assert!(hits > 0, "the memo never answered a run");
+}
+
 /// The snapshot stride is a pure performance knob: disabled (0),
 /// every-instruction (1), coarse (64) and effectively-unreachable
 /// (`u64::MAX`) strides all produce bit-identical campaign reports on
@@ -191,6 +237,70 @@ fn bzip2_bit63_flip_splices_to_the_no_splice_outcome() {
     assert_eq!(plan.action, FaultAction::FlipBits { mask: 1 << 63 });
     let truth = campaign.run_one_detailed(plan, false).0;
     assert_eq!(campaign.run_one_detailed(plan, true).0, truth, "{plan:?}");
+}
+
+/// Stores `IToF(i & 0)` (+0.0) into four cells once, runs a 400-iteration
+/// idempotent store loop, then prints each cell with `print_f64`,
+/// protected by Encore with an unlimited budget.
+fn negative_zero_kernel() -> (encore_ir::Module, RegionMap, FuncId) {
+    let mut mb = ModuleBuilder::new("negzero");
+    let cells = mb.global("cells", 4);
+    let buf = mb.global("buf", 8);
+    let fid = mb.function("f", 0, |f| {
+        f.for_range(Operand::ImmI(0), Operand::ImmI(4), |f, i| {
+            let zero = f.bin(BinOp::And, i.into(), Operand::ImmI(0));
+            let x = f.un(UnOp::IToF, zero.into());
+            f.store(AddrExpr::indexed(MemBase::Global(cells), i, 1, 0), x.into());
+        });
+        f.for_range(Operand::ImmI(0), Operand::ImmI(400), |f, j| {
+            let k = f.bin(BinOp::And, j.into(), Operand::ImmI(7));
+            f.store(AddrExpr::indexed(MemBase::Global(buf), k, 1, 0), k.into());
+        });
+        for c in 0..4 {
+            let v = f.load(AddrExpr::global(cells, c));
+            f.call_ext_void("print_f64", &[v.into()], ExtEffect::Opaque);
+        }
+        f.ret(None);
+    });
+    let m = mb.finish();
+    let train = run_function(
+        &m,
+        None,
+        fid,
+        &[],
+        &RunConfig { collect_profile: true, ..Default::default() },
+    );
+    let inst = Encore::new(EncoreConfig::default().with_overhead_budget(1e9))
+        .run(&m, train.profile.as_ref().expect("profile"))
+        .instrumented;
+    (inst.module, inst.map, fid)
+}
+
+/// Regression: a sign-bit flip turns a stored +0.0 into −0.0, and the
+/// rollback lands in the later store loop, so the −0.0 stays in memory
+/// and is printed. `Value` equality used to say `0.0 == -0.0`, so the
+/// splice's first probe saw golden state and certified `Recovered`
+/// (rule `Converged`) for runs that end in silent corruption.
+#[test]
+fn negative_zero_flip_splices_to_the_no_splice_outcome() {
+    let (m, map, fid) = negative_zero_kernel();
+    let cfg = SfiConfig { dmax: 100, ..Default::default() };
+    let campaign =
+        SfiCampaign::prepare(&m, Some(&map), fid, &[], &cfg).expect("golden run completes");
+    let mut corrupted = 0;
+    for inject_at in 0..25 {
+        for detect_latency in 0..=cfg.dmax {
+            let plan = FaultPlan {
+                inject_at,
+                action: FaultAction::FlipBits { mask: 1 << 63 },
+                detect_latency,
+            };
+            let truth = campaign.run_one_detailed(plan, false).0;
+            assert_eq!(campaign.run_one_detailed(plan, true).0, truth, "{plan:?}");
+            corrupted += usize::from(truth == FaultOutcome::SilentCorruption);
+        }
+    }
+    assert!(corrupted > 0, "no plan left a -0.0 behind");
 }
 
 /// Builds a RegionMap with one entry per (func, header, recovery block).

@@ -6,7 +6,7 @@
 //! tables are exactly where a printer or parser with a length-dependent
 //! bug would break first.
 
-use encore::ir::{parse_module, verify_module};
+use encore::ir::{parse_module, verify_module, MAX_OBJECT_CELLS};
 use encore::workloads::Workload;
 
 /// The scale tiers every suite workload must survive.
@@ -43,4 +43,31 @@ fn workload_printing_is_stable_at_every_scale() {
         let reparsed = parse_module(&text).expect("reparse");
         assert_eq!(text, reparsed.to_string(), "{}: printing is not a fixpoint", w.spec());
     }
+}
+
+/// A global count too large to allocate is an error in the text, not an
+/// abort when a machine allocates it: one that does not fit the `u32` it
+/// is stored as fails to parse, and one that fits but passes the
+/// verifier's object bound fails to verify. Both mutate 164.gzip's
+/// 64-cell `hash_tab`.
+#[test]
+fn oversized_globals_are_rejected_before_allocation() {
+    let w = encore::workloads::by_name("164.gzip").expect("known workload");
+    let text = w.module.to_string();
+    let original = "global \"hash_tab\" cells=64 ";
+    assert!(text.contains(original), "164.gzip declares hash_tab with 64 cells");
+    let mutant =
+        |cells: &str| text.replace(original, &format!("global \"hash_tab\" cells={cells} "));
+
+    let err = parse_module(&mutant("9223372036854775807")).expect_err("count past u32");
+    assert!(err.message.contains("does not fit in a u32"), "{err}");
+
+    let parsed = parse_module(&mutant("4294967295")).expect("u32::MAX fits the count");
+    let errs = verify_module(&parsed).expect_err("u32::MAX cells is past the object bound");
+    assert!(
+        errs.iter().any(|e| e.message.contains("global `hash_tab` has 4294967295 cells")),
+        "{errs:?}"
+    );
+    let at_bound = parse_module(&mutant(&MAX_OBJECT_CELLS.to_string())).expect("parses");
+    assert!(verify_module(&at_bound).is_ok(), "the bound itself is allowed");
 }
