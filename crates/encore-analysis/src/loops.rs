@@ -173,21 +173,6 @@ impl LoopForest {
     pub fn innermost_loop_of(&self, b: BlockId) -> Option<usize> {
         self.innermost.get(b.index()).copied().flatten()
     }
-
-    /// Returns `true` if `b` is the header of some natural loop.
-    pub fn is_header(&self, b: BlockId) -> bool {
-        self.loops.iter().any(|l| l.header == b)
-    }
-
-    /// Index of the loop headed by `b`, if any.
-    pub fn loop_with_header(&self, b: BlockId) -> Option<usize> {
-        self.loops.iter().position(|l| l.header == b)
-    }
-
-    /// The top-most (outermost) loops, i.e. those without parents.
-    pub fn top_level(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.loops.len()).filter(|&i| self.loops[i].parent.is_none())
-    }
 }
 
 #[cfg(test)]

@@ -434,17 +434,6 @@ impl Inst {
             _ => 1,
         }
     }
-
-    /// Returns `true` for Encore-inserted instrumentation opcodes.
-    pub fn is_instrumentation(&self) -> bool {
-        matches!(
-            self,
-            Inst::SetRecovery { .. }
-                | Inst::CheckpointMem { .. }
-                | Inst::CheckpointReg { .. }
-                | Inst::Restore { .. }
-        )
-    }
 }
 
 /// A block terminator.
@@ -530,7 +519,6 @@ mod tests {
         let a = AddrExpr::global(GlobalId::new(0), 1);
         let c = Inst::CheckpointMem { addr: a };
         assert_eq!(c.store_addr(), None);
-        assert!(c.is_instrumentation());
         assert_eq!(c.cost(), 2);
     }
 

@@ -4,7 +4,6 @@
 //!
 //! * collecting an execution [`Profile`] (training runs),
 //! * collecting a dynamic memory-event trace (Figure 1),
-//! * attributing dynamic instructions to regions (Figure 6),
 //! * injecting a single transient fault and modelling its detection
 //!   (Figure 8's SFI).
 //!
@@ -14,6 +13,11 @@
 //! in that loop, compiled in only for its `OBSERVE` instantiation. Only
 //! calls, returns, allocation, externs, `Restore` and an unresolvable
 //! `SetRecovery` leave the loop for the general executor.
+//!
+//! Everything a run's future reads is one [`State`]: a snapshot holds
+//! one, and capture and resume clone it whole. The campaign's
+//! divergence splice, which stops injection runs early, lives in
+//! `splice.rs`.
 //!
 //! ## Recovery semantics
 //!
@@ -28,9 +32,10 @@
 
 use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::memory::{Memory, ProbeCost};
+use crate::memory::Memory;
 use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
 use crate::snapshot::{AccessChunks, Snapshot, SnapshotLog};
+use crate::splice::{ProbeState, SpliceTrack};
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
 use encore_analysis::Profile;
@@ -38,7 +43,6 @@ use encore_ir::{
     AccessKind, BlockId, FuncId, Inst, InstRef, MemEvent, Module, ObjKind, Offset, Operand, Reg,
     RegionId, Terminator,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a run stopped abnormally.
@@ -115,8 +119,6 @@ pub struct RunConfig {
     pub collect_profile: bool,
     /// Collect a [`MemEvent`] trace.
     pub collect_trace: bool,
-    /// Attribute dynamic instructions to regions (needs a region map).
-    pub region_accounting: bool,
     /// Fault to inject, if any.
     pub fault: Option<FaultPlan>,
 }
@@ -127,7 +129,6 @@ impl Default for RunConfig {
             fuel: 200_000_000,
             collect_profile: false,
             collect_trace: false,
-            region_accounting: false,
             fault: None,
         }
     }
@@ -144,8 +145,6 @@ pub struct RunResult {
     pub trap: Option<Trap>,
     /// Total dynamic instructions retired.
     pub dyn_insts: u64,
-    /// Dynamic instructions attributable to Encore instrumentation.
-    pub instr_dyn_insts: u64,
     /// Observable output channel.
     pub output: Vec<i64>,
     /// Final global memory (observable state).
@@ -154,8 +153,6 @@ pub struct RunResult {
     pub profile: Option<Profile>,
     /// Memory-event trace (when requested).
     pub trace: Option<Vec<MemEvent>>,
-    /// Dynamic instructions per region (when requested).
-    pub region_dyn: BTreeMap<RegionId, u64>,
     /// Number of fault-eligible (value-producing) dynamic instructions —
     /// the sample space for uniform fault injection.
     pub eligible_insts: u64,
@@ -182,7 +179,7 @@ struct RecoveryState {
     region: RegionId,
     recovery_block: BlockId,
     /// Global activation ordinal assigned when this recovery was armed
-    /// (see [`SpliceTrack`]).
+    /// ([`State::activations`]; see [`SpliceTrack`]).
     act_ordinal: u64,
 }
 
@@ -216,71 +213,6 @@ enum CkptEntry {
 // Each checkpoint retires one entry; keep it as narrow as `Value` allows.
 const _: () = assert!(std::mem::size_of::<CkptEntry>() <= 32);
 
-/// Bookkeeping for the campaign's *convergence splice*.
-///
-/// A rolled-back injection run usually re-executes its region cleanly
-/// and then tracks the golden run instruction-for-instruction to the
-/// end — all of which the campaign re-simulates just to conclude
-/// "recovered". The splice shortcuts that: once the run's complete
-/// architectural state *equals* a golden snapshot's, its remaining
-/// execution is provably identical to the golden run's (state equality
-/// is self-justifying — equal state implies equal future under the
-/// deterministic interpreter), so the run can stop right there.
-///
-/// The only heuristic part is deciding *where* to compare. Activations
-/// anchor that: the golden run logs its dynamic instruction count at
-/// each `SetRecovery` (by global activation ordinal), and a rollback
-/// remembers the armed ordinal so the re-executed arming can measure
-/// `delta` — how far the faulted run's instruction count has drifted
-/// ahead of the golden run's at the same program point. Golden
-/// snapshots are then probed at `snapshot dyn + delta`. A wrong or
-/// unmeasurable `delta` can only make comparisons fail, never pass, so
-/// every miss falls back to plain execution.
-#[derive(Default)]
-struct SpliceTrack {
-    /// Splice bookkeeping requested (campaign injection runs only).
-    armed: bool,
-    /// `SetRecovery` executions retired so far (the activation ordinal
-    /// counter). Snapshots carry it so resumed runs keep numbering
-    /// where the golden prefix left off.
-    activations: u64,
-    /// Golden capture: dyn count at each `SetRecovery`, by ordinal.
-    act_log: Option<Vec<u64>>,
-    /// Armed ordinal of the region a rollback unwound to; consumed by
-    /// the next `SetRecovery`.
-    pending_realign: Option<u64>,
-    /// `(dyn at the re-executed SetRecovery, golden ordinal)` — the
-    /// realignment point the splice driver probes from.
-    realign: Option<(u64, u64)>,
-}
-
-impl SpliceTrack {
-    /// Notes one `SetRecovery` execution at dyn count `now`, returning
-    /// the activation's ordinal and whether this arming realigned a
-    /// rolled-back run (a control event the sprint must surface).
-    #[inline]
-    fn on_set_recovery(&mut self, now: u64) -> (u64, bool) {
-        let ordinal = self.activations;
-        self.activations += 1;
-        if let Some(log) = &mut self.act_log {
-            log.push(now);
-        }
-        let mut event = false;
-        if let Some(ord) = self.pending_realign.take() {
-            self.realign = Some((now, ord));
-            event = true;
-        }
-        (ordinal, event)
-    }
-
-    /// Notes a rollback into the recovery armed under `armed_ordinal`.
-    fn on_rollback(&mut self, armed_ordinal: u64) {
-        if self.armed {
-            self.pending_realign = Some(armed_ordinal);
-        }
-    }
-}
-
 /// One activation record. `Clone` because frames are part of a
 /// [`Snapshot`]; `PartialEq` because frames are part of the splice's
 /// convergence predicate; `Hash` because they are part of the campaign
@@ -304,6 +236,50 @@ pub(crate) struct Frame {
     ret_dst: Option<Reg>,
 }
 
+/// Everything a run's future reads: what a [`Snapshot`] holds and what
+/// a resumed machine starts from. Capture and resume clone it whole, so
+/// a field added here is captured and restored without further code.
+#[derive(Clone)]
+pub(crate) struct State {
+    /// Frames, extern environment and allocation counters.
+    pub(crate) control: ControlState,
+    /// The memory arena. Its dirty bits are bookkeeping, reset at
+    /// resume.
+    pub(crate) mem: Memory,
+    /// Dynamic instructions retired (fuel, detection deadlines).
+    pub(crate) dyn_insts: u64,
+    /// Fault-eligible instructions retired (the injection ordinal).
+    pub(crate) eligible_seen: u64,
+    /// Largest checkpoint-log footprint of any activation, in bytes.
+    pub(crate) ckpt_high_water: u64,
+    /// `SetRecovery` executions retired: the activation ordinal counter,
+    /// so a resumed run numbers activations where the golden prefix
+    /// left off and the splice can realign it against
+    /// [`SnapshotLog::activation_dyn`].
+    pub(crate) activations: u64,
+}
+
+/// The part of [`State`] that, with memory, decides the rest of a run
+/// once no fault is pending. The splice gate compares it up to the
+/// output channel; the campaign memo hashes and compares it whole. The
+/// counters beside it in [`State`] stay out: none of them changes what
+/// the run executes or how it is classified (DESIGN.md §14).
+///
+/// Field order is hash order.
+#[derive(Clone, PartialEq, Hash)]
+pub(crate) struct ControlState {
+    /// The call stack, innermost last.
+    pub(crate) frames: Vec<Frame>,
+    /// Activations created so far (names slot objects).
+    pub(crate) frame_seq: u32,
+    /// Heap allocations so far (names heap objects).
+    pub(crate) heap_seq: u32,
+    /// The latest allocation of each heap site, by raw site id.
+    pub(crate) last_alloc_of_site: Vec<Option<u32>>,
+    /// PRNG, clock and output channel.
+    pub(crate) externs: Externs,
+}
+
 struct FaultState {
     plan: FaultPlan,
     /// A deferred action ([`FaultAction::WrongEdge`],
@@ -320,94 +296,6 @@ impl FaultState {
     fn new(plan: FaultPlan) -> Self {
         Self { plan, armed: false, injected: false, detect_at: None, detected: false }
     }
-}
-
-/// Residual-diff size cap for the divergence splice: a run diverging
-/// from the golden snapshot in more than this many cells is not worth
-/// scanning suffix summaries for (and is very unlikely to be dead), so
-/// [`Memory::diff_cells`](crate::Memory::diff_cells) reports it as
-/// incomparable and the run falls back to plain execution.
-pub const DIFF_CAP: usize = 64;
-
-/// Which early-exit rule certified a spliced run's outcome.
-///
-/// All three rules fire at a probe point where the run's control state
-/// (frames, allocation counters, extern PRNG/clock) equals a golden
-/// snapshot's at the realigned position — they differ only in what the
-/// residual *memory/output* diff proves about the suffix.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SpliceRule {
-    /// Rule (a) — generalized recovered-splice: the diff emptied (full
-    /// architectural-state equality, output included). The remaining
-    /// execution is bit-identical to the golden suffix: a certain
-    /// `Recovered`.
-    Converged,
-    /// Rule (b) — dead-diff splice: the residual diff is confined to
-    /// cells the golden suffix never reads, every divergent *global*
-    /// cell is overwritten by the suffix (or is not architecturally
-    /// observable), and the output prefix matches. The suffix executes
-    /// identically and the final observable state equals golden's: a
-    /// certain `Recovered` without simulating the suffix.
-    DeadDiff,
-    /// Rule (c) — SDC splice: the residual diff is dead (rule (b)'s
-    /// read-set condition holds, so the suffix still executes
-    /// identically and the run provably terminates like golden), but
-    /// the append-only output prefix has diverged or a dead global cell
-    /// escapes every suffix write: a certain `SilentCorruption`.
-    Sdc,
-}
-
-impl SpliceRule {
-    /// Every rule, in reporting order.
-    pub const ALL: [SpliceRule; 3] = [SpliceRule::Converged, SpliceRule::DeadDiff, SpliceRule::Sdc];
-
-    /// Stable snake_case label (used as JSON keys in campaign reports).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SpliceRule::Converged => "converged",
-            SpliceRule::DeadDiff => "dead_diff",
-            SpliceRule::Sdc => "sdc",
-        }
-    }
-}
-
-/// How [`Machine::run_to_end_or_splice`] finished.
-pub(crate) enum SpliceRun<M> {
-    /// Ran to completion or a terminal trap, exactly like
-    /// [`Machine::run_to_end`].
-    Done(Option<Trap>),
-    /// A splice rule certified the outcome at a probe point; the `u64`
-    /// is the golden-suffix dynamic instruction count the run did *not*
-    /// execute.
-    Spliced(SpliceRule, u64),
-    /// The caller's first-miss hook answered for the rest of the run.
-    Answered(M),
-}
-
-/// A realigned run's probe position: golden snapshot `idx`, probed at
-/// `snapshot dyn + delta`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct ProbeAt {
-    /// Index of the golden snapshot in the log.
-    pub(crate) idx: usize,
-    /// How far the run's dynamic instruction count is ahead of the
-    /// golden run's at the same program point.
-    pub(crate) delta: u64,
-    /// `golden final dyn + delta < fuel`: the fuel headroom check every
-    /// probe that lands exactly on its position reduces to.
-    pub(crate) headroom: bool,
-}
-
-/// How [`Machine::advance_to_first_probe`] stopped.
-pub(crate) enum Advance<'s> {
-    /// The run ended before reaching a probe position.
-    Done(Option<Trap>),
-    /// The run cannot be aligned with the golden timeline, or realigned
-    /// past the last snapshot: only plain execution is left.
-    Unaligned,
-    /// Paused at, or just past, the first probe position.
-    Probe(ProbeAt, &'s Snapshot),
 }
 
 /// Golden-capture bookkeeping for the divergence splice: the memory
@@ -506,24 +394,6 @@ impl Observers {
     }
 }
 
-/// Incremental-compare probe state for the divergence splice: the
-/// candidate page set carried between probes, which golden interval
-/// lists it has absorbed, and the accumulated compare-cost telemetry.
-#[derive(Default)]
-struct ProbeState {
-    /// Sorted, deduplicated `(object, page)` pages where equality with
-    /// the last-probed golden snapshot is not established. See
-    /// [`Memory::diff_cells_dirty`] for the invariant.
-    pending: Vec<(u32, u32)>,
-    /// Golden snapshot index the pending set is relative to (`None` =
-    /// the golden run's start): interval page lists between here and
-    /// the next probe target are unioned in before each compare.
-    absorbed_through: Option<usize>,
-    /// Probe/page/word counters, merged into the campaign's
-    /// [`SpliceStats`](crate::SpliceStats).
-    cost: ProbeCost,
-}
-
 /// The interpreter. `'m` is the module's lifetime, `'c` the pre-decoded
 /// stream's: a campaign owns one [`DecodedModule`] and threads it
 /// through many short-lived machines.
@@ -531,39 +401,22 @@ pub(crate) struct Machine<'m, 'c> {
     module: &'m Module,
     code: &'c DecodedModule<'m>,
     map: Option<&'m RegionMap>,
-    mem: Memory,
-    frames: Vec<Frame>,
-    externs: Externs,
-    dyn_insts: u64,
-    instr_dyn: u64,
-    frame_seq: u32,
-    heap_seq: u32,
-    last_alloc_of_site: Vec<Option<u32>>,
+    /// The resumable state: what a snapshot captures.
+    pub(crate) state: State,
     obs: Observers,
-    region_dyn: Vec<u64>,
-    region_touched: Vec<bool>,
-    region_accounting: bool,
     fault: Option<FaultState>,
     telemetry: FaultTelemetry,
-    eligible_seen: u64,
-    ckpt_high_water: u64,
-    splice: SpliceTrack,
-    fuel: u64,
+    /// Splice realignment bookkeeping and the golden activation log.
+    pub(crate) splice: SpliceTrack,
+    pub(crate) fuel: u64,
     final_ret: Option<Value>,
-    /// Register generation mask: bit `min(reg, 63)` is set by every
-    /// register write since resume. Purely a fail-fast compare hint —
-    /// golden registers churn every instruction, so unlike memory
-    /// pages no register compare can ever be *skipped* soundly (see
-    /// DESIGN.md §13); the mask just orders the frame compare to look
-    /// at recently written registers first.
-    reg_dirty: u64,
     /// Object count at the machine's dirty-tracking baseline (the
     /// resume snapshot, or module globals for a scratch start):
     /// objects below it are shape-identical to every golden snapshot's
     /// by construction.
-    base_objects: usize,
+    pub(crate) base_objects: usize,
     /// Incremental splice-probe state (injection runs only).
-    probe: ProbeState,
+    pub(crate) probe: ProbeState,
     /// Frames popped off the call stack, kept for their buffers so the
     /// next activation allocates nothing. Not machine state: every
     /// field is reset before a frame is reused.
@@ -574,8 +427,8 @@ impl std::fmt::Debug for Machine<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
             .field("module", &self.module.name)
-            .field("dyn_insts", &self.dyn_insts)
-            .field("frames", &self.frames.len())
+            .field("dyn_insts", &self.state.dyn_insts)
+            .field("frames", &self.state.control.frames.len())
             .finish_non_exhaustive()
     }
 }
@@ -740,8 +593,8 @@ fn exec_fast<const OBSERVE: bool>(
     telemetry: &mut FaultTelemetry,
     last_alloc_of_site: &[Option<u32>],
     ckpt_high_water: &mut u64,
+    activations: &mut u64,
     splice: &mut SpliceTrack,
-    reg_dirty: &mut u64,
     obs: &mut Observers,
     site: (FuncId, BlockId),
     now: u64,
@@ -755,7 +608,6 @@ fn exec_fast<const OBSERVE: bool>(
                 .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             frame.regs[dst.index()] = v;
-            *reg_dirty |= 1 << dst.index().min(63);
         }
         MicroOp::Un { op, dst, src } => {
             let a = opnd(frame, src);
@@ -763,13 +615,11 @@ fn exec_fast<const OBSERVE: bool>(
                 eval_un(*op, a).map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             frame.regs[dst.index()] = v;
-            *reg_dirty |= 1 << dst.index().min(63);
         }
         MicroOp::Mov { dst, src } => {
             let v = opnd(frame, src);
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             frame.regs[dst.index()] = v;
-            *reg_dirty |= 1 << dst.index().min(63);
         }
         MicroOp::Load { dst, addr } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
@@ -782,7 +632,6 @@ fn exec_fast<const OBSERVE: bool>(
             }
             let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
             frame.regs[dst.index()] = v;
-            *reg_dirty |= 1 << dst.index().min(63);
         }
         MicroOp::Store { addr, src } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
@@ -799,23 +648,20 @@ fn exec_fast<const OBSERVE: bool>(
             // Address materialization is not fault-eligible.
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
             frame.regs[dst.index()] = Value::Ptr { obj, idx };
-            *reg_dirty |= 1 << dst.index().min(63);
         }
         // Instrumentation (not fault-eligible). The recovery block was
         // pre-resolved at decode time; the unresolvable cases stay
         // `Slow` and trap in the general executor.
         MicroOp::SetRecovery { region, recovery_block } => {
-            let (ordinal, event) = splice.on_set_recovery(now);
             frame.recovery = Some(RecoveryState {
                 region: *region,
                 recovery_block: *recovery_block,
-                act_ordinal: ordinal,
+                act_ordinal: *activations,
             });
+            *activations += 1;
             frame.log.clear();
             frame.log_bytes = 0;
-            if event {
-                fired = true;
-            }
+            fired = splice.on_set_recovery(now);
         }
         MicroOp::CkptMem { addr } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
@@ -916,38 +762,25 @@ impl<'m, 'c> Machine<'m, 'c> {
         map: Option<&'m RegionMap>,
         config: &RunConfig,
     ) -> Self {
-        Self {
-            module,
-            code,
-            map,
-            mem: Memory::for_module(module),
+        let control = ControlState {
             frames: Vec::new(),
-            externs: Externs::new(EXTERN_SEED),
-            dyn_insts: 0,
-            instr_dyn: 0,
             frame_seq: 0,
             heap_seq: 0,
             last_alloc_of_site: vec![None; code.heap_site_count],
-            obs: Observers {
-                profile: config.collect_profile.then(|| Profile::empty_for(module)),
-                trace: config.collect_trace.then(Vec::new),
-                mem_log: None,
-            },
-            region_dyn: vec![0; code.region_count],
-            region_touched: vec![false; code.region_count],
-            region_accounting: config.region_accounting,
-            fault: config.fault.map(FaultState::new),
-            telemetry: FaultTelemetry::default(),
+            externs: Externs::new(EXTERN_SEED),
+        };
+        let state = State {
+            control,
+            mem: Memory::for_module(module),
+            dyn_insts: 0,
             eligible_seen: 0,
             ckpt_high_water: 0,
-            splice: SpliceTrack::default(),
-            fuel: config.fuel,
-            final_ret: None,
-            reg_dirty: 0,
-            base_objects: module.globals.len(),
-            probe: ProbeState::default(),
-            spare_frames: Vec::new(),
-        }
+            activations: 0,
+        };
+        let mut m = Self::with_state(module, code, map, state, config);
+        m.obs.profile = config.collect_profile.then(|| Profile::empty_for(module));
+        m.obs.trace = config.collect_trace.then(Vec::new);
+        m
     }
 
     /// Calls `entry(args)`, leaving the machine at its first
@@ -962,7 +795,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         for (i, a) in args.iter().enumerate().take(params) {
             frame.regs[i] = *a;
         }
-        self.frames.push(frame);
+        self.state.control.frames.push(frame);
         Ok(())
     }
 
@@ -980,69 +813,47 @@ impl<'m, 'c> Machine<'m, 'c> {
             !config.collect_profile && !config.collect_trace,
             "profiles/traces cannot be resumed from a snapshot"
         );
+        let mut state = snap.state.clone();
         // The restored snapshot *is* the dirty-tracking baseline: every
         // cell written from here on (program stores, fault corruption,
         // rollback restores) re-enters the dirty set.
-        let mut mem = snap.mem.clone();
-        mem.reset_dirty();
+        state.mem.reset_dirty();
+        let mut m = Self::with_state(module, code, map, state, config);
+        m.probe.absorbed_through = Some(snap.index);
+        m
+    }
+
+    /// A machine in `state` with no observer and nothing else carried
+    /// over: the fault plan and fuel come from `config`.
+    ///
+    /// A plan whose inject ordinal precedes a resumed `state` cannot
+    /// fire; [`SfiCampaign::run_one`](crate::SfiCampaign::run_one) only
+    /// resumes from snapshots with `eligible_seen <= plan.inject_at`, so
+    /// the fresh (un-armed, un-injected) fault state is exactly what a
+    /// from-scratch run carries at this point — for every
+    /// [`FaultAction`], deferred ones included, since arming happens at
+    /// or after the inject ordinal.
+    fn with_state(
+        module: &'m Module,
+        code: &'c DecodedModule<'m>,
+        map: Option<&'m RegionMap>,
+        state: State,
+        config: &RunConfig,
+    ) -> Self {
         Self {
             module,
             code,
             map,
-            mem,
-            frames: snap.frames.clone(),
-            externs: snap.externs.clone(),
-            dyn_insts: snap.dyn_insts,
-            instr_dyn: snap.instr_dyn,
-            frame_seq: snap.frame_seq,
-            heap_seq: snap.heap_seq,
-            last_alloc_of_site: snap.last_alloc_of_site.clone(),
+            base_objects: state.mem.object_count(),
+            state,
             obs: Observers::default(),
-            region_dyn: snap.region_dyn.clone(),
-            region_touched: snap.region_touched.clone(),
-            region_accounting: config.region_accounting,
-            // A plan whose inject ordinal precedes the snapshot cannot
-            // fire after resume; [`SfiCampaign::run_one`] only resumes
-            // from snapshots with `eligible_seen <= plan.inject_at`, so
-            // the rebuilt (un-armed, un-injected) state is exactly what
-            // a from-scratch run carries at this point — for every
-            // [`FaultAction`], deferred ones included, since arming
-            // happens at or after the inject ordinal.
             fault: config.fault.map(FaultState::new),
             telemetry: FaultTelemetry::default(),
-            eligible_seen: snap.eligible_seen,
-            ckpt_high_water: snap.ckpt_high_water,
-            splice: SpliceTrack { activations: snap.activations, ..SpliceTrack::default() },
+            splice: SpliceTrack::default(),
             fuel: config.fuel,
             final_ret: None,
-            reg_dirty: 0,
-            base_objects: snap.mem.object_count(),
-            probe: ProbeState {
-                absorbed_through: Some(snap.index),
-                ..ProbeState::default()
-            },
+            probe: ProbeState::default(),
             spare_frames: Vec::new(),
-        }
-    }
-
-    /// Captures the complete resumable state at the current step
-    /// boundary.
-    fn capture_snapshot(&self) -> Snapshot {
-        Snapshot {
-            index: 0, // assigned by SnapshotLog::push
-            frames: self.frames.clone(),
-            mem: self.mem.clone(),
-            externs: self.externs.clone(),
-            dyn_insts: self.dyn_insts,
-            instr_dyn: self.instr_dyn,
-            frame_seq: self.frame_seq,
-            heap_seq: self.heap_seq,
-            last_alloc_of_site: self.last_alloc_of_site.clone(),
-            region_dyn: self.region_dyn.clone(),
-            region_touched: self.region_touched.clone(),
-            eligible_seen: self.eligible_seen,
-            ckpt_high_water: self.ckpt_high_water,
-            activations: self.splice.activations,
         }
     }
 
@@ -1060,14 +871,15 @@ impl<'m, 'c> Machine<'m, 'c> {
         regs.resize(f.reg_count as usize, Value::ZERO);
         slots.clear();
         log.clear();
-        let frame_no = self.frame_seq;
-        self.frame_seq += 1;
+        let state = &mut self.state;
+        let frame_no = state.control.frame_seq;
+        state.control.frame_seq += 1;
         for (i, s) in f.slots.iter().enumerate() {
             let kind = ObjKind::Slot { frame: frame_no, slot: i as u32 };
-            let handle = self
+            let handle = state
                 .mem
                 .alloc(kind, s.cells as usize)
-                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: self.dyn_insts })?;
+                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: state.dyn_insts })?;
             slots.push(handle);
         }
         self.obs.block_entry(func, f.entry());
@@ -1085,13 +897,12 @@ impl<'m, 'c> Machine<'m, 'c> {
     }
 
     fn operand(&self, op: &Operand) -> Value {
-        opnd(self.frames.last().expect("no frame"), op)
+        opnd(self.state.control.frames.last().expect("no frame"), op)
     }
 
     fn set_reg(&mut self, r: Reg, v: Value) {
-        let frame = self.frames.last_mut().expect("no frame");
+        let frame = self.state.control.frames.last_mut().expect("no frame");
         frame.regs[r.index()] = v;
-        self.reg_dirty |= 1 << r.index().min(63);
     }
 
     /// True when a live (injected, undetected) fault should now be
@@ -1099,7 +910,7 @@ impl<'m, 'c> Machine<'m, 'c> {
     fn detection_due(&self) -> bool {
         match &self.fault {
             Some(f) if f.injected && !f.detected => {
-                f.detect_at.map(|d| self.dyn_insts >= d).unwrap_or(false)
+                f.detect_at.map(|d| self.state.dyn_insts >= d).unwrap_or(false)
             }
             _ => false,
         }
@@ -1132,7 +943,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
         self.telemetry.detected = true;
         // Find the deepest armed frame.
-        while let Some(frame) = self.frames.last_mut() {
+        while let Some(frame) = self.state.control.frames.last_mut() {
             if let Some(rec) = frame.recovery {
                 frame.block = rec.recovery_block;
                 frame.ip = 0;
@@ -1140,7 +951,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                     for entry in &frame.log {
                         if let CkptEntry::Reg { reg, .. } = entry {
                             frame.regs[reg.index()] = Value::ZERO;
-                            self.reg_dirty |= 1 << reg.index().min(63);
                         }
                     }
                 }
@@ -1151,10 +961,10 @@ impl<'m, 'c> Machine<'m, 'c> {
                 self.fault = None;
                 return Ok(());
             }
-            let popped = self.frames.pop().expect("frame");
+            let popped = self.state.control.frames.pop().expect("frame");
             self.spare_frames.push(popped);
         }
-        Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.dyn_insts })
+        Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.state.dyn_insts })
     }
 
     /// Executes a *sprint*: consecutive pre-lowered instructions and
@@ -1177,13 +987,13 @@ impl<'m, 'c> Machine<'m, 'c> {
     ///
     /// Returns `Ok(true)` while the program is still running.
     fn step<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
-        if self.dyn_insts >= self.fuel {
-            return Err(Trap { kind: TrapKind::FuelExhausted, at: self.dyn_insts });
+        if self.state.dyn_insts >= self.fuel {
+            return Err(Trap { kind: TrapKind::FuelExhausted, at: self.state.dyn_insts });
         }
         if self.detection_due() {
             self.trigger_recovery()?;
         }
-        let Some(frame) = self.frames.last() else {
+        let Some(frame) = self.state.control.frames.last() else {
             return Ok(false);
         };
         let func_id = frame.func;
@@ -1206,24 +1016,10 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
         let stop = {
             let fuel = self.fuel;
-            let region_accounting = self.region_accounting;
-            let Machine {
-                frames,
-                mem,
-                fault,
-                eligible_seen,
-                telemetry,
-                last_alloc_of_site,
-                dyn_insts,
-                instr_dyn,
-                region_dyn,
-                region_touched,
-                ckpt_high_water,
-                splice,
-                reg_dirty,
-                obs,
-                ..
-            } = self;
+            let Machine { state, fault, telemetry, splice, obs, .. } = self;
+            let State { control, mem, dyn_insts, eligible_seen, ckpt_high_water, activations } =
+                state;
+            let ControlState { frames, last_alloc_of_site, .. } = control;
             let frame = frames.last_mut().expect("frame");
             let mut block = dfunc.block(frame.block);
             let mut site = (func_id, frame.block);
@@ -1260,15 +1056,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                 if (ip as u32) < block.len {
                     let di = &dfunc.steps[block.start as usize + ip];
                     *dyn_insts += di.cost;
-                    if di.instrumentation {
-                        *instr_dyn += di.cost;
-                    }
-                    if region_accounting {
-                        if let Some(rid) = block.region {
-                            region_dyn[rid.index()] += di.cost;
-                            region_touched[rid.index()] = true;
-                        }
-                    }
                     if OBSERVE {
                         obs.charge(func_id, di.cost);
                     }
@@ -1289,8 +1076,8 @@ impl<'m, 'c> Machine<'m, 'c> {
                         telemetry,
                         last_alloc_of_site,
                         ckpt_high_water,
+                        activations,
                         splice,
-                        reg_dirty,
                         obs,
                         site,
                         *dyn_insts,
@@ -1326,12 +1113,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                         ));
                     };
                     *dyn_insts += 1;
-                    if region_accounting {
-                        if let Some(rid) = block.region {
-                            region_dyn[rid.index()] += 1;
-                            region_touched[rid.index()] = true;
-                        }
-                    }
                     if OBSERVE {
                         obs.charge(func_id, 1);
                     }
@@ -1381,7 +1162,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             }
             Stop::Ret(v) => {
                 self.exec_ret(func_id, v);
-                Ok(!self.frames.is_empty())
+                Ok(!self.state.control.frames.is_empty())
             }
         }
     }
@@ -1391,37 +1172,40 @@ impl<'m, 'c> Machine<'m, 'c> {
     fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
         match inst {
             Inst::Alloc { dst, site, size } => {
+                let at = self.state.dyn_insts;
                 let Some(n) = self.operand(size).as_int().filter(|n| *n >= 0) else {
                     return Err(memory_trap(
-                        self.dyn_insts,
+                        at,
                         format_args!("alloc size must be a non-negative int"),
                     ));
                 };
-                let handle = self
+                let state = &mut self.state;
+                let handle = state
                     .mem
-                    .alloc(ObjKind::Heap(self.heap_seq), n as usize)
-                    .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: self.dyn_insts })?;
-                self.heap_seq += 1;
+                    .alloc(ObjKind::Heap(state.control.heap_seq), n as usize)
+                    .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at })?;
+                state.control.heap_seq += 1;
                 // Decode sized the table over every Alloc site.
-                self.last_alloc_of_site[site.index()] = Some(handle);
+                state.control.last_alloc_of_site[site.index()] = Some(handle);
                 self.set_reg(*dst, Value::Ptr { obj: handle, idx: 0 });
             }
             Inst::Call { callee, dst, args } => {
                 let mut frame = self.new_frame(*callee, *dst)?;
-                let caller = self.frames.last().expect("frame");
+                let caller = self.state.control.frames.last().expect("frame");
                 let params = self.module.func(*callee).param_count as usize;
                 for (i, a) in args.iter().enumerate().take(params) {
                     frame.regs[i] = opnd(caller, a);
                 }
-                self.frames.push(frame);
+                self.state.control.frames.push(frame);
             }
             Inst::CallExt { name, dst, args, .. } => {
-                let frame = self.frames.last().expect("frame");
+                let control = &mut self.state.control;
+                let frame = control.frames.last().expect("frame");
                 let site = (frame.func, frame.block);
                 let vals: Vec<Value> = args.iter().map(|a| opnd(frame, a)).collect();
-                let r = self.externs.call(name, &vals).map_err(|e| Trap {
+                let r = control.externs.call(name, &vals).map_err(|e| Trap {
                     kind: TrapKind::Eval(e.message),
-                    at: self.dyn_insts,
+                    at: self.state.dyn_insts,
                 })?;
                 if let Some(d) = dst {
                     // The next `step` bounds its sprint by any detection
@@ -1429,8 +1213,8 @@ impl<'m, 'c> Machine<'m, 'c> {
                     let mut fired = false;
                     let r = inject(
                         &mut self.fault,
-                        &mut self.eligible_seen,
-                        self.dyn_insts,
+                        &mut self.state.eligible_seen,
+                        self.state.dyn_insts,
                         &mut self.telemetry,
                         site,
                         r,
@@ -1443,7 +1227,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             // recovery block; one that reaches here can only trap.
             Inst::SetRecovery { region } => {
                 let known = self.map.and_then(|m| m.regions.get(region.index())).is_some();
-                let at = self.dyn_insts;
+                let at = self.state.dyn_insts;
                 return Err(if known {
                     eval_trap(at, format_args!("{region} has no recovery block"))
                 } else {
@@ -1451,10 +1235,11 @@ impl<'m, 'c> Machine<'m, 'c> {
                 });
             }
             Inst::Restore { region } => {
-                let frame = self.frames.last_mut().expect("frame");
+                let State { control, mem, dyn_insts, .. } = &mut self.state;
+                let frame = control.frames.last_mut().expect("frame");
                 if frame.recovery.is_none() {
                     return Err(eval_trap(
-                        self.dyn_insts,
+                        *dyn_insts,
                         format_args!("Restore {region} with no armed recovery"),
                     ));
                 }
@@ -1464,9 +1249,9 @@ impl<'m, 'c> Machine<'m, 'c> {
                     match entry {
                         CkptEntry::Reg { reg, val } => frame.regs[reg.index()] = val,
                         CkptEntry::Mem { obj, idx, val } => {
-                            self.mem.write(obj, idx, val).map_err(|e| Trap {
+                            mem.write(obj, idx, val).map_err(|e| Trap {
                                 kind: TrapKind::Memory(e.message),
-                                at: self.dyn_insts,
+                                at: *dyn_insts,
                             })?;
                             self.obs.log_access(obj, idx, true);
                         }
@@ -1481,15 +1266,14 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// Returns from the current frame of `func_id` with value `v`.
     fn exec_ret(&mut self, func_id: FuncId, v: &Option<Operand>) {
         let val = v.as_ref().map(|op| self.operand(op));
-        let frame = self.frames.pop().expect("frame");
+        let frame = self.state.control.frames.pop().expect("frame");
         if let Some(p) = &mut self.obs.profile {
             p.func_mut(func_id).invocations += 1;
         }
-        match self.frames.last_mut() {
+        match self.state.control.frames.last_mut() {
             Some(caller) => {
                 if let Some(dst) = frame.ret_dst {
                     caller.regs[dst.index()] = val.unwrap_or(Value::ZERO);
-                    self.reg_dirty |= 1 << dst.index().min(63);
                 }
             }
             None => self.final_ret = val,
@@ -1501,12 +1285,23 @@ impl<'m, 'c> Machine<'m, 'c> {
         self.fault.as_ref().map(|f| f.injected && !f.detected).unwrap_or(false)
     }
 
+    /// `true` while the planned fault is not yet consumed by a rollback:
+    /// armed, live, or still to come.
+    pub(crate) fn fault_pending(&self) -> bool {
+        self.fault.is_some()
+    }
+
+    /// `true` when a profile, trace or memory log observes the run.
+    pub(crate) fn observed(&self) -> bool {
+        self.obs.any()
+    }
+
     /// One [`Machine::step`] with symptom-based detection folded in: a
     /// trap while an undetected fault is live (other than fuel
     /// exhaustion) triggers the recovery path instead of terminating
     /// the run. The shared stepping primitive of [`Machine::run_to_end`]
     /// and the splice driver, so both have identical fault semantics.
-    fn step_detected<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
+    pub(crate) fn step_detected<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
         match self.step::<OBSERVE>(limit) {
             Ok(alive) => Ok(alive),
             Err(t) => {
@@ -1541,10 +1336,10 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// Steps until the dynamic instruction count reaches `target`.
     /// `Err` carries how the run ended first: completion (`None`) or a
     /// terminal trap.
-    fn step_to(&mut self, target: u64) -> Result<(), Option<Trap>> {
+    pub(crate) fn step_to(&mut self, target: u64) -> Result<(), Option<Trap>> {
         loop {
             match self.step_detected::<false>(target) {
-                Ok(true) if self.dyn_insts >= target => return Ok(()),
+                Ok(true) if self.state.dyn_insts >= target => return Ok(()),
                 Ok(true) => {}
                 Ok(false) => return Err(None),
                 Err(t) => return Err(Some(t)),
@@ -1552,345 +1347,9 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
     }
 
-    /// The splice's approach: runs normally until a rollback's
-    /// re-executed arming realigns the run against the golden
-    /// activation timeline, measures `delta`, and steps to the first
-    /// golden snapshot's realigned position. A deterministic function
-    /// of the injection, so replaying a plan lands on the same probe
-    /// position in the same state.
-    pub(crate) fn advance_to_first_probe<'s>(
-        &mut self,
-        snapshots: &'s SnapshotLog,
-        golden_final_dyn: u64,
-    ) -> Advance<'s> {
-        debug_assert!(!self.obs.any(), "injection runs are not observed");
-        self.splice.armed = true;
-        let (realign_dyn, ordinal) = loop {
-            match self.step_detected::<false>(u64::MAX) {
-                Ok(true) => {
-                    if let Some(r) = self.splice.realign.take() {
-                        break r;
-                    }
-                }
-                Ok(false) => return Advance::Done(None),
-                Err(t) => return Advance::Done(Some(t)),
-            }
-        };
-        // `delta`: how many more dynamic instructions this run has
-        // retired than the golden run had at the same program point.
-        // Unmeasurable (ordinal past the golden log, or the golden run
-        // was ahead) means the timelines cannot be aligned.
-        let Some(delta) = snapshots
-            .activation_dyn()
-            .get(ordinal as usize)
-            .and_then(|&golden_dyn| realign_dyn.checked_sub(golden_dyn))
-        else {
-            return Advance::Unaligned;
-        };
-        let idx = snapshots.first_at_or_after_dyn(self.dyn_insts.saturating_sub(delta));
-        let Some(snap) = snapshots.get(idx) else {
-            return Advance::Unaligned;
-        };
-        match self.step_to(snap.dyn_insts + delta) {
-            Ok(()) => {
-                let headroom = golden_final_dyn + delta < self.fuel;
-                Advance::Probe(ProbeAt { idx, delta, headroom }, snap)
-            }
-            Err(end) => Advance::Done(end),
-        }
-    }
-
-    /// [`Machine::run_to_end`] for campaign injection runs, with the
-    /// divergence-tracked splice: after a rollback realigns the run
-    /// against the golden activation timeline, successive golden
-    /// snapshots are probed and the run's *diff* against each is
-    /// classified by [`Machine::classify_divergence`] — a certified
-    /// rule ends the run early; a miss merely falls back to plain
-    /// execution. See [`SpliceTrack`] for the realignment mechanics
-    /// and [`SpliceRule`] for the per-rule soundness arguments.
-    ///
-    /// When the run lands exactly on its first probe position and no
-    /// rule certifies it there, `first_miss` is asked once; an answer
-    /// ends the run as [`SpliceRun::Answered`]. The campaign memo
-    /// answers from an earlier injection that stood in the same state.
-    pub(crate) fn run_to_end_or_splice<M>(
-        &mut self,
-        snapshots: &SnapshotLog,
-        golden_final_dyn: u64,
-        mut first_miss: impl FnMut(&mut Self, ProbeAt) -> Option<M>,
-    ) -> SpliceRun<M> {
-        let (mut at, mut snap) = match self.advance_to_first_probe(snapshots, golden_final_dyn) {
-            Advance::Done(end) => return SpliceRun::Done(end),
-            Advance::Unaligned => return SpliceRun::Done(self.run_to_end()),
-            Advance::Probe(at, snap) => (at, snap),
-        };
-        // Execute on, pausing at golden snapshots' realigned positions
-        // (`snapshot dyn + delta`) to classify the state diff. The
-        // probe *schedule* is dense-then-backoff: the first
-        // `DENSE_PROBES` misses probe consecutive snapshots (the
-        // earliest certifying snapshot saves the most suffix, and runs
-        // that certify at all usually do so within a few snapshots of
-        // realignment), after which the stride between probes doubles
-        // up to `GAP_CAP` — a run whose diff has stayed live that long
-        // rarely certifies later, so spaced probes stop charging a
-        // sprint pause per snapshot to hopeless runs. Each probe's
-        // *compare* is O(pages dirtied since the previous probe), not
-        // O(state).
-        const DENSE_PROBES: u32 = 8;
-        const GAP_CAP: usize = 16;
-        let mut diff: Vec<(u32, u32)> = Vec::new();
-        let mut misses = 0u32;
-        let mut gap = 1usize;
-        loop {
-            // A probe is only meaningful when the pause landed exactly
-            // on the realigned position (instruction costs can
-            // overshoot a bound), no fault is pending, and the fuel
-            // headroom covers the golden suffix at this run's offset —
-            // otherwise the continuation could diverge by a fuel trap
-            // the golden run never hit.
-            let landed = self.dyn_insts == snap.dyn_insts + at.delta && self.fault.is_none();
-            if landed && at.headroom {
-                self.probe.cost.probes += 1;
-                if let Some(rule) = self.classify_divergence(snapshots, at.idx, snap, &mut diff) {
-                    return SpliceRun::Spliced(rule, golden_final_dyn - snap.dyn_insts);
-                }
-            }
-            if landed && misses == 0 {
-                if let Some(answer) = first_miss(self, at) {
-                    return SpliceRun::Answered(answer);
-                }
-            }
-            misses += 1;
-            if misses >= DENSE_PROBES && gap < GAP_CAP {
-                gap *= 2;
-            }
-            at.idx += gap;
-            let Some(next) = snapshots.get(at.idx) else {
-                // Past the last golden snapshot: finish normally.
-                return SpliceRun::Done(self.run_to_end());
-            };
-            snap = next;
-            if let Err(end) = self.step_to(snap.dyn_insts + at.delta) {
-                return SpliceRun::Done(end);
-            }
-        }
-    }
-
-    /// The accumulated probe-cost counters of this run.
-    pub(crate) fn probe_cost(&self) -> ProbeCost {
-        self.probe.cost
-    }
-
     /// Dynamic instructions retired so far.
     pub(crate) fn dyn_insts(&self) -> u64 {
-        self.dyn_insts
-    }
-
-    /// The splice's probe predicate: classifies the run's divergence
-    /// from golden snapshot `snap` (index `idx`), or `None` when no
-    /// rule can certify an outcome here.
-    ///
-    /// The gate requires control-state equality — frames (registers,
-    /// positions, armed recovery logs), allocation counters and the
-    /// non-output extern state — so the only admissible divergence is
-    /// in memory cells and the output channel. Under a deterministic
-    /// interpreter, equal control state plus a memory diff no future
-    /// instruction reads means the suffix executes *identically* to
-    /// the golden suffix (same control flow, same writes, same output
-    /// appends): the final state is then golden's, modulo exactly the
-    /// divergent cells the suffix never overwrites and the
-    /// already-diverged output prefix. The rules read off the outcome:
-    ///
-    /// * diff empty, output equal → [`SpliceRule::Converged`];
-    /// * diff dead (∉ suffix reads), every divergent global cell
-    ///   healed by a suffix write, output equal →
-    ///   [`SpliceRule::DeadDiff`] (final state provably golden);
-    /// * diff dead but output diverged or a global cell persists →
-    ///   [`SpliceRule::Sdc`] (final state provably differs).
-    ///
-    /// Counters that influence neither the remaining execution nor the
-    /// outcome classification (`dyn_insts`, `eligible_seen`,
-    /// instrumentation/region accounting, the checkpoint high-water
-    /// mark) are deliberately excluded; `dyn_insts` enters through the
-    /// caller's fuel-headroom check instead.
-    fn classify_divergence(
-        &mut self,
-        snapshots: &SnapshotLog,
-        idx: usize,
-        snap: &Snapshot,
-        diff: &mut Vec<(u32, u32)>,
-    ) -> Option<SpliceRule> {
-        // Cheapest fields first so diverged runs fail fast.
-        if self.frame_seq != snap.frame_seq
-            || self.heap_seq != snap.heap_seq
-            || self.last_alloc_of_site != snap.last_alloc_of_site
-            || !self.externs.state_equal_ignoring_output(&snap.externs)
-            || !self.frames_equal(snap)
-            || !self.golden_diff(snapshots, idx, snap, diff)
-        {
-            return None;
-        }
-        let out_eq = self.externs.output == snap.externs.output;
-        if diff.is_empty() && out_eq {
-            return Some(SpliceRule::Converged);
-        }
-        // Rules (b)/(c) need the golden suffix access summaries.
-        let reads = snapshots.suffix_reads(idx)?;
-        let writes = snapshots.suffix_writes(idx)?;
-        if diff.iter().any(|&(o, i)| reads.contains(o, i)) {
-            // A divergent cell feeds the suffix: its fate is unprovable
-            // here. Keep executing — later probes may still certify.
-            return None;
-        }
-        // Dead diff. Non-global cells are architecturally invisible;
-        // a global cell the suffix overwrites heals to golden's value
-        // (the suffix executes identically); one it never writes
-        // persists into the final observable state.
-        let persists = diff
-            .iter()
-            .any(|&(o, i)| self.mem.is_global(o) && !writes.contains(o, i));
-        if out_eq && !persists {
-            Some(SpliceRule::DeadDiff)
-        } else {
-            Some(SpliceRule::Sdc)
-        }
-    }
-
-    /// Collects into `diff` every memory cell where this run differs
-    /// from golden snapshot `snap` (index `idx`), `false` when the two
-    /// memories are not comparable (shape mismatch, or more than
-    /// [`DIFF_CAP`] cells).
-    ///
-    /// First brings the candidate set up to this snapshot: golden pages
-    /// written between the last absorbed snapshot and this one
-    /// (interval lists — absorbed in either direction, since
-    /// realignment can land a probe before the resume base) and pages
-    /// this run wrote since the last drain. Everything outside the
-    /// resulting set is bitwise-identical on both sides.
-    pub(crate) fn golden_diff(
-        &mut self,
-        snapshots: &SnapshotLog,
-        idx: usize,
-        snap: &Snapshot,
-        diff: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        let Machine { mem, probe, base_objects, .. } = self;
-        let unabsorbed = match probe.absorbed_through {
-            None => 0..=idx,
-            Some(a) if idx > a => a + 1..=idx,
-            // Empty when `idx == a`.
-            Some(a) => idx + 1..=a,
-        };
-        for j in unabsorbed {
-            probe.pending.extend_from_slice(snapshots.interval_pages(j));
-        }
-        probe.absorbed_through = Some(idx);
-        mem.drain_dirty_pages(&mut probe.pending);
-        probe.pending.sort_unstable();
-        probe.pending.dedup();
-        let comparable = mem.diff_cells_dirty(
-            &snap.mem,
-            &mut probe.pending,
-            *base_objects,
-            DIFF_CAP,
-            diff,
-            &mut probe.cost,
-        );
-        // The full scan is the reference the incremental compare must
-        // reproduce exactly: debug builds check every compare against it.
-        #[cfg(debug_assertions)]
-        {
-            let mut full = Vec::new();
-            let full_comparable = self.mem.diff_cells(&snap.mem, DIFF_CAP, &mut full);
-            assert!(
-                full_comparable == comparable && (!full_comparable || full == *diff),
-                "incremental compare disagrees with the full scan at snapshot {idx}: \
-                 incremental {comparable} {diff:?}, full scan {full_comparable} {full:?}"
-            );
-        }
-        comparable
-    }
-
-    /// The campaign memo's key for a run paused exactly on probe
-    /// position `at`: a hash of everything the rest of the run reads —
-    /// the snapshot index, the headroom bit, the frames, the allocation
-    /// counters, the extern state with its output, and each cell of the
-    /// golden diff (left in `diff`) with its value. `dyn_insts` is left
-    /// out: it enters only through the headroom bit and the memo's fuel
-    /// rule. `None` when the golden diff is not comparable.
-    pub(crate) fn probe_key(
-        &mut self,
-        snapshots: &SnapshotLog,
-        at: ProbeAt,
-        diff: &mut Vec<(u32, u32)>,
-    ) -> Option<u64> {
-        use std::hash::{DefaultHasher, Hash, Hasher};
-        let snap = snapshots.get(at.idx)?;
-        if !self.golden_diff(snapshots, at.idx, snap, diff) {
-            return None;
-        }
-        let mut h = DefaultHasher::new();
-        (at.idx, at.headroom).hash(&mut h);
-        self.frames.hash(&mut h);
-        (self.frame_seq, self.heap_seq, &self.last_alloc_of_site).hash(&mut h);
-        self.externs.hash(&mut h);
-        for &(obj, idx) in diff.iter() {
-            (obj, idx, self.mem.read(obj, idx.into()).ok()).hash(&mut h);
-        }
-        Some(h.finish())
-    }
-
-    /// `true` when this run and `other`, both paused exactly on the
-    /// same probe position with golden diffs `diff` and `other_diff`
-    /// against its snapshot, hold the same state in everything
-    /// [`Machine::probe_key`] hashes, with no fault pending and the
-    /// same rollback flag (which classification reads). Both memories
-    /// equal the snapshot's outside their diffs, so equal diffs with
-    /// equal values make the memories equal.
-    pub(crate) fn same_probe_state(
-        &self,
-        diff: &[(u32, u32)],
-        other: &Machine<'_, '_>,
-        other_diff: &[(u32, u32)],
-    ) -> bool {
-        self.fault.is_none()
-            && other.fault.is_none()
-            && self.telemetry.rolled_back == other.telemetry.rolled_back
-            && self.frame_seq == other.frame_seq
-            && self.heap_seq == other.heap_seq
-            && self.last_alloc_of_site == other.last_alloc_of_site
-            && self.externs == other.externs
-            && self.frames == other.frames
-            && diff == other_diff
-            && diff.iter().all(|&(obj, idx)| {
-                self.mem.read(obj, idx.into()) == other.mem.read(obj, idx.into())
-            })
-    }
-
-    /// Exactly `self.frames == snap.frames`, ordered to fail fast:
-    /// frames are compared innermost-first (the top frame diverges
-    /// first in practice), and the top frame's recently written
-    /// registers — the `reg_dirty` generation mask — are checked before
-    /// the full structural compare. Pure reordering: the verdict is
-    /// identical to the derived equality, because register state can
-    /// never be *skipped* (golden registers change every instruction,
-    /// so there is no analogue of a clean memory page here).
-    fn frames_equal(&self, snap: &Snapshot) -> bool {
-        if self.frames.len() != snap.frames.len() {
-            return false;
-        }
-        if let (Some(a), Some(b)) = (self.frames.last(), snap.frames.last()) {
-            let mut mask = self.reg_dirty;
-            let n = a.regs.len().min(b.regs.len()).min(63);
-            while mask != 0 {
-                let r = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if r < n && a.regs[r] != b.regs[r] {
-                    return false;
-                }
-            }
-        }
-        self.frames.iter().rev().eq(snap.frames.iter().rev())
+        self.state.dyn_insts
     }
 
     /// Start recording the golden activation timeline (dyn count at
@@ -1937,17 +1396,17 @@ impl<'m, 'c> Machine<'m, 'c> {
         debug_assert!(stride > 0 && self.fault.is_none());
         // Each capture below drains the pages written since the
         // previous capture into that interval's page list.
-        self.mem.reset_dirty();
+        self.state.mem.reset_dirty();
         let mut next_at = stride;
         loop {
-            if self.dyn_insts >= next_at && !self.frames.is_empty() {
+            if self.state.dyn_insts >= next_at && !self.state.control.frames.is_empty() {
                 if let Some(ml) = &mut self.obs.mem_log {
                     ml.seal();
                 }
                 let mut interval = Vec::new();
-                self.mem.drain_dirty_pages(&mut interval);
-                log.push(self.capture_snapshot(), interval);
-                next_at = self.dyn_insts + stride;
+                self.state.mem.drain_dirty_pages(&mut interval);
+                log.push(self.state.clone(), interval);
+                next_at = self.state.dyn_insts + stride;
             }
             // Bounding the sprint by `next_at` keeps capture points at
             // exact instruction-count boundaries.
@@ -1963,27 +1422,17 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// Consumes the machine into a [`RunResult`] after `run_to_end`
     /// returned `trap`.
     pub(crate) fn into_result(self, trap: Option<Trap>) -> RunResult {
-        let mut region_dyn = BTreeMap::new();
-        for (i, (&count, &touched)) in
-            self.region_dyn.iter().zip(self.region_touched.iter()).enumerate()
-        {
-            if touched {
-                region_dyn.insert(RegionId::new(i as u32), count);
-            }
-        }
         RunResult {
             ret: self.final_ret,
             completed: trap.is_none(),
             trap,
-            dyn_insts: self.dyn_insts,
-            instr_dyn_insts: self.instr_dyn,
-            output: self.externs.output,
-            globals: self.mem.globals_snapshot(),
+            dyn_insts: self.state.dyn_insts,
+            output: self.state.control.externs.output,
+            globals: self.state.mem.globals_snapshot(),
             profile: self.obs.profile,
             trace: self.obs.trace,
-            region_dyn,
-            eligible_insts: self.eligible_seen,
-            ckpt_high_water_bytes: self.ckpt_high_water,
+            eligible_insts: self.state.eligible_seen,
+            ckpt_high_water_bytes: self.state.ckpt_high_water,
             fault: self.telemetry,
         }
     }
@@ -1996,12 +1445,12 @@ impl<'m, 'c> Machine<'m, 'c> {
 
     /// The observable output channel.
     pub(crate) fn output(&self) -> &[i64] {
-        &self.externs.output
+        &self.state.control.externs.output
     }
 
     /// The memory state.
     pub(crate) fn mem(&self) -> &Memory {
-        &self.mem
+        &self.state.mem
     }
 
     /// Fault telemetry of this run.
@@ -2271,16 +1720,16 @@ mod tests {
         assert!(fresh().same_probe_state(&diff, &fresh(), &diff));
         type Change = fn(&mut Machine<'_, '_>);
         let changes: [(&str, Change); 9] = [
-            ("register", |b| b.frames[0].regs[0] = Value::Int(7)),
-            ("position", |b| b.frames[0].ip = 1),
+            ("register", |b| b.state.control.frames[0].regs[0] = Value::Int(7)),
+            ("position", |b| b.state.control.frames[0].ip = 1),
             ("extern state", |b| {
-                b.externs.call("prng", &[]).expect("prng");
+                b.state.control.externs.call("prng", &[]).expect("prng");
             }),
-            ("output", |b| b.externs.output.push(1)),
-            ("diff cell value", |b| b.mem.write(0, 1, Value::Int(5)).expect("in bounds")),
-            ("frame_seq", |b| b.frame_seq += 1),
-            ("heap_seq", |b| b.heap_seq += 1),
-            ("heap allocation", |b| b.last_alloc_of_site[0] = Some(9)),
+            ("output", |b| b.state.control.externs.output.push(1)),
+            ("diff cell value", |b| b.state.mem.write(0, 1, Value::Int(5)).expect("in bounds")),
+            ("frame_seq", |b| b.state.control.frame_seq += 1),
+            ("heap_seq", |b| b.state.control.heap_seq += 1),
+            ("heap allocation", |b| b.state.control.last_alloc_of_site[0] = Some(9)),
             ("rollback flag", |b| b.telemetry.rolled_back = true),
         ];
         for (what, change) in changes {

@@ -6,9 +6,9 @@
 //! measurement machinery the paper's evaluation needs:
 //!
 //! * [`run_function`] — execute a module; optional profiling (training
-//!   runs for `Pmin`/hot-path heuristics), dynamic memory-event tracing
-//!   (Figure 1), per-region accounting (Figure 6) and single-fault
-//!   injection;
+//!   runs for `Pmin`/hot-path heuristics, and through them Figure 6's
+//!   execution breakdown), dynamic memory-event tracing (Figure 1) and
+//!   single-fault injection;
 //! * [`SfiCampaign`] — Monte-Carlo statistical fault injection with
 //!   uniform fault sites and uniform detection latency (§4.2.1),
 //!   classifying runs against a golden execution under a
@@ -46,13 +46,14 @@ mod predecode;
 pub mod rng;
 mod sfi;
 mod snapshot;
+mod splice;
 mod value;
 
 pub use externs::Externs;
 pub use fault::{FaultAction, FaultModelKind, FaultPlan};
 pub use interp::{
-    run_function, run_function_with_snapshots, FaultTelemetry, RunConfig, RunResult, SpliceRule,
-    Trap, TrapKind, DIFF_CAP,
+    run_function, run_function_with_snapshots, FaultTelemetry, RunConfig, RunResult, Trap,
+    TrapKind,
 };
 pub use masking::{ComposedCoverage, MaskingModel};
 pub use memory::{MemError, MemObject, Memory, ProbeCost, PAGE_CELLS};
@@ -62,4 +63,5 @@ pub use sfi::{
     SfiStats, SpliceEngagement, SpliceStats, LATENCY_BINS,
 };
 pub use snapshot::{Snapshot, SnapshotLog};
+pub use splice::{SpliceRule, DIFF_CAP};
 pub use value::{eval_bin, eval_un, fold_mask16, EvalError, Value};

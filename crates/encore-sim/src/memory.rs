@@ -21,7 +21,7 @@
 //! cost O(pages written since the last probe) instead of O(state).
 
 use crate::value::Value;
-use encore_ir::{Cell, Module, ObjKind};
+use encore_ir::{Cell, Module, ObjKind, MAX_OBJECT_CELLS};
 use std::sync::Arc;
 
 /// Cells per dirty-tracking page (one `u64` bitmap word per page).
@@ -107,12 +107,25 @@ fn handles_exhausted(kind: ObjKind) -> MemError {
     }
 }
 
+#[cold]
+#[inline(never)]
+fn heap_exhausted(cells: usize, used: usize) -> MemError {
+    MemError {
+        message: format!(
+            "alloc of {cells} cells exceeds the heap's {MAX_OBJECT_CELLS}-cell bound \
+             ({used} in use)"
+        ),
+    }
+}
+
 /// The machine's memory state.
 #[derive(Clone, Debug)]
 pub struct Memory {
     objects: Vec<MemObject>,
     /// Number of globals (the first `global_count` objects).
     global_count: usize,
+    /// Cells in heap objects, the total `Alloc` bounds.
+    heap_cells: usize,
     /// Objects with a nonempty `touched` list (drain work list).
     touched_objs: Vec<u32>,
 }
@@ -146,7 +159,12 @@ impl Memory {
                 }
             })
             .collect();
-        Self { objects, global_count: module.globals.len(), touched_objs: Vec::new() }
+        Self {
+            objects,
+            global_count: module.globals.len(),
+            heap_cells: 0,
+            touched_objs: Vec::new(),
+        }
     }
 
     /// Allocates a fresh object of `cells` cells, returning its handle.
@@ -157,10 +175,21 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// A [`MemError`] when every `u32` handle is in use: the table never
-    /// hands out a truncated handle.
+    /// A [`MemError`] when every `u32` handle is in use (the table never
+    /// hands out a truncated handle), or when a heap object would take
+    /// the heap past [`MAX_OBJECT_CELLS`] cells in total. The bound is
+    /// checked before allocating: a faulted size can ask for more
+    /// memory than the host has, and a failed host allocation aborts
+    /// the process instead of trapping.
     pub fn alloc(&mut self, kind: ObjKind, cells: usize) -> Result<u32, MemError> {
         let handle = u32::try_from(self.objects.len()).map_err(|_| handles_exhausted(kind))?;
+        if let ObjKind::Heap(_) = kind {
+            let used = self.heap_cells;
+            if cells > MAX_OBJECT_CELLS as usize - used {
+                return Err(heap_exhausted(cells, used));
+            }
+            self.heap_cells += cells;
+        }
         let pages = cells.div_ceil(PAGE_CELLS);
         self.objects.push(MemObject {
             kind,
@@ -571,7 +600,7 @@ mod tests {
     /// classifiable diff; one more cell makes the pair incomparable.
     #[test]
     fn diff_cells_boundary_at_splice_diff_cap() {
-        use crate::interp::DIFF_CAP;
+        use crate::splice::DIFF_CAP;
         let mut mb = ModuleBuilder::new("m");
         mb.global("wide", (DIFF_CAP + 8) as u32);
         let module = mb.finish();

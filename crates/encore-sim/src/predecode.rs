@@ -2,20 +2,19 @@
 //!
 //! The [`Module`] representation optimizes for construction and
 //! transformation: blocks own `Vec<Inst>`, terminators live in an
-//! `Option`, and region membership requires a two-level map lookup.
-//! None of that suits an interpreter that retires hundreds of millions
-//! of dynamic instructions per campaign. [`DecodedModule`] flattens each
-//! function once, up front, into an index-addressable stream:
+//! `Option`, and a `SetRecovery`'s recovery block takes a region-map
+//! lookup. None of that suits an interpreter that retires hundreds of
+//! millions of dynamic instructions per campaign. [`DecodedModule`]
+//! flattens each function once, up front, into an index-addressable
+//! stream:
 //!
 //! * every instruction is lowered to a flat [`MicroOp`] (slow opcodes
 //!   keep a **borrow** of their `&Inst`) next to its precomputed charge
-//!   cost, instrumentation flag and [`InstRef`], so the `step` loop
-//!   never clones an instruction or a terminator;
-//! * every block is reduced to a `(start, len, terminator, region)`
-//!   record, with the region id **baked in** so per-instruction region
-//!   accounting is an array write instead of two `BTreeMap` probes;
-//! * the heap-site and region counts are recorded so the machine can
-//!   use dense `Vec`s (keyed by raw id) for its hot-loop counters.
+//!   cost and [`InstRef`], so the `step` loop never clones an
+//!   instruction or a terminator;
+//! * every block is reduced to a `(start, len, terminator)` record;
+//! * the heap-site count is recorded so the machine can keep its
+//!   per-site allocation table in a dense `Vec` keyed by raw id.
 //!
 //! Decoding is cheap (one pass over the static code) and a
 //! `DecodedModule` is immutable and shareable, so a fault-injection
@@ -138,8 +137,6 @@ pub(crate) struct DecodedInst<'m> {
     pub(crate) at: InstRef,
     /// Precomputed [`Inst::cost`].
     pub(crate) cost: u64,
-    /// Precomputed [`Inst::is_instrumentation`].
-    pub(crate) instrumentation: bool,
 }
 
 /// One pre-decoded block: a window into the function's flat stream.
@@ -150,8 +147,6 @@ pub(crate) struct DecodedBlock<'m> {
     pub(crate) len: u32,
     /// The terminator, borrowed (`None` only for malformed modules).
     pub(crate) term: Option<&'m Terminator>,
-    /// The region this block belongs to, resolved at decode time.
-    pub(crate) region: Option<RegionId>,
 }
 
 /// One pre-decoded function.
@@ -181,19 +176,17 @@ pub struct DecodedModule<'m> {
     /// Heap allocation sites the module can name (sizes the machine's
     /// dense allocation table).
     pub(crate) heap_site_count: usize,
-    /// Regions the map names (sizes the dense accounting counters).
-    pub(crate) region_count: usize,
 }
 
 impl<'m> DecodedModule<'m> {
-    /// Pre-decodes `module`, resolving region membership through `map`
-    /// when one is supplied.
+    /// Pre-decodes `module`, resolving each `SetRecovery`'s recovery
+    /// block through `map` when one is supplied.
     #[must_use]
     pub fn new(module: &'m Module, map: Option<&RegionMap>) -> Self {
         let mut heap_site_count = module.heap_sites as usize;
         let funcs = module
             .iter_funcs()
-            .map(|(fid, func)| {
+            .map(|(_, func)| {
                 let mut steps = Vec::with_capacity(func.static_inst_count());
                 let blocks = func
                     .iter_blocks()
@@ -207,22 +200,19 @@ impl<'m> DecodedModule<'m> {
                                 op: MicroOp::lower(inst, map),
                                 at: InstRef::new(bid, i),
                                 cost: inst.cost(),
-                                instrumentation: inst.is_instrumentation(),
                             });
                         }
                         DecodedBlock {
                             start,
                             len: block.insts.len() as u32,
                             term: block.term.as_ref(),
-                            region: map.and_then(|m| m.region_of(fid, bid)),
                         }
                     })
                     .collect();
                 DecodedFunc { steps, blocks }
             })
             .collect();
-        let region_count = map.map(|m| m.len()).unwrap_or(0);
-        Self { funcs, heap_site_count, region_count }
+        Self { funcs, heap_site_count }
     }
 
     /// The decoded function `f`.
@@ -241,7 +231,6 @@ impl std::fmt::Debug for DecodedModule<'_> {
         f.debug_struct("DecodedModule")
             .field("funcs", &self.funcs.len())
             .field("heap_site_count", &self.heap_site_count)
-            .field("region_count", &self.region_count)
             .finish()
     }
 }

@@ -37,14 +37,12 @@
 //! time and the telemetry-only [`ProbeCost`] move.
 
 use crate::fault::{FaultModelKind, FaultPlan};
+use crate::interp::{run_function_with_snapshots, Machine, RunConfig, RunResult, Trap, TrapKind};
 use crate::memory::ProbeCost;
-use crate::interp::{
-    run_function_with_snapshots, Advance, Machine, ProbeAt, RunConfig, RunResult, SpliceRule,
-    SpliceRun, Trap, TrapKind,
-};
 use crate::predecode::DecodedModule;
 use crate::rng::SplitMix64;
 use crate::snapshot::SnapshotLog;
+use crate::splice::{Advance, ProbeAt, SpliceRule, SpliceRun};
 use crate::value::Value;
 use encore_core::RegionMap;
 use encore_ir::{FuncId, Module};
@@ -263,14 +261,6 @@ impl SfiStats {
             return 0.0;
         }
         (self.benign + self.recovered) as f64 / self.injections as f64
-    }
-
-    /// Fraction of injections Encore actively recovered.
-    pub fn recovered_fraction(&self) -> f64 {
-        if self.injections == 0 {
-            return 0.0;
-        }
-        self.recovered as f64 / self.injections as f64
     }
 }
 

@@ -11,26 +11,27 @@
 //! ## What a snapshot must contain
 //!
 //! Restoring must be indistinguishable from having executed the prefix,
-//! so a snapshot captures everything the remaining execution can
-//! observe: the frame stack (registers, instruction pointers, armed
-//! recovery states and their checkpoint logs), the full [`Memory`]
-//! arena, the [`Externs`] environment (PRNG state, clock, output
-//! channel), the allocation bookkeeping (`frame_seq`, `heap_seq`, the
-//! per-site last-allocation table) and every counter the run reports or
+//! so a snapshot holds the machine's whole resumable
+//! [`State`](crate::interp::State), cloned at capture and cloned back at
+//! resume: the frame stack (registers, instruction pointers, armed
+//! recovery states and their checkpoint logs), the full
+//! [`Memory`](crate::Memory) arena, the [`Externs`](crate::Externs)
+//! environment (PRNG state, clock, output channel), the allocation
+//! bookkeeping (`frame_seq`, `heap_seq`, the per-site last-allocation
+//! table, the heap's cell total) and every counter the run reports or
 //! keys behavior off — `dyn_insts` (fuel, detection deadlines),
-//! `eligible_seen` (the injection ordinal), instrumentation and region
-//! accounting, and the checkpoint-log high-water mark. All counters are
-//! absolute, which is what makes resumption exact: a restored machine's
-//! fuel check and detection deadline arithmetic see the same numbers a
-//! from-scratch run would.
+//! `eligible_seen` (the injection ordinal), the checkpoint-log
+//! high-water mark and the activation count. No field is named at
+//! capture or resume, so a field added to the state is carried across
+//! without further code. All counters are absolute, which is what makes
+//! resumption exact: a restored machine's fuel check and detection
+//! deadline arithmetic see the same numbers a from-scratch run would.
 //!
 //! Snapshots are immutable once captured and shared via [`Arc`], so a
 //! campaign's worker threads restore from the same log without copying
 //! it per worker.
 
-use crate::externs::Externs;
-use crate::interp::Frame;
-use crate::memory::Memory;
+use crate::interp::State;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -102,46 +103,31 @@ pub struct Snapshot {
     /// [`SnapshotLog::push`]) — the key the splice's incremental probe
     /// state uses to track which golden intervals it has absorbed.
     pub(crate) index: usize,
-    pub(crate) frames: Vec<Frame>,
-    pub(crate) mem: Memory,
-    pub(crate) externs: Externs,
-    pub(crate) dyn_insts: u64,
-    pub(crate) instr_dyn: u64,
-    pub(crate) frame_seq: u32,
-    pub(crate) heap_seq: u32,
-    pub(crate) last_alloc_of_site: Vec<Option<u32>>,
-    pub(crate) region_dyn: Vec<u64>,
-    pub(crate) region_touched: Vec<bool>,
-    pub(crate) eligible_seen: u64,
-    pub(crate) ckpt_high_water: u64,
-    /// Region activations (`SetRecovery` executions) retired before
-    /// capture — resumed runs must keep numbering activations exactly
-    /// where the golden prefix left off so the convergence splice can
-    /// realign rolled-back runs against [`SnapshotLog::activation_dyn`].
-    pub(crate) activations: u64,
+    /// The machine's resumable state at capture.
+    pub(crate) state: State,
 }
 
 impl Snapshot {
     /// Dynamic instruction count at capture.
     #[must_use]
     pub fn dyn_insts(&self) -> u64 {
-        self.dyn_insts
+        self.state.dyn_insts
     }
 
     /// Fault-eligible instructions retired before capture. A snapshot
     /// can seed any injection whose target ordinal is `>=` this.
     #[must_use]
     pub fn eligible_seen(&self) -> u64 {
-        self.eligible_seen
+        self.state.eligible_seen
     }
 }
 
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("dyn_insts", &self.dyn_insts)
-            .field("eligible_seen", &self.eligible_seen)
-            .field("frames", &self.frames.len())
+            .field("dyn_insts", &self.dyn_insts())
+            .field("eligible_seen", &self.eligible_seen())
+            .field("frames", &self.state.control.frames.len())
             .finish_non_exhaustive()
     }
 }
@@ -192,18 +178,18 @@ impl SnapshotLog {
         }
     }
 
-    /// Appends a capture together with the golden dirty pages drained
-    /// since the previous capture (its interval page list).
-    pub(crate) fn push(&mut self, mut snap: Snapshot, mut interval: Vec<(u32, u32)>) {
+    /// Appends a capture of `state` together with the golden dirty
+    /// pages drained since the previous capture (its interval page
+    /// list).
+    pub(crate) fn push(&mut self, state: State, mut interval: Vec<(u32, u32)>) {
         debug_assert!(
-            self.snaps.last().map(|s| s.eligible_seen <= snap.eligible_seen).unwrap_or(true),
+            self.snaps.last().map(|s| s.eligible_seen() <= state.eligible_seen).unwrap_or(true),
             "snapshots must be captured in execution order"
         );
-        snap.index = self.snaps.len();
         interval.sort_unstable();
         interval.dedup();
         self.interval_pages.push(interval);
-        self.snaps.push(Arc::new(snap));
+        self.snaps.push(Arc::new(Snapshot { index: self.snaps.len(), state }));
     }
 
     /// The capture stride this log was built with (0 = disabled).
@@ -229,7 +215,7 @@ impl SnapshotLog {
     /// injection at `ordinal`. `None` means start from scratch.
     #[must_use]
     pub fn nearest_at_or_before(&self, ordinal: u64) -> Option<&Arc<Snapshot>> {
-        let n = self.snaps.partition_point(|s| s.eligible_seen <= ordinal);
+        let n = self.snaps.partition_point(|s| s.eligible_seen() <= ordinal);
         n.checked_sub(1).map(|i| &self.snaps[i])
     }
 
@@ -250,7 +236,7 @@ impl SnapshotLog {
 
     /// Index of the first snapshot captured at `dyn_insts >= d`.
     pub(crate) fn first_at_or_after_dyn(&self, d: u64) -> usize {
-        self.snaps.partition_point(|s| s.dyn_insts < d)
+        self.snaps.partition_point(|s| s.dyn_insts() < d)
     }
 
     /// Sorted golden-written pages in the interval ending at snapshot
@@ -287,10 +273,11 @@ impl SnapshotLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::{run_function_with_snapshots, RunConfig};
+    use crate::interp::{run_function, run_function_with_snapshots, Machine, RunConfig};
     use crate::predecode::DecodedModule;
     use crate::value::Value;
-    use encore_ir::{BinOp, ModuleBuilder, Operand};
+    use encore_core::{Encore, EncoreConfig};
+    use encore_ir::{AddrExpr, BinOp, ExtEffect, MemBase, Module, ModuleBuilder, Operand};
 
     fn log_for(stride: u64) -> SnapshotLog {
         let mut mb = ModuleBuilder::new("m");
@@ -357,6 +344,110 @@ mod tests {
         // Empty trailing chunks share the downstream summary.
         let shared = suffix_union(vec![vec![], vec![], vec![(3, 3)]], 2);
         assert!(Arc::ptr_eq(&shared[0], &shared[1]));
+    }
+
+    /// Draws a PRNG value into a heap object, then runs a loop that
+    /// rewrites four global cells per iteration and a loop that rewrites
+    /// one per iteration through a callee with a slot, and prints. The
+    /// first loop's checkpoint log is the larger, so a capture in the
+    /// second has a high-water mark its suffix never reaches again.
+    fn two_phase_kernel() -> Module {
+        let mut mb = ModuleBuilder::new("two_phase");
+        let tab = mb.global_init("tab", 4, vec![1, 2, 3, 4]);
+        let acc = mb.global("acc", 1);
+        let mix = mb.function("mix", 1, |f| {
+            let s = f.slot(1);
+            f.store(AddrExpr::slot(s, 0), f.param(0).into());
+            let v = f.load(AddrExpr::slot(s, 0));
+            let r = f.bin(BinOp::Mul, v.into(), Operand::ImmI(3));
+            f.ret(Some(r.into()));
+        });
+        mb.function("main", 1, |f| {
+            let n = f.param(0);
+            let seed = f.call_ext("prng_range", &[Operand::ImmI(100)], ExtEffect::Opaque);
+            let heap = f.alloc(Operand::ImmI(2));
+            f.store(AddrExpr::reg(heap, 1), seed.into());
+            f.for_range(Operand::ImmI(0), n.into(), |f, i| {
+                for k in 0..4 {
+                    let v = f.load(AddrExpr::global(tab, k));
+                    let w = f.bin(BinOp::Add, v.into(), i.into());
+                    f.store(AddrExpr::global(tab, k), w.into());
+                }
+            });
+            f.for_range(Operand::ImmI(0), n.into(), |f, i| {
+                let m = f.call(mix, &[i.into()]);
+                let v = f.load(AddrExpr::global(acc, 0));
+                let w = f.bin(BinOp::Add, v.into(), m.into());
+                f.store(AddrExpr::global(acc, 0), w.into());
+            });
+            let h = f.load(AddrExpr::reg(heap, 1));
+            f.call_ext_void("print_i64", &[h.into()], ExtEffect::Opaque);
+            let a = f.load(AddrExpr::global(acc, 0));
+            f.ret(Some(a.into()));
+        });
+        mb.finish()
+    }
+
+    /// A loop calling a function whose own loop rewrites a prefix of a
+    /// global array, so captures land inside callee frames with a
+    /// recovery armed.
+    fn nested_kernel() -> Module {
+        let mut mb = ModuleBuilder::new("nested");
+        let buf = mb.global("buf", 16);
+        let inner = mb.function("inner", 1, |f| {
+            let n = f.param(0);
+            f.for_range(Operand::ImmI(0), n.into(), |f, j| {
+                let at = AddrExpr::indexed(MemBase::Global(buf), j, 1, 0);
+                let v = f.load(at);
+                let w = f.bin(BinOp::Add, v.into(), j.into());
+                f.store(at, w.into());
+            });
+            f.ret(None);
+        });
+        mb.function("outer", 1, |f| {
+            let n = f.param(0);
+            f.for_range(Operand::ImmI(0), n.into(), |f, i| {
+                let k = f.bin(BinOp::Rem, i.into(), Operand::ImmI(16));
+                f.call(inner, &[k.into()]);
+            });
+            let v = f.load(AddrExpr::global(buf, 3));
+            f.ret(Some(v.into()));
+        });
+        mb.finish()
+    }
+
+    /// Every field of a run survives capture and resume: a machine
+    /// restored from any golden snapshot of an instrumented kernel runs
+    /// to the same [`RunResult`](crate::RunResult) as the uninterrupted
+    /// run, down to the counters no outcome reads.
+    #[test]
+    fn resumed_runs_equal_the_uninterrupted_run() {
+        for (module, arg) in [(two_phase_kernel(), 24), (nested_kernel(), 20)] {
+            let entry = encore_ir::FuncId::new(module.funcs.len() as u32 - 1);
+            let args = [Value::Int(arg)];
+            let train = run_function(
+                &module,
+                None,
+                entry,
+                &args,
+                &RunConfig { collect_profile: true, ..RunConfig::default() },
+            );
+            let outcome = Encore::new(EncoreConfig::default().with_overhead_budget(1e9))
+                .run(&module, train.profile.as_ref().expect("profile"));
+            let (m, map) = (&outcome.instrumented.module, Some(&outcome.instrumented.map));
+            let config = RunConfig::default();
+            let golden = run_function(m, map, entry, &args, &config);
+            assert!(golden.completed && golden.ckpt_high_water_bytes > 0, "{}", module.name);
+            let code = DecodedModule::new(m, map);
+            let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
+            assert!(log.len() > 100, "{}: {} snapshots", module.name, log.len());
+            for snap in &log.snaps {
+                let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                let trap = resumed.run_to_end();
+                let at = snap.dyn_insts();
+                assert_eq!(resumed.into_result(trap), golden, "{}, from {at}", module.name);
+            }
+        }
     }
 
     #[test]

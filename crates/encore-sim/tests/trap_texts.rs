@@ -6,11 +6,12 @@
 //!
 //! Every case is a one-function module whose single faulty instruction
 //! follows one `Mov`, so each trap fires at dynamic instruction 2 (3
-//! after the two-cost `CheckpointMem`, 1 at the free `Restore`).
+//! after the two-cost `CheckpointMem` or a first `Alloc`, 1 at the free
+//! `Restore`).
 
 use encore_ir::{
     AddrExpr, BinOp, FunctionBuilder, GlobalId, Inst, MemBase, Module, ModuleBuilder, Operand,
-    RegionId, UnOp,
+    RegionId, UnOp, MAX_OBJECT_CELLS,
 };
 use encore_sim::{run_function, RunConfig, Trap, TrapKind, Value};
 
@@ -106,6 +107,23 @@ fn every_symptom_trap_has_its_pinned_kind_text_and_position() {
             }),
             [int(-1), int(0)],
             mem("alloc size must be a non-negative int", 2),
+        ),
+        (
+            "allocation past the heap bound",
+            module(|f, _| {
+                f.alloc(f.param(0).into());
+            }),
+            [int(i64::from(MAX_OBJECT_CELLS) + 1), int(0)],
+            mem("alloc of 16777217 cells exceeds the heap's 16777216-cell bound (0 in use)", 2),
+        ),
+        (
+            "allocations summing past the heap bound",
+            module(|f, _| {
+                f.alloc(Operand::ImmI(8));
+                f.alloc(f.param(0).into());
+            }),
+            [int(i64::from(MAX_OBJECT_CELLS) - 7), int(0)],
+            mem("alloc of 16777209 cells exceeds the heap's 16777216-cell bound (8 in use)", 3),
         ),
         (
             "bin type error",

@@ -29,12 +29,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc --offline (rustdoc -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# The experiment binaries regenerate EXPERIMENTS.md's tables and
-# figures; run them at small campaign sizes so a panic or a nonzero
-# exit fails here rather than when the document is next regenerated.
-echo "==> experiment binaries (experiments --sfi 150, ablations --sfi 120)"
-./target/release/experiments --sfi 150 > /dev/null
-./target/release/ablations --sfi 120 > /dev/null
+# EXPERIMENTS.md quotes the experiment binaries verbatim: rerun the
+# command of every labelled block and fail on any line that differs, so
+# an outcome change must be written back to the document.
+echo "==> EXPERIMENTS.md verbatim blocks (experiments --sfi 150, ablations --sfi 120)"
+scripts/check-experiments.sh
 
 # Fixed-seed campaign smoke: exercises the snapshot-and-resume +
 # convergence-splice injection path end-to-end on a real workload, once
@@ -56,12 +55,17 @@ done
 # outcomes. Catches a splice path that silently stopped firing — a pure
 # performance regression invisible to correctness tests. Also run in
 # release: the campaign memo's invisibility test (memo'd reports equal
-# executed ones, and the memo must answer some runs) and the -0.0
-# regression (a sign-bit flip the splice once certified as recovered).
+# executed ones, and the memo must answer some runs), the -0.0
+# regression (a sign-bit flip the splice once certified as recovered)
+# and the faulted-alloc containment test (a grown `alloc` size once
+# aborted the process). The resume-exactness test (a run resumed from
+# any golden snapshot ends in the uninterrupted run's `RunResult`) is an
+# encore-sim unit test, so the release encore-sim step above runs it.
 echo "==> divergence-splice smoke (fixed seed)"
 cargo test --release -q --offline --test sfi_campaign -- \
     splice_smoke_all_rules_engage splice_never_changes_campaign_results \
-    memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome
+    memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome \
+    faulted_alloc_sizes_are_contained
 
 # Differential fuzz smoke: 64 machine-generated programs (fixed seed —
 # cases are a pure function of the property name and index) through the

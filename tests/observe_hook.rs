@@ -76,9 +76,8 @@ const KERNEL_DIGESTS: [(&str, u64, u64, u64); 23] = [
 ];
 
 /// Every kernel: the observed training run equals the plain one, the
-/// instrumented module's observed run (with region accounting) equals
-/// its plain run, and the profile, trace and golden snapshot log match
-/// their pinned digests.
+/// instrumented module's observed run equals its plain run, and the
+/// profile, trace and golden snapshot log match their pinned digests.
 #[test]
 fn observed_kernel_runs_match_plain_runs_and_pinned_views() {
     let workloads = encore::workloads::all();
@@ -96,14 +95,14 @@ fn observed_kernel_runs_match_plain_runs_and_pinned_views() {
 
         let inst = protect(&w.module, profile);
         let map = Some(&inst.map);
-        let accounting = RunConfig { region_accounting: true, ..RunConfig::default() };
-        let plain = run_function(&inst.module, map, w.entry, &args, &accounting);
-        let observed = run_function(&inst.module, map, w.entry, &args, &observe(&accounting));
+        let config = RunConfig::default();
+        let plain = run_function(&inst.module, map, w.entry, &args, &config);
+        let observed = run_function(&inst.module, map, w.entry, &args, &observe(&config));
         assert_same_run(&plain, &observed, name);
 
         let code = DecodedModule::new(&inst.module, map);
         let (golden, log) =
-            run_function_with_snapshots(&inst.module, map, &code, w.entry, &args, &accounting, 64);
+            run_function_with_snapshots(&inst.module, map, &code, w.entry, &args, &config, 64);
         assert_eq!(golden, plain, "{name}: snapshot capture changed the run");
         got.push((name, digest(profile), digest(trace), digest(&log)));
     }
@@ -141,7 +140,6 @@ fn observed_fuzz_runs_match_plain_runs() {
             let plan = sfi.plan_for(k as u64, golden.eligible_insts.max(1));
             let config = RunConfig {
                 fuel: golden.dyn_insts * 4 + 1000,
-                region_accounting: true,
                 fault: Some(plan),
                 ..RunConfig::default()
             };

@@ -12,16 +12,18 @@
 //!   independently derivable members;
 //! * every [`FaultOutcome`] variant is reachable, and the snapshot and
 //!   from-scratch paths (a `snapshot_stride: 0` campaign) agree on each
-//!   of them.
+//!   of them;
+//! * a fault cannot take the process down: a faulted `alloc` size is a
+//!   classified outcome, not an aborted campaign.
 
 use encore::core::{Encore, EncoreConfig, RegionInfo, RegionMap};
 use encore::sim::{
     run_function, CampaignReport, FaultAction, FaultModelKind, FaultOutcome, FaultPlan, RunConfig,
-    SfiCampaign, SfiConfig, SpliceRule, Value,
+    SfiCampaign, SfiConfig, SpliceRule, TrapKind, Value,
 };
 use encore_ir::{
-    AddrExpr, BinOp, BlockId, ExtEffect, FuncId, Inst, MemBase, ModuleBuilder, Operand, RegionId,
-    UnOp,
+    parse_module, AddrExpr, BinOp, BlockId, ExtEffect, FuncId, Inst, MemBase, ModuleBuilder,
+    Operand, RegionId, UnOp,
 };
 
 /// Profiles and instruments `spec` (a workload name, or `name@Nx` for a
@@ -301,6 +303,83 @@ fn negative_zero_flip_splices_to_the_no_splice_outcome() {
         }
     }
     assert!(corrupted > 0, "no plan left a -0.0 behind");
+}
+
+/// Two kernels whose `alloc` size comes from the input, `(arg & 7) + 4`:
+/// one allocates once, the other 64 times in a loop. A fault in the
+/// size's computation can ask for any number of cells.
+const ALLOC_KERNELS: [&str; 2] = [
+    r#"module "alloc_size" {
+  heap_sites 1
+  func "main" params=1 regs=4 slots=[] {
+  bb0:
+    r1 = and r0, 7
+    r2 = add r1, 4
+    r3 = alloc h0, r2
+    store [r3][0], r2
+    r1 = load [r3][0]
+    ret r1
+  }
+}
+"#,
+    r#"module "alloc_loop" {
+  heap_sites 1
+  func "main" params=1 regs=7 slots=[] {
+  bb0:
+    r1 = and r0, 7
+    r2 = add r1, 4
+    r4 = mov 0
+    r5 = mov 0
+    jmp bb1
+  bb1:
+    r3 = alloc h0, r2
+    store [r3][0], r2
+    r6 = load [r3][0]
+    r5 = add r5, r6
+    r4 = add r4, 1
+    r1 = lt r4, 64
+    br r1, bb1, bb2
+  bb2:
+    ret r5
+  }
+}
+"#,
+];
+
+/// Regression: a fault that grew an `alloc` size aborted the whole
+/// process, on a failed host allocation or a `LayoutError` panic. The
+/// heap now holds at most `MAX_OBJECT_CELLS` cells and a request past
+/// that traps, so a flip of bit 40 of the size is a detected symptom,
+/// and campaigns over both kernels, protected as `encore sfi` protects
+/// them, classify every injection under every fault model.
+#[test]
+fn faulted_alloc_sizes_are_contained() {
+    for text in ALLOC_KERNELS {
+        let m = parse_module(text).expect("kernel parses");
+        let (entry, args) = (FuncId::new(0), [Value::Int(5)]);
+        // Ordinal 1 is the `add` computing the size; the `alloc` runs
+        // within the detection latency.
+        let faulted = RunConfig { fault: Some(FaultPlan::bit_flip(1, 40, 10)), ..Default::default() };
+        let r = run_function(&m, None, entry, &args, &faulted);
+        assert!(r.fault.injected && r.fault.detected, "{}: {r:?}", m.name);
+        assert_eq!(r.trap.map(|t| t.kind), Some(TrapKind::DetectedUnrecoverable), "{}", m.name);
+
+        let profiled = RunConfig { collect_profile: true, ..Default::default() };
+        let train = run_function(&m, None, entry, &args, &profiled);
+        let inst = Encore::new(EncoreConfig::default())
+            .run(&m, train.profile.as_ref().expect("profile"))
+            .instrumented;
+        for model in FaultModelKind::ALL {
+            let config =
+                SfiConfig { injections: 40, seed: 3, workers: 1, model, ..Default::default() };
+            let campaign =
+                SfiCampaign::prepare(&inst.module, Some(&inst.map), entry, &args, &config)
+                    .expect("golden run completes");
+            let stats = campaign.run(&config);
+            let classified: usize = FaultOutcome::ALL.iter().map(|&o| stats.count(o)).sum();
+            assert_eq!((stats.injections, classified), (40, 40), "{}, {model}", m.name);
+        }
+    }
 }
 
 /// Builds a RegionMap with one entry per (func, header, recovery block).
