@@ -67,4 +67,6 @@ pub use ids::{BlockId, FuncId, GlobalId, HeapId, InstRef, Reg, RegionId, SlotId}
 pub use inst::{BinOp, ExtEffect, Inst, Operand, Terminator, UnOp};
 pub use module::{GlobalDecl, Module};
 pub use parse::{parse_module, ParseError};
-pub use verify::{verify_module, VerifyError, MAX_OBJECT_CELLS};
+pub use verify::{
+    verify_module, VerifyError, MAX_GLOBAL_CELLS, MAX_HEAP_SITES, MAX_OBJECT_CELLS, MAX_REGS,
+};

@@ -2,8 +2,9 @@
 //!
 //! The verifier catches malformed IR early: unterminated blocks, dangling
 //! block/register/slot/global/function references, arity mismatches on
-//! calls, and globals or slots too large to allocate. All analyses and
-//! the simulator assume a verified module.
+//! calls, and globals, slots, register files or heap-site tables too
+//! large to allocate. All analyses and the simulator assume a verified
+//! module.
 
 use crate::addr::{AddrExpr, MemBase, Offset};
 use crate::function::Function;
@@ -15,9 +16,28 @@ use std::fmt;
 
 /// Most cells a global or a stack slot may declare: every object is
 /// allocated whole when the program starts or the frame is pushed, so
-/// the bound keeps a module from asking for gigabytes. The largest
-/// object in the 100× workload corpus has 57,600 cells.
+/// the bound keeps a module from asking for gigabytes. The simulator
+/// bounds the cells of all heap and slot objects together by the same
+/// number. The largest object in the 100× workload corpus has 57,600
+/// cells.
 pub const MAX_OBJECT_CELLS: u32 = 1 << 24;
+
+/// Most cells a module's globals may declare in all: twice
+/// [`MAX_OBJECT_CELLS`], so one global at the object bound leaves room
+/// for the rest. The largest total in the 100× workload corpus is
+/// 83,300 cells (164.gzip).
+pub const MAX_GLOBAL_CELLS: u64 = 2 * MAX_OBJECT_CELLS as u64;
+
+/// Most registers a function may declare: every activation allocates
+/// its register file whole. The corpus kernels use at most 47 and the
+/// fuzz programs at most 104.
+pub const MAX_REGS: u32 = 1 << 16;
+
+/// Most heap allocation sites a module may declare: a machine keeps the
+/// latest allocation of every site in a table that each snapshot and
+/// each resumed run copies. No corpus or fuzz module declares more than
+/// one.
+pub const MAX_HEAP_SITES: u32 = 1 << 16;
 
 /// An IR structural error found by [`verify_module`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -117,6 +137,12 @@ impl Checker<'_> {
                 ));
             }
         }
+        if self.func.reg_count > MAX_REGS {
+            self.err(format!(
+                "{} registers, more than the {MAX_REGS} allowed",
+                self.func.reg_count
+            ));
+        }
         if self.func.param_count > self.func.reg_count {
             self.err(format!(
                 "param_count {} exceeds reg_count {}",
@@ -171,18 +197,30 @@ impl Checker<'_> {
 /// Returns all problems found (not just the first) as a vector of
 /// [`VerifyError`].
 pub fn verify_module(module: &Module) -> Result<(), Vec<VerifyError>> {
+    let module_error = |message| VerifyError { func: String::new(), message };
     let mut errors: Vec<VerifyError> = module
         .globals
         .iter()
         .filter(|g| g.cells > MAX_OBJECT_CELLS)
-        .map(|g| VerifyError {
-            func: String::new(),
-            message: format!(
+        .map(|g| {
+            module_error(format!(
                 "global `{}` has {} cells, more than the {MAX_OBJECT_CELLS} allowed",
                 g.name, g.cells
-            ),
+            ))
         })
         .collect();
+    let global_cells: u64 = module.globals.iter().map(|g| u64::from(g.cells)).sum();
+    if global_cells > MAX_GLOBAL_CELLS {
+        errors.push(module_error(format!(
+            "globals have {global_cells} cells in all, more than the {MAX_GLOBAL_CELLS} allowed"
+        )));
+    }
+    if module.heap_sites > MAX_HEAP_SITES {
+        errors.push(module_error(format!(
+            "{} heap sites, more than the {MAX_HEAP_SITES} allowed",
+            module.heap_sites
+        )));
+    }
     for func in &module.funcs {
         let mut checker = Checker { module, func, errors: Vec::new() };
         checker.check_function();
@@ -283,6 +321,33 @@ mod tests {
         m.globals[0].cells = MAX_OBJECT_CELLS;
         m.funcs[0].slots[0].cells = MAX_OBJECT_CELLS;
         assert!(verify_module(&m).is_ok(), "the bound itself is allowed");
+    }
+
+    /// Register files, the globals' total and the heap-site table are
+    /// allocated whole before the first instruction runs, so each is
+    /// bounded here; the bounds themselves are allowed.
+    #[test]
+    fn oversized_register_files_global_totals_and_site_tables_rejected() {
+        let mut m = valid_module();
+        m.funcs[0].reg_count = 4_000_000_000;
+        m.heap_sites = MAX_HEAP_SITES + 1;
+        m.globals[0].cells = MAX_OBJECT_CELLS;
+        m.globals.push(m.globals[0].clone());
+        m.globals.push(m.globals[0].clone());
+        let errs: Vec<String> =
+            verify_module(&m).unwrap_err().iter().map(ToString::to_string).collect();
+        assert_eq!(
+            errs,
+            [
+                "globals have 50331648 cells in all, more than the 33554432 allowed",
+                "65537 heap sites, more than the 65536 allowed",
+                "in function `f`: 4000000000 registers, more than the 65536 allowed",
+            ]
+        );
+        m.funcs[0].reg_count = MAX_REGS;
+        m.heap_sites = MAX_HEAP_SITES;
+        m.globals.pop();
+        assert!(verify_module(&m).is_ok(), "the bounds themselves are allowed");
     }
 
     #[test]

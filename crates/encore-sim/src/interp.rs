@@ -45,10 +45,18 @@ use encore_ir::{
 };
 use std::fmt;
 
+/// Most activations the call stack holds. A `Call` past it raises the
+/// memory trap heap exhaustion raises, so runaway recursion is a
+/// symptom, not an aborted process: with at most
+/// [`MAX_REGS`](encore_ir::MAX_REGS) registers of 16 bytes per frame,
+/// the deepest stack's register files take at most 1 GiB.
+const MAX_CALL_DEPTH: usize = 1 << 10;
+
 /// Why a run stopped abnormally.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TrapKind {
-    /// Memory access violation (out of bounds / dangling handle).
+    /// Memory access violation (out of bounds / dangling handle), or a
+    /// memory bound exhausted (heap and slot cells, call depth).
     Memory(String),
     /// Operator/type error.
     Eval(String),
@@ -241,7 +249,8 @@ pub(crate) struct Frame {
 /// a field added here is captured and restored without further code.
 #[derive(Clone)]
 pub(crate) struct State {
-    /// Frames, extern environment and allocation counters.
+    /// Frames, extern environment and the latest allocation of each
+    /// heap site.
     pub(crate) control: ControlState,
     /// The memory arena. Its dirty bits are bookkeeping, reset at
     /// resume.
@@ -257,6 +266,12 @@ pub(crate) struct State {
     /// left off and the splice can realign it against
     /// [`SnapshotLog::activation_dyn`].
     pub(crate) activations: u64,
+    /// Activations created so far. It only names slot objects
+    /// ([`ObjKind::Slot`]); no instruction reads it.
+    pub(crate) frame_seq: u32,
+    /// Heap allocations so far. It only names heap objects
+    /// ([`ObjKind::Heap`]), and equals the number of them.
+    pub(crate) heap_seq: u32,
 }
 
 /// The part of [`State`] that, with memory, decides the rest of a run
@@ -270,10 +285,6 @@ pub(crate) struct State {
 pub(crate) struct ControlState {
     /// The call stack, innermost last.
     pub(crate) frames: Vec<Frame>,
-    /// Activations created so far (names slot objects).
-    pub(crate) frame_seq: u32,
-    /// Heap allocations so far (names heap objects).
-    pub(crate) heap_seq: u32,
     /// The latest allocation of each heap site, by raw site id.
     pub(crate) last_alloc_of_site: Vec<Option<u32>>,
     /// PRNG, clock and output channel.
@@ -764,8 +775,6 @@ impl<'m, 'c> Machine<'m, 'c> {
     ) -> Self {
         let control = ControlState {
             frames: Vec::new(),
-            frame_seq: 0,
-            heap_seq: 0,
             last_alloc_of_site: vec![None; code.heap_site_count],
             externs: Externs::new(EXTERN_SEED),
         };
@@ -776,6 +785,8 @@ impl<'m, 'c> Machine<'m, 'c> {
             eligible_seen: 0,
             ckpt_high_water: 0,
             activations: 0,
+            frame_seq: 0,
+            heap_seq: 0,
         };
         let mut m = Self::with_state(module, code, map, state, config);
         m.obs.profile = config.collect_profile.then(|| Profile::empty_for(module));
@@ -872,8 +883,8 @@ impl<'m, 'c> Machine<'m, 'c> {
         slots.clear();
         log.clear();
         let state = &mut self.state;
-        let frame_no = state.control.frame_seq;
-        state.control.frame_seq += 1;
+        let frame_no = state.frame_seq;
+        state.frame_seq += 1;
         for (i, s) in f.slots.iter().enumerate() {
             let kind = ObjKind::Slot { frame: frame_no, slot: i as u32 };
             let handle = state
@@ -1017,8 +1028,9 @@ impl<'m, 'c> Machine<'m, 'c> {
         let stop = {
             let fuel = self.fuel;
             let Machine { state, fault, telemetry, splice, obs, .. } = self;
-            let State { control, mem, dyn_insts, eligible_seen, ckpt_high_water, activations } =
-                state;
+            let State {
+                control, mem, dyn_insts, eligible_seen, ckpt_high_water, activations, ..
+            } = state;
             let ControlState { frames, last_alloc_of_site, .. } = control;
             let frame = frames.last_mut().expect("frame");
             let mut block = dfunc.block(frame.block);
@@ -1182,14 +1194,23 @@ impl<'m, 'c> Machine<'m, 'c> {
                 let state = &mut self.state;
                 let handle = state
                     .mem
-                    .alloc(ObjKind::Heap(state.control.heap_seq), n as usize)
+                    .alloc(ObjKind::Heap(state.heap_seq), n as usize)
                     .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at })?;
-                state.control.heap_seq += 1;
+                state.heap_seq += 1;
                 // Decode sized the table over every Alloc site.
                 state.control.last_alloc_of_site[site.index()] = Some(handle);
                 self.set_reg(*dst, Value::Ptr { obj: handle, idx: 0 });
             }
             Inst::Call { callee, dst, args } => {
+                if self.state.control.frames.len() >= MAX_CALL_DEPTH {
+                    return Err(memory_trap(
+                        self.state.dyn_insts,
+                        format_args!(
+                            "call to `{}` exceeds the {MAX_CALL_DEPTH}-frame call-depth bound",
+                            self.module.func(*callee).name
+                        ),
+                    ));
+                }
                 let mut frame = self.new_frame(*callee, *dst)?;
                 let caller = self.state.control.frames.last().expect("frame");
                 let params = self.module.func(*callee).param_count as usize;
@@ -1697,7 +1718,8 @@ mod tests {
     /// The campaign memo's exact compare looks at every part of the
     /// state its key hashes, so a key collision can never pass as a
     /// match: each single change below makes two otherwise identical
-    /// machines differ.
+    /// machines differ. The counters that only name objects are not
+    /// part of it: machines that differ only there compare equal.
     #[test]
     fn same_probe_state_compares_everything_the_key_hashes() {
         let mut mb = ModuleBuilder::new("m");
@@ -1719,7 +1741,7 @@ mod tests {
         let diff = [(0u32, 1u32)];
         assert!(fresh().same_probe_state(&diff, &fresh(), &diff));
         type Change = fn(&mut Machine<'_, '_>);
-        let changes: [(&str, Change); 9] = [
+        let changes: [(&str, Change); 7] = [
             ("register", |b| b.state.control.frames[0].regs[0] = Value::Int(7)),
             ("position", |b| b.state.control.frames[0].ip = 1),
             ("extern state", |b| {
@@ -1727,8 +1749,6 @@ mod tests {
             }),
             ("output", |b| b.state.control.externs.output.push(1)),
             ("diff cell value", |b| b.state.mem.write(0, 1, Value::Int(5)).expect("in bounds")),
-            ("frame_seq", |b| b.state.control.frame_seq += 1),
-            ("heap_seq", |b| b.state.control.heap_seq += 1),
             ("heap allocation", |b| b.state.control.last_alloc_of_site[0] = Some(9)),
             ("rollback flag", |b| b.telemetry.rolled_back = true),
         ];
@@ -1736,6 +1756,15 @@ mod tests {
             let mut b = fresh();
             change(&mut b);
             assert!(!fresh().same_probe_state(&diff, &b, &diff), "{what} ignored");
+        }
+        let names: [(&str, Change); 2] = [
+            ("frame_seq", |b| b.state.frame_seq += 1),
+            ("heap_seq", |b| b.state.heap_seq += 1),
+        ];
+        for (what, rename) in names {
+            let mut b = fresh();
+            rename(&mut b);
+            assert!(fresh().same_probe_state(&diff, &b, &diff), "{what} compared as state");
         }
         assert!(!fresh().same_probe_state(&diff, &fresh(), &[(0, 0)]), "diff cells ignored");
         let faulted = RunConfig { fault: Some(FaultPlan::bit_flip(0, 0, 0)), ..Default::default() };

@@ -49,6 +49,17 @@ impl MemObject {
     pub fn cells(&self) -> &[Value] {
         &self.cells
     }
+
+    /// `true` when the two objects have the same kind variant (global,
+    /// slot or heap) and cell count: the shape the state compares check.
+    /// The numbers inside the kind only name the object — no
+    /// instruction reads them — so two runs that allocated the same
+    /// objects under different activation or allocation numbers compare
+    /// cell by cell.
+    fn same_shape(&self, other: &Self) -> bool {
+        std::mem::discriminant(&self.kind) == std::mem::discriminant(&other.kind)
+            && self.cells.len() == other.cells.len()
+    }
 }
 
 /// Equality is contents-only: the dirty bookkeeping is a comparison
@@ -109,13 +120,19 @@ fn handles_exhausted(kind: ObjKind) -> MemError {
 
 #[cold]
 #[inline(never)]
-fn heap_exhausted(cells: usize, used: usize) -> MemError {
-    MemError {
-        message: format!(
+fn cells_exhausted(kind: ObjKind, cells: usize, used: usize) -> MemError {
+    let message = if let ObjKind::Heap(_) = kind {
+        format!(
             "alloc of {cells} cells exceeds the heap's {MAX_OBJECT_CELLS}-cell bound \
              ({used} in use)"
-        ),
-    }
+        )
+    } else {
+        format!(
+            "slot of {cells} cells exceeds the {MAX_OBJECT_CELLS}-cell bound on heap and slot \
+             cells ({used} in use)"
+        )
+    };
+    MemError { message }
 }
 
 /// The machine's memory state.
@@ -124,8 +141,9 @@ pub struct Memory {
     objects: Vec<MemObject>,
     /// Number of globals (the first `global_count` objects).
     global_count: usize,
-    /// Cells in heap objects, the total `Alloc` bounds.
-    heap_cells: usize,
+    /// Cells in heap and slot objects, the total [`Memory::alloc`]
+    /// bounds.
+    alloc_cells: usize,
     /// Objects with a nonempty `touched` list (drain work list).
     touched_objs: Vec<u32>,
 }
@@ -162,7 +180,7 @@ impl Memory {
         Self {
             objects,
             global_count: module.globals.len(),
-            heap_cells: 0,
+            alloc_cells: 0,
             touched_objs: Vec::new(),
         }
     }
@@ -176,20 +194,19 @@ impl Memory {
     /// # Errors
     ///
     /// A [`MemError`] when every `u32` handle is in use (the table never
-    /// hands out a truncated handle), or when a heap object would take
-    /// the heap past [`MAX_OBJECT_CELLS`] cells in total. The bound is
-    /// checked before allocating: a faulted size can ask for more
-    /// memory than the host has, and a failed host allocation aborts
-    /// the process instead of trapping.
+    /// hands out a truncated handle), or when the object would take the
+    /// heap and slot objects past [`MAX_OBJECT_CELLS`] cells in total.
+    /// The bound is checked before allocating: a faulted size can ask
+    /// for more memory than the host has, deep calls can push many
+    /// large slots, and a failed host allocation aborts the process
+    /// instead of trapping.
     pub fn alloc(&mut self, kind: ObjKind, cells: usize) -> Result<u32, MemError> {
         let handle = u32::try_from(self.objects.len()).map_err(|_| handles_exhausted(kind))?;
-        if let ObjKind::Heap(_) = kind {
-            let used = self.heap_cells;
-            if cells > MAX_OBJECT_CELLS as usize - used {
-                return Err(heap_exhausted(cells, used));
-            }
-            self.heap_cells += cells;
+        let used = self.alloc_cells;
+        if cells > MAX_OBJECT_CELLS as usize - used {
+            return Err(cells_exhausted(kind, cells, used));
         }
+        self.alloc_cells += cells;
         let pages = cells.div_ceil(PAGE_CELLS);
         self.objects.push(MemObject {
             kind,
@@ -328,10 +345,12 @@ impl Memory {
     ///
     /// Returns `false` — leaving `out` in an unspecified state — when
     /// the two memories are not cell-comparable (different object
-    /// counts, kinds or sizes) or the diff exceeds `cap`; `true` means
-    /// `out` is the *complete* diff. The divergence splice treats
-    /// `false` as "cannot certify", so the bound is a performance cap,
-    /// never a soundness concern.
+    /// counts, kind variants or sizes) or the diff exceeds `cap`; `true`
+    /// means `out` is the *complete* diff. The numbers inside an
+    /// object's [`ObjKind`] only name it, so two objects that differ
+    /// only there are compared cell by cell. The divergence splice
+    /// treats `false` as "cannot certify", so the bound is a performance
+    /// cap, never a soundness concern.
     ///
     /// This is the full-scan reference compare — O(state). The splice
     /// probes with [`Memory::diff_cells_dirty`], which short-circuits
@@ -344,7 +363,7 @@ impl Memory {
             return false;
         }
         for (h, (a, b)) in self.objects.iter().zip(other.objects.iter()).enumerate() {
-            if a.kind != b.kind || a.cells.len() != b.cells.len() {
+            if !a.same_shape(b) {
                 return false;
             }
             if a.cells == b.cells {
@@ -405,8 +424,7 @@ impl Memory {
             return false;
         }
         for h in base_objects..self.objects.len() {
-            let (a, b) = (&self.objects[h], &golden.objects[h]);
-            if a.kind != b.kind || a.cells.len() != b.cells.len() {
+            if !self.objects[h].same_shape(&golden.objects[h]) {
                 return false;
             }
         }
@@ -623,8 +641,10 @@ mod tests {
     }
 
     /// Shape mismatches are incomparable regardless of cell contents:
-    /// differing object counts (an extra allocation), kinds and sizes
-    /// all fail before any cell is compared.
+    /// differing object counts (an extra allocation), kind variants and
+    /// sizes all fail before any cell is compared, in both compares.
+    /// Kinds that differ only in the frame or heap numbers naming the
+    /// object are the same shape: both compares report an empty diff.
     #[test]
     fn diff_cells_shape_mismatches_are_incomparable() {
         let a = mem();
@@ -646,6 +666,42 @@ mod tests {
         assert!(!heap_a.diff_cells(&big, 8, &mut out));
         // And the symmetric view agrees.
         assert!(!extra.diff_cells(&a, 8, &mut out));
+
+        // Both compares, resumed from `base` (globals only): `true` with
+        // the diff, `false` when incomparable.
+        let compare = |run: &Memory, golden: &Memory| {
+            let base = mem().object_count();
+            let mut full = vec![(9, 9)];
+            let full_ok = run.diff_cells(golden, 8, &mut full);
+            let mut pending: Vec<(u32, u32)> =
+                (base as u32..run.object_count() as u32).map(|h| (h, 0)).collect();
+            let mut inc = vec![(9, 9)];
+            let mut cost = ProbeCost::default();
+            let inc_ok = run.diff_cells_dirty(golden, &mut pending, base, 8, &mut inc, &mut cost);
+            assert_eq!(full_ok, inc_ok, "the two compares disagree on comparability");
+            full_ok.then(|| {
+                assert_eq!(full, inc, "the two compares disagree on the diff");
+                full
+            })
+        };
+        let with = |kind, cells| {
+            let mut m = mem();
+            m.alloc(kind, cells).unwrap();
+            m
+        };
+        let heap = |n| ObjKind::Heap(n);
+        let slot = |frame, slot| ObjKind::Slot { frame, slot };
+        // Only the names differ: comparable, nothing diverged.
+        for (a, b) in [(heap(0), heap(7)), (slot(0, 0), slot(3, 0)), (slot(1, 0), slot(1, 2))] {
+            assert_eq!(compare(&with(a, 2), &with(b, 2)), Some(vec![]), "{a} vs {b}");
+        }
+        // Renamed and one cell diverged: the diff names the handle.
+        let mut renamed = with(heap(5), 2);
+        renamed.write(2, 1, Value::Int(4)).unwrap();
+        assert_eq!(compare(&renamed, &with(heap(0), 2)), Some(vec![(2, 1)]));
+        // The variant and the size still count.
+        assert_eq!(compare(&with(heap(0), 2), &with(slot(0, 0), 2)), None);
+        assert_eq!(compare(&with(slot(0, 0), 2), &with(slot(9, 0), 3)), None);
     }
 
     #[test]

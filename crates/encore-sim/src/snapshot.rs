@@ -18,7 +18,7 @@
 //! [`Memory`](crate::Memory) arena, the [`Externs`](crate::Externs)
 //! environment (PRNG state, clock, output channel), the allocation
 //! bookkeeping (`frame_seq`, `heap_seq`, the per-site last-allocation
-//! table, the heap's cell total) and every counter the run reports or
+//! table, the heap and slot cell total) and every counter the run reports or
 //! keys behavior off — `dyn_insts` (fuel, detection deadlines),
 //! `eligible_seen` (the injection ordinal), the checkpoint-log
 //! high-water mark and the activation count. No field is named at

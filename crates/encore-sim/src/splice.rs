@@ -36,7 +36,7 @@ pub const DIFF_CAP: usize = 64;
 /// Which early-exit rule certified a spliced run's outcome.
 ///
 /// All three rules fire at a probe point where the run's control state
-/// (frames, allocation counters, extern PRNG/clock) equals a golden
+/// (frames, the heap-site table, extern PRNG/clock) equals a golden
 /// snapshot's at the realigned position — they differ only in what the
 /// residual *memory/output* diff proves about the suffix.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -194,15 +194,13 @@ impl ControlState {
     /// The splice gate: `self == golden` in everything but the output
     /// channel, which the rules read separately (it is append-only and
     /// never rolled back, so a diverged prefix is permanent). Ordered to
-    /// fail fast: counters first, frames last.
+    /// fail fast: the heap-site table first, frames last.
     ///
     /// The pattern names every field, so a field added to the type
     /// does not compile until the gate says how it compares.
     fn equal_but_output(&self, golden: &ControlState) -> bool {
-        let ControlState { frames, frame_seq, heap_seq, last_alloc_of_site, externs } = self;
-        *frame_seq == golden.frame_seq
-            && *heap_seq == golden.heap_seq
-            && *last_alloc_of_site == golden.last_alloc_of_site
+        let ControlState { frames, last_alloc_of_site, externs } = self;
+        *last_alloc_of_site == golden.last_alloc_of_site
             && externs.state_equal_ignoring_output(&golden.externs)
             && frames_equal(frames, &golden.frames)
     }
@@ -351,15 +349,15 @@ impl Machine<'_, '_> {
     ///
     /// The gate requires [`ControlState`] equality up to the output
     /// channel — frames (registers, positions, armed recovery logs),
-    /// allocation counters and the non-output extern state — so the
-    /// only admissible divergence is in memory cells and the output
-    /// channel. Under a deterministic interpreter, equal control state
-    /// plus a memory diff no future instruction reads means the suffix
-    /// executes *identically* to the golden suffix (same control flow,
-    /// same writes, same output appends): the final state is then
-    /// golden's, modulo exactly the divergent cells the suffix never
-    /// overwrites and the already-diverged output prefix. The rules
-    /// read off the outcome:
+    /// the latest allocation of each heap site and the non-output
+    /// extern state — so the only admissible divergence is in memory
+    /// cells and the output channel. Under a deterministic interpreter,
+    /// equal control state plus a memory diff no future instruction
+    /// reads means the suffix executes *identically* to the golden
+    /// suffix (same control flow, same writes, same output appends):
+    /// the final state is then golden's, modulo exactly the divergent
+    /// cells the suffix never overwrites and the already-diverged
+    /// output prefix. The rules read off the outcome:
     ///
     /// * diff empty, output equal → [`SpliceRule::Converged`];
     /// * diff dead (∉ suffix reads), every divergent global cell
@@ -370,9 +368,12 @@ impl Machine<'_, '_> {
     ///
     /// The counters outside the control state (`dyn_insts`,
     /// `eligible_seen`, the checkpoint high-water mark, the activation
-    /// count) influence neither the remaining execution nor the outcome
-    /// classification, so the gate leaves them out; `dyn_insts` enters
-    /// through the caller's fuel-headroom check instead.
+    /// count, and `frame_seq` and `heap_seq`, which only name new slot
+    /// and heap objects) influence neither the remaining execution nor
+    /// the outcome classification, so the gate leaves them out;
+    /// `dyn_insts` enters through the caller's fuel-headroom check
+    /// instead. The memory compare likewise checks each object's kind
+    /// variant and size but not the numbers that name it.
     fn classify_divergence(
         &mut self,
         snapshots: &SnapshotLog,

@@ -4,10 +4,11 @@
 //! and they are built away from the paths that detect them, so a change
 //! to where they are formatted must not change a character of them.
 //!
-//! Every case is a one-function module whose single faulty instruction
-//! follows one `Mov`, so each trap fires at dynamic instruction 2 (3
-//! after the two-cost `CheckpointMem` or a first `Alloc`, 1 at the free
-//! `Restore`).
+//! Every case is a module whose entry `f` runs one `Mov` and then its
+//! single faulty instruction, so each trap fires at dynamic instruction
+//! 2 (3 after the two-cost `CheckpointMem` or a first `Alloc`, 1 at the
+//! free `Restore`, and 2 per level of the recursion that exhausts the
+//! call depth).
 
 use encore_ir::{
     AddrExpr, BinOp, FunctionBuilder, GlobalId, Inst, MemBase, Module, ModuleBuilder, Operand,
@@ -124,6 +125,44 @@ fn every_symptom_trap_has_its_pinned_kind_text_and_position() {
             }),
             [int(i64::from(MAX_OBJECT_CELLS) - 7), int(0)],
             mem("alloc of 16777209 cells exceeds the heap's 16777216-cell bound (8 in use)", 3),
+        ),
+        (
+            "slots summing past the heap bound",
+            {
+                let mut mb = ModuleBuilder::new("traps");
+                let leaf = mb.function("leaf", 0, |f| {
+                    f.slot(MAX_OBJECT_CELLS);
+                    f.ret(None);
+                });
+                mb.function("f", 2, |f| {
+                    f.slot(8);
+                    f.mov(Operand::ImmI(0));
+                    f.call_void(leaf, &[]);
+                    f.ret(None);
+                });
+                mb.finish()
+            },
+            [int(0), int(0)],
+            mem(
+                "slot of 16777216 cells exceeds the 16777216-cell bound on heap and slot cells \
+                 (8 in use)",
+                2,
+            ),
+        ),
+        (
+            "call past the depth bound",
+            {
+                let mut mb = ModuleBuilder::new("traps");
+                let f = mb.declare("f", 2);
+                mb.define(f, |b| {
+                    b.mov(Operand::ImmI(0));
+                    b.call_void(f, &[b.param(0).into(), b.param(1).into()]);
+                    b.ret(None);
+                });
+                mb.finish()
+            },
+            [int(0), int(0)],
+            mem("call to `f` exceeds the 1024-frame call-depth bound", 2 * 1024),
         ),
         (
             "bin type error",

@@ -56,16 +56,27 @@ done
 # performance regression invisible to correctness tests. Also run in
 # release: the campaign memo's invisibility test (memo'd reports equal
 # executed ones, and the memo must answer some runs), the -0.0
-# regression (a sign-bit flip the splice once certified as recovered)
-# and the faulted-alloc containment test (a grown `alloc` size once
-# aborted the process). The resume-exactness test (a run resumed from
-# any golden snapshot ends in the uninterrupted run's `RunResult`) is an
-# encore-sim unit test, so the release encore-sim step above runs it.
+# regression (a sign-bit flip the splice once certified as recovered),
+# the faulted-alloc containment test (a grown `alloc` size once aborted
+# the process) and the bounded-exhaustive renaming sweep (every
+# fault plan up to latency 24 on kernels whose rollbacks re-call a
+# function classifies the same spliced as from scratch). The
+# resume-exactness test (a run resumed from any golden snapshot ends in
+# the uninterrupted run's `RunResult`) and the pinned trap texts are
+# encore-sim tests, so the release encore-sim step above runs them.
 echo "==> divergence-splice smoke (fixed seed)"
 cargo test --release -q --offline --test sfi_campaign -- \
     splice_smoke_all_rules_engage splice_never_changes_campaign_results \
     memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome \
-    faulted_alloc_sizes_are_contained
+    faulted_alloc_sizes_are_contained \
+    renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan
+
+# Containment: token-level mutants of printed modules, and four module
+# shapes too large to run, end in a parse or verify error or a trap,
+# never in an aborted process.
+echo "==> containment (mutated and oversized modules)"
+cargo test --release -q --offline --test workload_roundtrip -- \
+    mutated_modules_are_errors_or_traps_never_aborts modules_too_large_to_run_are_errors_or_traps
 
 # Differential fuzz smoke: 64 machine-generated programs (fixed seed —
 # cases are a pure function of the property name and index) through the

@@ -14,7 +14,10 @@
 //!   from-scratch paths (a `snapshot_stride: 0` campaign) agree on each
 //!   of them;
 //! * a fault cannot take the process down: a faulted `alloc` size is a
-//!   classified outcome, not an aborted campaign.
+//!   classified outcome, not an aborted campaign;
+//! * states are compared up to the numbers that only name objects: on
+//!   kernels whose rollbacks call a function again, every fault plan of
+//!   a bounded space classifies the same spliced as from scratch.
 
 use encore::core::{Encore, EncoreConfig, RegionInfo, RegionMap};
 use encore::sim::{
@@ -745,6 +748,146 @@ fn splice_rule_sdc_fires_on_persistent_dead_corruption() {
     // final state.
     let rules = sweep_rules(&campaign, 5, 4);
     assert!(rules.contains(&SpliceRule::Sdc), "rule (c) never fired: {rules:?}");
+}
+
+/// What the callee of [`recall_kernel`] allocates on each call.
+#[derive(Clone, Copy, Debug)]
+enum LeafAlloc {
+    Nothing,
+    Slot,
+    Heap,
+}
+
+/// Iterations of [`recall_kernel`]'s loop.
+const RECALL_TRIPS: i64 = 10;
+
+/// A protected loop `acc += leaf(i)` over [`RECALL_TRIPS`] iterations.
+/// Its region checkpoints the counter `i` and the accumulator, which it
+/// reads and then writes (a WAR dependence), and spans the call. A fault
+/// detected after `leaf` returns rolls the caller's region back, which
+/// calls `leaf` a second time: the faulted run then numbers one
+/// activation more than the golden run (and, with `LeafAlloc::Heap`,
+/// one heap object more when the detection comes after `leaf`'s
+/// `alloc`).
+fn recall_kernel(leaf_alloc: LeafAlloc) -> (encore_ir::Module, RegionMap, FuncId) {
+    let mut mb = ModuleBuilder::new("recall");
+    let acc = mb.global("acc", 1);
+    let leaf = mb.function("leaf", 1, |f| {
+        let x = f.param(0);
+        let y = f.bin(BinOp::Mul, x.into(), Operand::ImmI(3));
+        let y = match leaf_alloc {
+            LeafAlloc::Nothing => y,
+            LeafAlloc::Slot => {
+                let s = f.slot(1);
+                f.store(AddrExpr::slot(s, 0), y.into());
+                f.load(AddrExpr::slot(s, 0))
+            }
+            LeafAlloc::Heap => {
+                let p = f.alloc(Operand::ImmI(1));
+                f.store(AddrExpr::reg(p, 0), y.into());
+                f.load(AddrExpr::reg(p, 0))
+            }
+        };
+        let z = f.bin(BinOp::Add, y.into(), Operand::ImmI(1));
+        f.ret(Some(z.into()));
+    });
+    let fid = mb.function("f", 0, |f| {
+        let hdr = f.add_block();
+        let recovery = f.add_block();
+        let exit = f.add_block();
+        let i = f.mov(Operand::ImmI(0));
+        f.jump(hdr);
+        f.switch_to(hdr);
+        f.emit(Inst::SetRecovery { region: RegionId::new(0) });
+        f.emit(Inst::CheckpointReg { reg: i });
+        f.emit(Inst::CheckpointMem { addr: AddrExpr::global(acc, 0) });
+        let cur = f.load(AddrExpr::global(acc, 0));
+        let v = f.call(leaf, &[i.into()]);
+        let next = f.bin(BinOp::Add, cur.into(), v.into());
+        f.store(AddrExpr::global(acc, 0), next.into());
+        // `i = (i + 1) & 15` ends the loop within 16 trips whatever a
+        // fault leaves in `i`, so no plan runs until the fuel runs out.
+        let inc = f.bin(BinOp::Add, i.into(), Operand::ImmI(1));
+        f.bin_to(i, BinOp::And, inc.into(), Operand::ImmI(15));
+        let more = f.bin(BinOp::Lt, i.into(), Operand::ImmI(RECALL_TRIPS));
+        f.branch(more.into(), hdr, exit);
+        f.switch_to(recovery);
+        f.emit(Inst::Restore { region: RegionId::new(0) });
+        f.jump(hdr);
+        f.switch_to(exit);
+        let out = f.load(AddrExpr::global(acc, 0));
+        f.ret(Some(out.into()));
+    });
+    let m = mb.finish();
+    let map = map_of(&[(fid, BlockId::new(1), BlockId::new(2))]);
+    (m, map, fid)
+}
+
+/// Every plan of the bounded sweep at one eligible ordinal: a flip of
+/// each bit in `bits` and three multi-bit bursts at every latency up to
+/// `dmax`, a wrong edge and three address masks at the same latencies,
+/// and a power failure.
+fn plans_at(inject_at: u64, bits: &[u8], dmax: u64) -> Vec<FaultPlan> {
+    const BURSTS: [u64; 3] = [0b11, 0xF << 30, 0x3 << 62];
+    const ADDRESS_MASKS: [u64; 3] = [1, 2, 0x10];
+    let actions = bits
+        .iter()
+        .map(|&b| FaultAction::FlipBits { mask: 1 << b })
+        .chain(BURSTS.map(|mask| FaultAction::FlipBits { mask }))
+        .chain([FaultAction::WrongEdge])
+        .chain(ADDRESS_MASKS.map(|mask| FaultAction::CorruptAddress { mask }));
+    let mut plans: Vec<FaultPlan> = actions
+        .flat_map(|action| {
+            (0..=dmax).map(move |detect_latency| FaultPlan { inject_at, action, detect_latency })
+        })
+        .collect();
+    plans.push(FaultPlan { inject_at, action: FaultAction::PowerFailure, detect_latency: 0 });
+    plans
+}
+
+/// The bounded-exhaustive half of the renaming argument (DESIGN.md
+/// §14): the splice gate and the campaign memo compare states up to the
+/// numbers that only name slot and heap objects. On kernels whose
+/// rollbacks re-call a function, every fault plan up to a latency of 24
+/// classifies the same resumed from snapshots with splicing on as from
+/// scratch with splicing off, so a run renamed by a second call and
+/// spliced against golden state is never misclassified.
+#[test]
+fn renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan() {
+    let all_bits: Vec<u8> = (0..64).collect();
+    let some_bits = [0, 1, 2, 7, 31, 62, 63];
+    let cfg = SfiConfig { snapshot_stride: 8, ..Default::default() };
+    for (leaf_alloc, bits) in [
+        (LeafAlloc::Nothing, &all_bits[..]),
+        (LeafAlloc::Slot, &some_bits[..]),
+        (LeafAlloc::Heap, &some_bits[..]),
+    ] {
+        let (m, map, fid) = recall_kernel(leaf_alloc);
+        let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
+        let (mut plans, mut spliced) = (0usize, 0usize);
+        for inject_at in 0..campaign.eligible_insts() {
+            for plan in plans_at(inject_at, bits, 24) {
+                plans += 1;
+                spliced += usize::from(campaign.run_checked(plan).1.is_some());
+            }
+        }
+        println!("{leaf_alloc:?}: {plans} plans, {spliced} spliced, 0 disagreed");
+        assert!(spliced > 0, "{leaf_alloc:?}: nothing spliced");
+    }
+
+    // Ordinal 26 is `leaf`'s multiply in the fourth trip. Bit 3 of the
+    // product reaches the caller, which stores it; the detection four
+    // instructions later, after `leaf` returned, restores the
+    // accumulator and re-executes the trip, calling `leaf` again. The
+    // re-executed run then equals golden state in everything but the
+    // activation count, so it splices at its first probe; while the
+    // gate compared that count, it executed to the end.
+    let (m, map, fid) = recall_kernel(LeafAlloc::Nothing);
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
+    assert_eq!(
+        campaign.run_checked(FaultPlan::bit_flip(26, 3, 4)),
+        (FaultOutcome::Recovered, Some(SpliceRule::Converged))
+    );
 }
 
 /// Fixed-seed smoke check wired into `scripts/ci.sh`: one small campaign
