@@ -20,8 +20,8 @@
 //!   [`OptimisticAlias`];
 //! * [profiles](Profile) — block/edge counts for `Pmin` pruning and
 //!   hot-path heuristics;
-//! * [purity summaries](PuritySummary) — call-site treatment in region
-//!   analysis.
+//! * [memory-effect summaries](MemSummary) — call-site treatment in
+//!   region analysis.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -37,7 +37,6 @@ mod memprofile;
 mod memsummary;
 pub mod order;
 mod profile;
-mod purity;
 
 pub use alias::{AliasMode, AliasOracle, AliasResult, OptimisticAlias, ProfiledAlias, StaticAlias};
 pub use bitset::BitSet;
@@ -49,4 +48,3 @@ pub use intervals::{Interval, IntervalHierarchy};
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopForest};
 pub use profile::{FuncProfile, Profile};
-pub use purity::{Purity, PuritySummary};

@@ -85,7 +85,7 @@ fn main() {
         let name = w.name;
         let prepared = prepare(w);
         // Run every ablated pipeline up front, then share one campaign
-        // preparation (golden run + checkpoint log + suffix summaries)
+        // preparation (golden run + checkpoint log + golden record)
         // across configurations whose instrumentation came out
         // identical — several ablations are no-ops on some workloads.
         let runs: Vec<_> =

@@ -62,7 +62,7 @@ fn main() {
         let prepared = prepare(w);
         // Pin all sweep points first so one golden-run preparation (the
         // expensive part of a campaign: full execution + checkpoint log +
-        // suffix summaries) can be shared by every Dmax whose
+        // golden record) can be shared by every Dmax whose
         // instrumented module came out identical. `prepare` only reads
         // the stride and fuel factor, which the sweep holds constant.
         let runs: Vec<_> = DMAXES

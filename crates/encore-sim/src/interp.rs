@@ -9,8 +9,8 @@
 //!
 //! There is one executor: the sprint loop in `Machine::step`, which runs
 //! pre-lowered micro-ops and intra-function jumps/branches back to back.
-//! Profiling, tracing and the golden run's memory-access log are hooks
-//! in that loop, compiled in only for its `OBSERVE` instantiation. Only
+//! Profiling, tracing and the golden run's record are hooks in that
+//! loop, compiled in only for its `OBSERVE` instantiation. Only
 //! calls, returns, allocation, externs, `Restore` and an unresolvable
 //! `SetRecovery` leave the loop for the general executor.
 //!
@@ -34,7 +34,7 @@ use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::memory::Memory;
 use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
-use crate::snapshot::{AccessChunks, Snapshot, SnapshotLog};
+use crate::snapshot::{GoldenRecord, Snapshot, SnapshotLog};
 use crate::splice::{ProbeState, SpliceTrack};
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
@@ -309,42 +309,22 @@ impl FaultState {
     }
 }
 
-/// Golden-capture bookkeeping for the divergence splice: the memory
-/// cells read and written since the last snapshot capture, sealed into
-/// one chunk per inter-snapshot interval. [`SnapshotLog`] folds the
-/// chunks into per-snapshot suffix summaries. Only golden capture runs
-/// carry one, so injection runs pay nothing.
-#[derive(Default)]
-struct MemAccessLog {
-    reads: std::collections::HashSet<(u32, u32)>,
-    writes: std::collections::HashSet<(u32, u32)>,
-    read_chunks: AccessChunks,
-    write_chunks: AccessChunks,
-}
-
-impl MemAccessLog {
-    /// Closes the current interval: drains the live sets into chunks.
-    fn seal(&mut self) {
-        self.read_chunks.push(self.reads.drain().collect());
-        self.write_chunks.push(self.writes.drain().collect());
-    }
-}
-
 /// What an observed run records: the training [`Profile`], the
-/// [`MemEvent`] trace and the golden capture's memory-access log. The
+/// [`MemEvent`] trace and the golden capture's [`GoldenRecord`]. The
 /// sprint loop calls these hooks only in its `OBSERVE` instantiation,
 /// which the run drivers pick once per run when any observer is
 /// present; every other run executes a loop with no hook code in it.
 #[derive(Default)]
-struct Observers {
+pub(crate) struct Observers {
     profile: Option<Profile>,
     trace: Option<Vec<MemEvent>>,
-    mem_log: Option<Box<MemAccessLog>>,
+    /// Golden capture runs only, so injection runs pay nothing.
+    pub(crate) golden: Option<Box<GoldenRecord>>,
 }
 
 impl Observers {
     fn any(&self) -> bool {
-        self.profile.is_some() || self.trace.is_some() || self.mem_log.is_some()
+        self.profile.is_some() || self.trace.is_some() || self.golden.is_some()
     }
 
     /// One retirement of `cost` dynamic instructions inside `func`.
@@ -373,7 +353,7 @@ impl Observers {
     /// A program load or store of cell `(obj, idx)` by the instruction
     /// at `at`, retired at dynamic instruction `now`: a trace event, a
     /// profile footprint (for the profile-guided alias oracle) and a
-    /// memory-log entry.
+    /// golden-record stamp.
     #[allow(clippy::too_many_arguments)]
     fn program_access(
         &mut self,
@@ -394,13 +374,21 @@ impl Observers {
         self.log_access(obj, idx, kind == AccessKind::Store);
     }
 
-    /// Notes one memory access into the golden memory log, if any.
+    /// Notes one memory access into the golden record, if any.
     #[inline]
     fn log_access(&mut self, obj: u32, idx: i64, write: bool) {
-        if let Some(log) = &mut self.mem_log {
+        if let Some(golden) = &mut self.golden {
             // A successful access bounds-checked both coordinates.
-            let cell = (obj, idx as u32);
-            if write { log.writes.insert(cell) } else { log.reads.insert(cell) };
+            golden.access(obj, idx as u32, write);
+        }
+    }
+
+    /// A `SetRecovery` retired at dynamic instruction `now`: the next
+    /// entry of the golden activation timeline.
+    #[inline]
+    fn activation(&mut self, now: u64) {
+        if let Some(golden) = &mut self.golden {
+            golden.activation(now);
         }
     }
 }
@@ -414,10 +402,10 @@ pub(crate) struct Machine<'m, 'c> {
     map: Option<&'m RegionMap>,
     /// The resumable state: what a snapshot captures.
     pub(crate) state: State,
-    obs: Observers,
+    pub(crate) obs: Observers,
     fault: Option<FaultState>,
     telemetry: FaultTelemetry,
-    /// Splice realignment bookkeeping and the golden activation log.
+    /// Splice realignment bookkeeping.
     pub(crate) splice: SpliceTrack,
     pub(crate) fuel: u64,
     final_ret: Option<Value>,
@@ -672,6 +660,9 @@ fn exec_fast<const OBSERVE: bool>(
             *activations += 1;
             frame.log.clear();
             frame.log_bytes = 0;
+            if OBSERVE {
+                obs.activation(now);
+            }
             fired = splice.on_set_recovery(now);
         }
         MicroOp::CkptMem { addr } => {
@@ -748,18 +739,15 @@ pub fn run_function_with_snapshots<'m>(
     let mut m = Machine::new(module, code, map, config);
     let mut log = SnapshotLog::new(stride);
     if stride > 0 {
-        m.enable_act_log();
-        m.enable_mem_log();
+        m.obs.golden = Some(Box::default());
     }
     let trap = match m.enter(entry, args) {
         Err(t) => Some(t),
         Ok(()) if stride == 0 => m.run_to_end(),
         Ok(()) => m.run_to_end_capturing(stride, &mut log),
     };
-    log.set_activation_dyn(m.take_act_log());
-    if stride > 0 {
-        let (reads, writes) = m.take_mem_chunks();
-        log.set_suffix_summaries(reads, writes);
+    if let Some(golden) = m.obs.golden.take() {
+        log.set_golden(*golden);
     }
     (m.into_result(trap), log)
 }
@@ -992,7 +980,7 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// exists so capturing callers get control back at exact
     /// instruction-count boundaries (pass `u64::MAX` otherwise).
     ///
-    /// `OBSERVE` compiles in the profile, trace and memory-log hooks;
+    /// `OBSERVE` compiles in the profile, trace and golden-record hooks;
     /// the run drivers pick it once per run from whether any observer
     /// is present.
     ///
@@ -1312,7 +1300,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         self.fault.is_some()
     }
 
-    /// `true` when a profile, trace or memory log observes the run.
+    /// `true` when a profile, trace or golden record observes the run.
     pub(crate) fn observed(&self) -> bool {
         self.obs.any()
     }
@@ -1373,31 +1361,6 @@ impl<'m, 'c> Machine<'m, 'c> {
         self.state.dyn_insts
     }
 
-    /// Start recording the golden activation timeline (dyn count at
-    /// each `SetRecovery`, by ordinal).
-    fn enable_act_log(&mut self) {
-        self.splice.act_log = Some(Vec::new());
-    }
-
-    /// The recorded activation timeline.
-    fn take_act_log(&mut self) -> Vec<u64> {
-        self.splice.act_log.take().unwrap_or_default()
-    }
-
-    /// Start recording per-interval memory access chunks for the
-    /// divergence splice's suffix summaries (golden capture runs only).
-    fn enable_mem_log(&mut self) {
-        self.obs.mem_log = Some(Box::default());
-    }
-
-    /// Seals the final interval and hands back `(read, write)` chunks —
-    /// one per inter-snapshot interval plus the capture-to-end tail.
-    fn take_mem_chunks(&mut self) -> (AccessChunks, AccessChunks) {
-        let mut log = self.obs.mem_log.take().expect("mem log enabled");
-        log.seal();
-        (log.read_chunks, log.write_chunks)
-    }
-
     /// [`Machine::run_to_end`] for fault-free runs, capturing a
     /// snapshot into `log` at the first step boundary past each
     /// `stride`-instruction interval.
@@ -1421,8 +1384,8 @@ impl<'m, 'c> Machine<'m, 'c> {
         let mut next_at = stride;
         loop {
             if self.state.dyn_insts >= next_at && !self.state.control.frames.is_empty() {
-                if let Some(ml) = &mut self.obs.mem_log {
-                    ml.seal();
+                if let Some(golden) = &mut self.obs.golden {
+                    golden.advance();
                 }
                 let mut interval = Vec::new();
                 self.state.mem.drain_dirty_pages(&mut interval);

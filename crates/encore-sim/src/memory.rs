@@ -141,8 +141,8 @@ pub struct Memory {
     objects: Vec<MemObject>,
     /// Number of globals (the first `global_count` objects).
     global_count: usize,
-    /// Cells in heap and slot objects, the total [`Memory::alloc`]
-    /// bounds.
+    /// Cells charged to heap and slot objects, at least one each: the
+    /// total [`Memory::alloc`] bounds.
     alloc_cells: usize,
     /// Objects with a nonempty `touched` list (drain work list).
     touched_objs: Vec<u32>,
@@ -199,14 +199,17 @@ impl Memory {
     /// The bound is checked before allocating: a faulted size can ask
     /// for more memory than the host has, deep calls can push many
     /// large slots, and a failed host allocation aborts the process
-    /// instead of trapping.
+    /// instead of trapping. An object of zero cells is charged one, so
+    /// the bound also caps the object table, whose entries cost the
+    /// host memory even when empty.
     pub fn alloc(&mut self, kind: ObjKind, cells: usize) -> Result<u32, MemError> {
         let handle = u32::try_from(self.objects.len()).map_err(|_| handles_exhausted(kind))?;
         let used = self.alloc_cells;
-        if cells > MAX_OBJECT_CELLS as usize - used {
+        let charge = cells.max(1);
+        if charge > MAX_OBJECT_CELLS as usize - used {
             return Err(cells_exhausted(kind, cells, used));
         }
-        self.alloc_cells += cells;
+        self.alloc_cells += charge;
         let pages = cells.div_ceil(PAGE_CELLS);
         self.objects.push(MemObject {
             kind,

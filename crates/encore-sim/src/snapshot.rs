@@ -30,66 +30,74 @@
 //! Snapshots are immutable once captured and shared via [`Arc`], so a
 //! campaign's worker threads restore from the same log without copying
 //! it per worker.
+//!
+//! Beside the snapshots, the log keeps the capture run's
+//! [`GoldenRecord`]: its activation timeline, and the last
+//! inter-snapshot interval that read and that wrote each memory cell,
+//! which is all the divergence splice asks of the golden suffix.
 
 use crate::interp::State;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Per-interval memory access chunks: one `(object handle, cell index)`
-/// list per inter-snapshot interval of the golden run.
-pub(crate) type AccessChunks = Vec<Vec<(u32, u32)>>;
-
-/// A sorted, deduplicated set of `(object handle, cell index)` pairs —
-/// the representation of a golden suffix access summary. Lookup is a
-/// binary search.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct CellSet {
-    cells: Vec<(u32, u32)>,
+/// What the golden capture run records for the divergence splice: its
+/// activation timeline, and for each memory cell the last interval that
+/// read it and the last that wrote it.
+///
+/// Interval 0 runs from the start of the run to the first capture, and
+/// interval `k + 1` from capture `k` to the next capture or the end. A
+/// cell's stamp is the last interval that touched it, so the golden run
+/// touches the cell after snapshot `k` exactly when its stamp is greater
+/// than `k`.
+#[derive(Debug, Default)]
+pub(crate) struct GoldenRecord {
+    /// The current interval: the number of captures so far.
+    interval: u32,
+    /// Dynamic instruction count at each golden `SetRecovery`, by
+    /// activation ordinal. The convergence splice realigns a
+    /// rolled-back run's dyn-count timeline with the golden run's on
+    /// it.
+    activation_dyn: Vec<u64>,
+    /// The last interval that read each cell, by object handle, then
+    /// cell index.
+    last_read: Vec<Vec<u32>>,
+    /// The last interval that wrote each cell, indexed the same way.
+    last_write: Vec<Vec<u32>>,
 }
 
-impl CellSet {
-    fn from_sorted(cells: Vec<(u32, u32)>) -> Self {
-        debug_assert!(cells.windows(2).all(|w| w[0] < w[1]), "CellSet input must be sorted");
-        Self { cells }
+impl GoldenRecord {
+    /// Closes the current interval: the run was captured here.
+    pub(crate) fn advance(&mut self) {
+        self.interval = self.interval.checked_add(1).expect("fewer than 2^32 captures");
     }
 
-    /// `true` when the set contains `(obj, idx)`.
-    pub(crate) fn contains(&self, obj: u32, idx: u32) -> bool {
-        self.cells.binary_search(&(obj, idx)).is_ok()
+    /// Notes one `SetRecovery` retired at dynamic instruction `now`.
+    pub(crate) fn activation(&mut self, now: u64) {
+        self.activation_dyn.push(now);
     }
 
-    /// Number of cells in the set.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.cells.len()
+    /// Notes one read or write of cell `(obj, idx)` in the current
+    /// interval.
+    pub(crate) fn access(&mut self, obj: u32, idx: u32, write: bool) {
+        let table = if write { &mut self.last_write } else { &mut self.last_read };
+        let obj = obj as usize;
+        if table.len() <= obj {
+            table.resize_with(obj + 1, Vec::new);
+        }
+        let cells = &mut table[obj];
+        let idx = idx as usize;
+        if cells.len() <= idx {
+            cells.resize(idx + 1, 0);
+        }
+        cells[idx] = self.interval;
     }
 }
 
-/// Folds per-interval access chunks into per-snapshot suffix summaries:
-/// `chunks` has one entry per inter-snapshot interval (`n + 1` for `n`
-/// snapshots — the final chunk covers capture to program end), and
-/// `suffix[k] = ∪ chunks[k+1..]` — every cell the golden run touches
-/// *after* snapshot `k`. Built backwards in one pass; snapshots whose
-/// trailing chunk is empty share the next summary's allocation.
-fn suffix_union(mut chunks: AccessChunks, snapshots: usize) -> Vec<Arc<CellSet>> {
-    debug_assert_eq!(chunks.len(), snapshots + 1, "one chunk per interval");
-    let mut acc: BTreeSet<(u32, u32)> = BTreeSet::new();
-    let mut out: Vec<Arc<CellSet>> = Vec::with_capacity(snapshots);
-    let mut prev: Option<Arc<CellSet>> = None;
-    for k in (0..snapshots).rev() {
-        let chunk = std::mem::take(&mut chunks[k + 1]);
-        let summary = match (&prev, chunk.is_empty()) {
-            (Some(p), true) => Arc::clone(p),
-            _ => {
-                acc.extend(chunk);
-                Arc::new(CellSet::from_sorted(acc.iter().copied().collect()))
-            }
-        };
-        prev = Some(Arc::clone(&summary));
-        out.push(summary);
-    }
-    out.reverse();
-    out
+/// The last interval of `table` that touched `(obj, idx)`. The tables
+/// grow on demand and fill with 0, and 0 is exact for a cell the run
+/// never touched as well as for one it touched only before the first
+/// capture: neither is touched after any snapshot.
+fn last(table: &[Vec<u32>], (obj, idx): (u32, u32)) -> u32 {
+    table.get(obj as usize).and_then(|cells| cells.get(idx as usize)).copied().unwrap_or(0)
 }
 
 /// Complete interpreter state at one golden-run step boundary.
@@ -140,21 +148,9 @@ impl std::fmt::Debug for Snapshot {
 pub struct SnapshotLog {
     snaps: Vec<Arc<Snapshot>>,
     stride: u64,
-    /// Dynamic instruction count at each golden `SetRecovery`
-    /// execution, indexed by activation ordinal. The campaign's
-    /// convergence splice uses it to realign a rolled-back run's
-    /// dyn-count timeline with the golden run's.
-    activation_dyn: Vec<u64>,
-    /// Per snapshot `k`: every memory cell the golden run *reads* from
-    /// capture `k` to program end. A divergence confined to cells
-    /// outside this set can never influence the golden suffix's
-    /// execution — the dead-diff and SDC splice rules' key input.
-    suffix_reads: Vec<Arc<CellSet>>,
-    /// Per snapshot `k`: every memory cell the golden run *writes* from
-    /// capture `k` to program end. A dead (never-read) divergent cell
-    /// in this set is overwritten by the replayed suffix and heals; one
-    /// outside it persists to the final state.
-    suffix_writes: Vec<Arc<CellSet>>,
+    /// The golden run's activation timeline and last access intervals
+    /// (empty when capture is disabled).
+    golden: GoldenRecord,
     /// Per snapshot `k`: the sorted `(object, page)` pages the golden
     /// run wrote in the interval `(snapshot k-1, snapshot k]` (for
     /// `k = 0`, since the golden run began). The splice probe unions
@@ -171,9 +167,7 @@ impl SnapshotLog {
         Self {
             snaps: Vec::new(),
             stride,
-            activation_dyn: Vec::new(),
-            suffix_reads: Vec::new(),
-            suffix_writes: Vec::new(),
+            golden: GoldenRecord::default(),
             interval_pages: Vec::new(),
         }
     }
@@ -219,14 +213,16 @@ impl SnapshotLog {
         n.checked_sub(1).map(|i| &self.snaps[i])
     }
 
-    pub(crate) fn set_activation_dyn(&mut self, log: Vec<u64>) {
-        self.activation_dyn = log;
+    /// Installs the record the capture run filled.
+    pub(crate) fn set_golden(&mut self, golden: GoldenRecord) {
+        debug_assert_eq!(golden.interval as usize, self.snaps.len(), "one interval per capture");
+        self.golden = golden;
     }
 
     /// Golden dyn count at each `SetRecovery` execution, by activation
     /// ordinal.
     pub(crate) fn activation_dyn(&self) -> &[u64] {
-        &self.activation_dyn
+        &self.golden.activation_dyn
     }
 
     /// The `i`-th snapshot in capture order.
@@ -245,28 +241,19 @@ impl SnapshotLog {
         self.interval_pages.get(i).map_or(&[][..], Vec::as_slice)
     }
 
-    /// Installs the golden suffix access summaries from per-interval
-    /// chunks (one per inter-snapshot interval, plus the final
-    /// capture-to-end chunk).
-    pub(crate) fn set_suffix_summaries(
-        &mut self,
-        read_chunks: AccessChunks,
-        write_chunks: AccessChunks,
-    ) {
-        self.suffix_reads = suffix_union(read_chunks, self.snaps.len());
-        self.suffix_writes = suffix_union(write_chunks, self.snaps.len());
+    /// `true` when the golden run reads `cell` after snapshot `k`. A
+    /// divergence confined to cells it does not read can never
+    /// influence the golden suffix's execution: the dead-diff and SDC
+    /// splice rules' key input.
+    pub(crate) fn read_after(&self, k: usize, cell: (u32, u32)) -> bool {
+        last(&self.golden.last_read, cell) as usize > k
     }
 
-    /// Cells the golden run reads after snapshot `i` (`None` when
-    /// summaries were not built).
-    pub(crate) fn suffix_reads(&self, i: usize) -> Option<&CellSet> {
-        self.suffix_reads.get(i).map(Arc::as_ref)
-    }
-
-    /// Cells the golden run writes after snapshot `i` (`None` when
-    /// summaries were not built).
-    pub(crate) fn suffix_writes(&self, i: usize) -> Option<&CellSet> {
-        self.suffix_writes.get(i).map(Arc::as_ref)
+    /// `true` when the golden run writes `cell` after snapshot `k`. A
+    /// dead divergent cell it writes is overwritten by the suffix and
+    /// heals; one it does not write persists to the final state.
+    pub(crate) fn written_after(&self, k: usize, cell: (u32, u32)) -> bool {
+        last(&self.golden.last_write, cell) as usize > k
     }
 }
 
@@ -276,8 +263,8 @@ mod tests {
     use crate::interp::{run_function, run_function_with_snapshots, Machine, RunConfig};
     use crate::predecode::DecodedModule;
     use crate::value::Value;
-    use encore_core::{Encore, EncoreConfig};
-    use encore_ir::{AddrExpr, BinOp, ExtEffect, MemBase, Module, ModuleBuilder, Operand};
+    use encore_core::{Encore, EncoreConfig, InstrumentedModule};
+    use encore_ir::{AddrExpr, BinOp, ExtEffect, FuncId, MemBase, Module, ModuleBuilder, Operand};
 
     fn log_for(stride: u64) -> SnapshotLog {
         let mut mb = ModuleBuilder::new("m");
@@ -329,21 +316,34 @@ mod tests {
     }
 
     #[test]
-    fn suffix_union_accumulates_backwards() {
-        // 2 snapshots → 3 interval chunks: [before s0], (s0, s1], (s1, end].
-        let chunks = vec![vec![(0, 0)], vec![(0, 1), (1, 0)], vec![(0, 1), (2, 5)]];
-        let sufs = suffix_union(chunks, 2);
-        assert_eq!(sufs.len(), 2);
-        // suffix[1] = last chunk only; the pre-s0 chunk never appears.
-        assert!(sufs[1].contains(0, 1) && sufs[1].contains(2, 5));
-        assert!(!sufs[1].contains(1, 0) && !sufs[1].contains(0, 0));
-        // suffix[0] ⊇ suffix[1], plus the (s0, s1] chunk.
-        assert!(sufs[0].contains(0, 1) && sufs[0].contains(2, 5) && sufs[0].contains(1, 0));
-        assert!(!sufs[0].contains(0, 0));
-        assert_eq!(sufs[0].len(), 3);
-        // Empty trailing chunks share the downstream summary.
-        let shared = suffix_union(vec![vec![], vec![], vec![(3, 3)]], 2);
-        assert!(Arc::ptr_eq(&shared[0], &shared[1]));
+    fn a_cell_is_touched_after_the_snapshots_before_its_last_interval() {
+        // Three captures: intervals 0 (before snapshot 0), 1, 2 and 3.
+        let mut golden = GoldenRecord::default();
+        golden.access(0, 0, false);
+        golden.advance();
+        golden.access(1, 3, false);
+        golden.advance();
+        golden.access(1, 2, false);
+        golden.access(0, 1, true);
+        golden.advance();
+        golden.access(1, 3, false);
+        let log = SnapshotLog { golden, ..SnapshotLog::new(1) };
+        for k in 0..4 {
+            assert!(!log.read_after(k, (0, 0)), "read before the first capture, k = {k}");
+            // Interval 2 is after snapshots 0 and 1, not after 2.
+            assert_eq!(log.read_after(k, (1, 2)), k <= 1, "k = {k}");
+            assert_eq!(log.written_after(k, (0, 1)), k <= 1, "k = {k}");
+            // The last of several intervals counts.
+            assert_eq!(log.read_after(k, (1, 3)), k <= 2, "k = {k}");
+            // Untouched: inside a grown table, past its end, past the
+            // last object, or touched only the other way.
+            for cell in [(1, 0), (0, 5), (7, 0), (0, 1)] {
+                assert!(!log.read_after(k, cell), "{cell:?} read, k = {k}");
+            }
+            for cell in [(0, 0), (0, 5), (7, 0), (1, 2)] {
+                assert!(!log.written_after(k, cell), "{cell:?} written, k = {k}");
+            }
+        }
     }
 
     /// Draws a PRNG value into a heap object, then runs a loop that
@@ -416,37 +416,88 @@ mod tests {
         mb.finish()
     }
 
+    /// [`two_phase_kernel`] at 24 and [`nested_kernel`] at 20,
+    /// Encore-protected with every region armed, each with its entry and
+    /// arguments.
+    fn protected_kernels() -> Vec<(InstrumentedModule, FuncId, [Value; 1])> {
+        [(two_phase_kernel(), 24), (nested_kernel(), 20)]
+            .into_iter()
+            .map(|(module, arg)| {
+                let entry = FuncId::new(module.funcs.len() as u32 - 1);
+                let args = [Value::Int(arg)];
+                let train = run_function(
+                    &module,
+                    None,
+                    entry,
+                    &args,
+                    &RunConfig { collect_profile: true, ..RunConfig::default() },
+                );
+                let outcome = Encore::new(EncoreConfig::default().with_overhead_budget(1e9))
+                    .run(&module, train.profile.as_ref().expect("profile"));
+                (outcome.instrumented, entry, args)
+            })
+            .collect()
+    }
+
     /// Every field of a run survives capture and resume: a machine
     /// restored from any golden snapshot of an instrumented kernel runs
     /// to the same [`RunResult`](crate::RunResult) as the uninterrupted
     /// run, down to the counters no outcome reads.
     #[test]
     fn resumed_runs_equal_the_uninterrupted_run() {
-        for (module, arg) in [(two_phase_kernel(), 24), (nested_kernel(), 20)] {
-            let entry = encore_ir::FuncId::new(module.funcs.len() as u32 - 1);
-            let args = [Value::Int(arg)];
-            let train = run_function(
-                &module,
-                None,
-                entry,
-                &args,
-                &RunConfig { collect_profile: true, ..RunConfig::default() },
-            );
-            let outcome = Encore::new(EncoreConfig::default().with_overhead_budget(1e9))
-                .run(&module, train.profile.as_ref().expect("profile"));
-            let (m, map) = (&outcome.instrumented.module, Some(&outcome.instrumented.map));
+        for (inst, entry, args) in protected_kernels() {
+            let (m, map) = (&inst.module, Some(&inst.map));
             let config = RunConfig::default();
             let golden = run_function(m, map, entry, &args, &config);
-            assert!(golden.completed && golden.ckpt_high_water_bytes > 0, "{}", module.name);
+            assert!(golden.completed && golden.ckpt_high_water_bytes > 0, "{}", m.name);
             let code = DecodedModule::new(m, map);
             let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
-            assert!(log.len() > 100, "{}: {} snapshots", module.name, log.len());
+            assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
             for snap in &log.snaps {
                 let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
                 let trap = resumed.run_to_end();
                 let at = snap.dyn_insts();
-                assert_eq!(resumed.into_result(trap), golden, "{}, from {at}", module.name);
+                assert_eq!(resumed.into_result(trap), golden, "{}, from {at}", m.name);
             }
+        }
+    }
+
+    /// The golden record answers by replay: a run resumed from snapshot
+    /// `k` with a fresh record one interval in reads and writes exactly
+    /// the cells the capture's record says the golden run reads and
+    /// writes after snapshot `k`, over every cell of its final memory.
+    #[test]
+    fn the_golden_record_matches_a_replay_from_every_snapshot() {
+        for (inst, entry, args) in protected_kernels() {
+            let (m, map) = (&inst.module, Some(&inst.map));
+            let config = RunConfig::default();
+            let code = DecodedModule::new(m, map);
+            let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
+            assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
+            let (mut reads, mut writes) = (0, 0);
+            for (k, snap) in log.snaps.iter().enumerate() {
+                let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                let mut fresh = GoldenRecord::default();
+                fresh.advance();
+                resumed.obs.golden = Some(Box::new(fresh));
+                assert_eq!(resumed.run_to_end(), None, "{}, from snapshot {k}", m.name);
+                let replay = resumed.obs.golden.take().expect("the record stays installed");
+                let mem = resumed.mem();
+                for obj in 0..mem.object_count() as u32 {
+                    for idx in (0..).take_while(|&i| mem.read(obj, i.into()).is_ok()) {
+                        let cell = (obj, idx);
+                        let replayed = (
+                            last(&replay.last_read, cell) == 1,
+                            last(&replay.last_write, cell) == 1,
+                        );
+                        let recorded = (log.read_after(k, cell), log.written_after(k, cell));
+                        assert_eq!(replayed, recorded, "{}: {cell:?} after snapshot {k}", m.name);
+                        reads += usize::from(replayed.0);
+                        writes += usize::from(replayed.1);
+                    }
+                }
+            }
+            assert!(reads > 0 && writes > 0, "{}: the replays touched nothing", m.name);
         }
     }
 

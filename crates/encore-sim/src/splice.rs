@@ -28,7 +28,7 @@ use crate::snapshot::{Snapshot, SnapshotLog};
 
 /// Residual-diff size cap for the divergence splice: a run diverging
 /// from the golden snapshot in more than this many cells is not worth
-/// scanning suffix summaries for (and is very unlikely to be dead), so
+/// looking up in the golden record (and is very unlikely to be dead), so
 /// [`Memory::diff_cells`](crate::Memory::diff_cells) reports it as
 /// incomparable and the run falls back to plain execution.
 pub const DIFF_CAP: usize = 64;
@@ -97,8 +97,6 @@ impl SpliceRule {
 pub(crate) struct SpliceTrack {
     /// Splice bookkeeping requested (campaign injection runs only).
     armed: bool,
-    /// Golden capture: dyn count at each `SetRecovery`, by ordinal.
-    pub(crate) act_log: Option<Vec<u64>>,
     /// Armed ordinal of the region a rollback unwound to; consumed by
     /// the next `SetRecovery`.
     pending_realign: Option<u64>,
@@ -113,9 +111,6 @@ impl SpliceTrack {
     /// the sprint must surface).
     #[inline]
     pub(crate) fn on_set_recovery(&mut self, now: u64) -> bool {
-        if let Some(log) = &mut self.act_log {
-            log.push(now);
-        }
         match self.pending_realign.take() {
             Some(ord) => {
                 self.realign = Some((now, ord));
@@ -391,10 +386,7 @@ impl Machine<'_, '_> {
         if diff.is_empty() && out_eq {
             return Some(SpliceRule::Converged);
         }
-        // Rules (b)/(c) need the golden suffix access summaries.
-        let reads = snapshots.suffix_reads(idx)?;
-        let writes = snapshots.suffix_writes(idx)?;
-        if diff.iter().any(|&(o, i)| reads.contains(o, i)) {
+        if diff.iter().any(|&cell| snapshots.read_after(idx, cell)) {
             // A divergent cell feeds the suffix: its fate is unprovable
             // here. Keep executing — later probes may still certify.
             return None;
@@ -405,7 +397,7 @@ impl Machine<'_, '_> {
         // persists into the final observable state.
         let persists = diff
             .iter()
-            .any(|&(o, i)| self.state.mem.is_global(o) && !writes.contains(o, i));
+            .any(|&cell| self.state.mem.is_global(cell.0) && !snapshots.written_after(idx, cell));
         if out_eq && !persists {
             Some(SpliceRule::DeadDiff)
         } else {

@@ -127,6 +127,15 @@ fn every_symptom_trap_has_its_pinned_kind_text_and_position() {
             mem("alloc of 16777209 cells exceeds the heap's 16777216-cell bound (8 in use)", 3),
         ),
         (
+            "an empty allocation charged one cell",
+            module(|f, _| {
+                f.alloc(Operand::ImmI(0));
+                f.alloc(f.param(0).into());
+            }),
+            [int(i64::from(MAX_OBJECT_CELLS)), int(0)],
+            mem("alloc of 16777216 cells exceeds the heap's 16777216-cell bound (1 in use)", 3),
+        ),
+        (
             "slots summing past the heap bound",
             {
                 let mut mb = ModuleBuilder::new("traps");
@@ -146,6 +155,29 @@ fn every_symptom_trap_has_its_pinned_kind_text_and_position() {
             mem(
                 "slot of 16777216 cells exceeds the 16777216-cell bound on heap and slot cells \
                  (8 in use)",
+                2,
+            ),
+        ),
+        (
+            "an empty slot charged one cell",
+            {
+                let mut mb = ModuleBuilder::new("traps");
+                let leaf = mb.function("leaf", 0, |f| {
+                    f.slot(MAX_OBJECT_CELLS);
+                    f.ret(None);
+                });
+                mb.function("f", 2, |f| {
+                    f.slot(0);
+                    f.mov(Operand::ImmI(0));
+                    f.call_void(leaf, &[]);
+                    f.ret(None);
+                });
+                mb.finish()
+            },
+            [int(0), int(0)],
+            mem(
+                "slot of 16777216 cells exceeds the 16777216-cell bound on heap and slot cells \
+                 (1 in use)",
                 2,
             ),
         ),

@@ -78,6 +78,36 @@ echo "==> containment (mutated and oversized modules)"
 cargo test --release -q --offline --test workload_roundtrip -- \
     mutated_modules_are_errors_or_traps_never_aborts modules_too_large_to_run_are_errors_or_traps
 
+# A loop of zero-cell allocations: each empty object is charged one heap
+# cell, so the loop ends in the heap bound's memory trap after 2^24
+# objects instead of growing the object table until the host aborts.
+# The address-space limit keeps a regression from taking the machine's
+# memory with it.
+echo "==> containment (a loop of zero-cell allocations)"
+zero_alloc=$(mktemp --suffix .eir)
+trap 'rm -f "$zero_alloc"' EXIT
+cat > "$zero_alloc" <<'EOF'
+module "zero_alloc" {
+  heap_sites 1
+  func "main" params=1 regs=4 slots=[] {
+  bb0:
+    r1 = mov 0
+    jmp bb1
+  bb1:
+    r2 = lt r1, r0
+    br r2, bb2, bb3
+  bb2:
+    r3 = alloc h0, 0
+    r1 = add r1, 1
+    jmp bb1
+  bb3:
+    ret r1
+  }
+}
+EOF
+zero_alloc_out=$(ulimit -v 4000000 && target/release/encore-cli run "$zero_alloc" --eval-arg 60000000)
+grep -F 'Memory("alloc of 0 cells exceeds' <<<"$zero_alloc_out"
+
 # Differential fuzz smoke: 64 machine-generated programs (fixed seed —
 # cases are a pure function of the property name and index) through the
 # splice/stride/worker differential property, plus the per-fault-model
