@@ -52,17 +52,6 @@ pub trait AliasOracle: Sync {
     ) -> AliasResult {
         self.alias(a, b)
     }
-
-    /// `true` when the pair may refer to the same cell (i.e. `May` or
-    /// `Must`).
-    fn may_alias(&self, a: &AddrExpr, b: &AddrExpr) -> bool {
-        self.alias(a, b) != AliasResult::No
-    }
-
-    /// `true` when the pair provably refers to the same cell.
-    fn must_alias(&self, a: &AddrExpr, b: &AddrExpr) -> bool {
-        self.alias(a, b) == AliasResult::Must
-    }
 }
 
 /// Do the two bases certainly name different objects?

@@ -4,8 +4,8 @@
 //! manipulate sets of small dense indices — load/store sites, guard
 //! cells, virtual registers — millions of times per module. A packed
 //! `u64`-word representation turns every union/intersection/difference
-//! into a handful of word ops and makes the final `EA ∩ RS` emptiness
-//! probe (Eq. 4) a word-wise `is_disjoint` scan.
+//! into a handful of word ops, and the final `EA ∩ RS` probe (Eq. 4)
+//! walks the intersection word by word with `iter_and`.
 
 /// A fixed-universe set of `usize` indices packed into `u64` words.
 ///
@@ -131,13 +131,6 @@ impl BitSet {
         changed
     }
 
-    /// `true` when the two sets share no index — the Eq. 4 probe.
-    #[must_use]
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        self.words.iter().zip(&other.words).all(|(&a, &b)| a & b == 0)
-    }
-
     /// Iterates the members of `self ∩ other` in ascending order without
     /// materializing the intersection.
     pub fn iter_and<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
@@ -246,18 +239,6 @@ mod tests {
         assert!(a.subtract(&b));
         assert!(a.is_empty());
         assert!(!a.subtract(&b));
-    }
-
-    #[test]
-    fn disjointness() {
-        let mut a = BitSet::new(256);
-        let mut b = BitSet::new(256);
-        a.insert(70);
-        b.insert(200);
-        assert!(a.is_disjoint(&b));
-        assert!(b.is_disjoint(&a));
-        b.insert(70);
-        assert!(!a.is_disjoint(&b));
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl IntervalHierarchy {
 
         Self { levels, parent: parents }
     }
-
-    /// Number of levels.
-    pub fn depth(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 #[cfg(test)]

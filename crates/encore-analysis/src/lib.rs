@@ -5,8 +5,8 @@
 //! LLVM; this crate provides the equivalent foundations over
 //! [`encore_ir`]:
 //!
-//! * [CFG traversal orders](order) — the post-order and reversed-graph
-//!   post-order traversals of Eqs. 1–3;
+//! * [CFG traversal orders](order) — post-order and reachability over
+//!   whole functions and regions;
 //! * [dense bitsets](BitSet) and the [worklist solver](dataflow) — the
 //!   engine the RS/GA/EA and liveness fixpoints run on;
 //! * [dominator trees](DomTree) — SEME-ness and back-edge detection;

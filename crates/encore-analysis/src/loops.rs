@@ -52,8 +52,6 @@ pub struct LoopForest {
     /// All natural loops, inner-most first (safe processing order for
     /// hierarchical summarization).
     pub loops: Vec<Loop>,
-    /// `block → innermost loop index`, if the block is in any loop.
-    innermost: Vec<Option<usize>>,
     /// `true` if a retreating edge that is not a back edge was found —
     /// i.e. the CFG is irreducible and some cycles are not natural loops.
     pub irreducible: bool,
@@ -156,22 +154,7 @@ impl LoopForest {
             }
         }
 
-        // Innermost-loop map (loops are already sorted smallest-first).
-        let mut innermost = vec![None; n];
-        for (i, l) in loops.iter().enumerate() {
-            for &b in &l.blocks {
-                if innermost[b.index()].is_none() {
-                    innermost[b.index()] = Some(i);
-                }
-            }
-        }
-
-        Self { loops, innermost, irreducible }
-    }
-
-    /// Index of the innermost loop containing `b`, if any.
-    pub fn innermost_loop_of(&self, b: BlockId) -> Option<usize> {
-        self.innermost.get(b.index()).copied().flatten()
+        Self { loops, irreducible }
     }
 }
 
@@ -229,11 +212,6 @@ mod tests {
         assert_eq!(forest.loops[0].parent, Some(1));
         assert_eq!(forest.loops[1].children, vec![0]);
         assert!(forest.loops[0].blocks.is_subset(&forest.loops[1].blocks));
-        // Inner header's innermost loop is the inner loop.
-        assert_eq!(
-            forest.innermost_loop_of(forest.loops[0].header),
-            Some(0)
-        );
     }
 
     #[test]
@@ -290,6 +268,5 @@ mod tests {
         let forest = forest_of(&mb.finish());
         assert!(forest.loops.is_empty());
         assert!(!forest.irreducible);
-        assert_eq!(forest.innermost_loop_of(BlockId::new(0)), None);
     }
 }

@@ -55,13 +55,6 @@ impl MemProfile {
     pub fn site_count(&self) -> usize {
         self.touched.len()
     }
-
-    /// Merges another profile (e.g. several training runs).
-    pub fn merge(&mut self, other: &MemProfile) {
-        for (site, cells) in &other.touched {
-            self.touched.entry(*site).or_default().extend(cells.iter().copied());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,16 +87,5 @@ mod tests {
         p.record(site(0, 1, 0), cell(0, 0));
         // The other site never executed: no statistical evidence.
         assert!(!p.observed_disjoint(site(0, 1, 0), site(0, 9, 9)));
-    }
-
-    #[test]
-    fn merge_unions_footprints() {
-        let mut a = MemProfile::new();
-        a.record(site(0, 1, 0), cell(0, 0));
-        let mut b = MemProfile::new();
-        b.record(site(0, 1, 0), cell(0, 7));
-        a.merge(&b);
-        assert_eq!(a.footprint(site(0, 1, 0)).unwrap().len(), 2);
-        assert_eq!(a.site_count(), 1);
     }
 }

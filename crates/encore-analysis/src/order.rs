@@ -1,9 +1,9 @@
 //! CFG traversal orders.
 //!
-//! Encore's dataflow (Eqs. 1–3 of the paper) is phrased as post-order
-//! traversals of a region's CFG and of the edge-reversed CFG. This module
-//! provides those orders both for whole functions and for arbitrary block
-//! subsets (regions).
+//! Post-order traversals and reachability, both for whole functions and
+//! for arbitrary block subsets (regions): dominators and liveness seed
+//! their fixpoints in post-order, and region formation and CFG
+//! simplification ask which blocks are reachable.
 
 use encore_ir::{BlockId, Function};
 use std::collections::BTreeSet;
@@ -57,59 +57,6 @@ pub fn postorder(func: &Function) -> Vec<BlockId> {
     postorder_from(func, func.entry(), None)
 }
 
-/// Reverse post-order (a topological order for acyclic CFGs) of the whole
-/// function.
-pub fn reverse_postorder(func: &Function) -> Vec<BlockId> {
-    let mut po = postorder(func);
-    po.reverse();
-    po
-}
-
-/// Post-order traversal of the *edge-reversed* subgraph induced by
-/// `allowed`, started from each of `roots` in turn (the region's exiting
-/// blocks in Encore's reverse pass). Returns the concatenated order; each
-/// block appears once.
-pub fn reverse_graph_postorder(
-    func: &Function,
-    roots: &[BlockId],
-    allowed: &BTreeSet<BlockId>,
-) -> Vec<BlockId> {
-    // Predecessor map restricted to the allowed set.
-    let mut preds: std::collections::BTreeMap<BlockId, Vec<BlockId>> =
-        allowed.iter().map(|b| (*b, Vec::new())).collect();
-    for &b in allowed {
-        for s in func.block(b).successors() {
-            if allowed.contains(&s) {
-                preds.get_mut(&s).expect("allowed").push(b);
-            }
-        }
-    }
-    let mut visited = vec![false; func.blocks.len()];
-    let mut out = Vec::new();
-    for &root in roots {
-        if !allowed.contains(&root) || visited[root.index()] {
-            continue;
-        }
-        let mut stack: Vec<(BlockId, usize)> = vec![(root, 0)];
-        visited[root.index()] = true;
-        while let Some((node, cursor)) = stack.last_mut() {
-            let ps = &preds[node];
-            if *cursor < ps.len() {
-                let p = ps[*cursor];
-                *cursor += 1;
-                if !visited[p.index()] {
-                    visited[p.index()] = true;
-                    stack.push((p, 0));
-                }
-            } else {
-                out.push(*node);
-                stack.pop();
-            }
-        }
-    }
-    out
-}
-
 /// Blocks reachable from `entry` within `allowed` (or the whole function).
 pub fn reachable_from(
     func: &Function,
@@ -144,13 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn rpo_starts_with_entry() {
-        let m = diamond();
-        let rpo = reverse_postorder(&m.funcs[0]);
-        assert_eq!(rpo[0], m.funcs[0].entry());
-    }
-
-    #[test]
     fn restriction_excludes_blocks() {
         let m = diamond();
         let f = &m.funcs[0];
@@ -160,20 +100,6 @@ mod tests {
         let po = postorder_from(f, f.entry(), Some(&allowed));
         assert!(!po.contains(&BlockId::new(2)));
         assert_eq!(po.len(), 3);
-    }
-
-    #[test]
-    fn reverse_graph_postorder_reaches_entry() {
-        let m = diamond();
-        let f = &m.funcs[0];
-        let allowed: BTreeSet<_> = f.block_ids().collect();
-        let exits = vec![BlockId::new(3)];
-        let order = reverse_graph_postorder(f, &exits, &allowed);
-        assert_eq!(order.len(), 4);
-        // In reversed-graph post-order the entry comes before the root.
-        let entry_pos = order.iter().position(|b| *b == f.entry()).unwrap();
-        let root_pos = order.iter().position(|b| *b == BlockId::new(3)).unwrap();
-        assert!(entry_pos < root_pos);
     }
 
     #[test]

@@ -84,25 +84,6 @@ impl Profile {
     pub fn func_mut(&mut self, f: FuncId) -> &mut FuncProfile {
         &mut self.funcs[f.index()]
     }
-
-    /// Merges another profile into this one (e.g. multiple training runs).
-    pub fn merge(&mut self, other: &Profile) {
-        if self.funcs.len() < other.funcs.len() {
-            self.funcs.resize(other.funcs.len(), FuncProfile::default());
-        }
-        for (dst, src) in self.funcs.iter_mut().zip(&other.funcs) {
-            for (b, c) in &src.block_counts {
-                *dst.block_counts.entry(*b).or_insert(0) += c;
-            }
-            for (e, c) in &src.edge_counts {
-                *dst.edge_counts.entry(*e).or_insert(0) += c;
-            }
-            dst.invocations += src.invocations;
-            dst.dyn_insts += src.dyn_insts;
-        }
-        self.total_dyn_insts += other.total_dyn_insts;
-        self.mem.merge(&other.mem);
-    }
 }
 
 #[cfg(test)]
@@ -132,24 +113,5 @@ mod tests {
         let mut p = sample();
         p.block_counts.insert(BlockId::new(2), 500); // inner loop body
         assert_eq!(p.prob_relative(BlockId::new(2), BlockId::new(0)), 1.0);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Profile {
-            funcs: vec![sample()],
-            total_dyn_insts: 50,
-            mem: crate::MemProfile::new(),
-        };
-        let b = Profile {
-            funcs: vec![sample()],
-            total_dyn_insts: 70,
-            mem: crate::MemProfile::new(),
-        };
-        a.merge(&b);
-        assert_eq!(a.funcs[0].count(BlockId::new(0)), 200);
-        assert_eq!(a.funcs[0].edge(BlockId::new(0), BlockId::new(1)), 20);
-        assert_eq!(a.total_dyn_insts, 120);
-        assert_eq!(a.funcs[0].invocations, 200);
     }
 }

@@ -45,9 +45,6 @@ pub struct EncoreConfig {
     /// Maximum fault-detection latency in dynamic instructions (`Dmax`
     /// of Eq. 6); detection latency is uniform over `[0, Dmax]`.
     pub dmax: u64,
-    /// Hardware masking rate used by the full-system model (the paper
-    /// measured ≈0.91 on an ARM926 Verilog model via SFI).
-    pub masking_rate: f64,
     /// **Ablation knob (unsound!):** skip the live-in register
     /// checkpoints at region headers. The paper inserts them "to ensure
     /// that no WAR register dependencies violate idempotence" (§3.2);
@@ -77,7 +74,6 @@ impl Default for EncoreConfig {
             overhead_budget: Some(0.20),
             alias: AliasMode::Static,
             dmax: 100,
-            masking_rate: 0.91,
             elide_reg_ckpts: false,
             max_region_len: f64::INFINITY,
             analysis_workers: 0,
@@ -133,12 +129,6 @@ impl EncoreConfig {
         self
     }
 
-    /// Sets the hardware masking rate for the full-system model.
-    pub fn with_masking_rate(mut self, rate: f64) -> Self {
-        self.masking_rate = rate;
-        self
-    }
-
     /// Sets the per-activation region length cap (see
     /// [`Self::max_region_len`]).
     pub fn with_max_region_len(mut self, len: f64) -> Self {
@@ -178,7 +168,7 @@ mod tests {
         assert_eq!(c.pmin, Some(0.0));
         assert_eq!(c.overhead_budget, Some(0.20));
         assert_eq!(c.dmax, 100);
-        assert!((c.masking_rate - 0.91).abs() < 1e-12);
+        assert_eq!(crate::ARM926_MASKING_RATE, 0.91);
         assert_eq!(c.alias, AliasMode::Static);
     }
 

@@ -77,16 +77,6 @@ impl RegionMap {
     pub fn info(&self, id: RegionId) -> &RegionInfo {
         &self.regions[id.index()]
     }
-
-    /// Number of regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// `true` when the map holds no regions.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
 }
 
 /// Figure 7b storage accounting.
@@ -143,16 +133,9 @@ pub struct InstrumentedModule {
 /// `candidates` is the final region partition of the whole module, each
 /// paired with its selection decision (`true` = instrument). Regions must
 /// be disjoint per function; headers must be unique.
-pub fn instrument_module(
-    module: &Module,
-    candidates: &[(CandidateRegion, bool)],
-) -> InstrumentedModule {
-    instrument_module_with(module, candidates, false)
-}
-
-/// [`instrument_module`] with the register-checkpoint-elision ablation
-/// knob (`elide_reg_ckpts = true` skips the live-in saves — unsound, for
-/// the ablation study only).
+///
+/// `elide_reg_ckpts = true` skips the live-in register saves: unsound,
+/// for the ablation study only.
 pub fn instrument_module_with(
     module: &Module,
     candidates: &[(CandidateRegion, bool)],
@@ -286,7 +269,7 @@ mod tests {
         let config = EncoreConfig::default().with_eta(0.0);
         let part = RegionPartition::form(&m, fid, &analyzer, &profile, &config);
         let cands: Vec<_> = part.regions.into_iter().map(|r| (r, true)).collect();
-        let inst = instrument_module(&m, &cands);
+        let inst = instrument_module_with(&m, &cands, false);
         (m, inst)
     }
 
@@ -373,7 +356,7 @@ mod tests {
         let config = EncoreConfig::default().with_pmin(None);
         let part = RegionPartition::form(&m, fid, &analyzer, &profile, &config);
         let cands: Vec<_> = part.regions.into_iter().map(|r| (r, false)).collect();
-        let inst = instrument_module(&m, &cands);
+        let inst = instrument_module_with(&m, &cands, false);
         assert_eq!(inst.module, m, "unselected regions must not change code");
         assert!(inst.map.regions.iter().all(|r| !r.protected));
         assert!(inst.storage.per_region.is_empty());

@@ -33,13 +33,14 @@ pub mod trace;
 pub mod viz;
 
 pub use config::EncoreConfig;
-pub use coverage::{alpha, alpha_at_latency, CoverageModel, FullSystemCoverage};
+pub use coverage::{
+    alpha, alpha_at_latency, CoverageModel, FullSystemCoverage, ARM926_MASKING_RATE,
+};
 pub use idempotence::{
     IdempotenceAnalyzer, LoopSummary, RegionAnalysis, RegionSpec, Verdict, Violation,
 };
 pub use instrument::{
-    instrument_module, instrument_module_with, InstrumentedModule, RegionInfo, RegionMap,
-    StorageReport,
+    instrument_module_with, InstrumentedModule, RegionInfo, RegionMap, StorageReport,
 };
 pub use memref::{AbsAddr, GuardAddr, GuardSet, LoadSite, SiteSet, StoreSite};
 pub use pipeline::{Encore, EncoreOutcome, RegionReport};

@@ -9,7 +9,7 @@
 //! γ is reported).
 
 use crate::config::EncoreConfig;
-use crate::coverage::{CoverageModel, ExecutionBreakdown, FullSystemCoverage};
+use crate::coverage::{CoverageModel, ExecutionBreakdown, FullSystemCoverage, ARM926_MASKING_RATE};
 use crate::idempotence::{IdempotenceAnalyzer, Verdict};
 use crate::instrument::{instrument_module_with, InstrumentedModule};
 use crate::region::{CandidateRegion, RegionPartition};
@@ -178,7 +178,6 @@ impl Encore {
         // 4. Models and reports.
         let mut verdicts = VerdictCounts::default();
         let mut breakdown = ExecutionBreakdown::default();
-        let mut covered_exec = 0.0;
         let mut model_regions: Vec<(f64, u64, bool)> = Vec::new();
         let mut reports = Vec::new();
         for (cand, selected) in &candidates {
@@ -187,7 +186,6 @@ impl Encore {
                 Verdict::NonIdempotent { .. } => verdicts.non_idempotent += 1,
                 Verdict::Unknown => verdicts.unknown += 1,
             }
-            covered_exec += cand.costing.exec_fraction;
             if *selected {
                 if cand.analysis.verdict.is_idempotent() {
                     breakdown.idempotent += cand.costing.exec_fraction;
@@ -216,14 +214,13 @@ impl Encore {
         // rounding) plus unselected regions is unprotected.
         breakdown.unprotected =
             (1.0 - breakdown.idempotent - breakdown.checkpointed).max(0.0);
-        let _ = covered_exec;
 
         let coverage = CoverageModel::from_regions(
             model_regions,
             breakdown.unprotected,
             self.config.dmax,
         );
-        let full_system = FullSystemCoverage::compose(self.config.masking_rate, &coverage);
+        let full_system = FullSystemCoverage::compose(ARM926_MASKING_RATE, &coverage);
 
         EncoreOutcome {
             candidates,

@@ -29,8 +29,8 @@
 //! equal state implies an identical future under the deterministic
 //! interpreter regardless of how the state was reached. That argument is
 //! independent of the fault model — it holds for deferred corruptions
-//! (an armed-but-never-fired wrong-edge or address fault keeps
-//! `fault.is_some()` true forever, so no probe can certify, which is the
+//! (an armed-but-never-fired wrong-edge or address fault stays pending
+//! to the end of the run, so no probe can certify, which is the
 //! conservative direction) and for power failures (whose zeroed
 //! volatile registers either get rewritten, restoring state equality, or
 //! keep every probe failing). The differential tests

@@ -35,7 +35,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::memory::Memory;
 use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
 use crate::snapshot::{GoldenRecord, Snapshot, SnapshotLog};
-use crate::splice::{ProbeState, SpliceTrack};
+use crate::splice::ProbeState;
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
 use encore_analysis::Profile;
@@ -187,7 +187,8 @@ struct RecoveryState {
     region: RegionId,
     recovery_block: BlockId,
     /// Global activation ordinal assigned when this recovery was armed
-    /// ([`State::activations`]; see [`SpliceTrack`]).
+    /// ([`State::activations`]; a rollback carries it into
+    /// [`Injection::RolledBack`]).
     act_ordinal: u64,
 }
 
@@ -291,22 +292,40 @@ pub(crate) struct ControlState {
     pub(crate) externs: Externs,
 }
 
-struct FaultState {
-    plan: FaultPlan,
+/// Where the planned fault is in its lifecycle: it fires, is detected
+/// `l` instructions later (Eq. 6), rolls the run back to the armed
+/// region's recovery block, and the re-executed `SetRecovery` realigns
+/// the run with the golden timeline. Each phase holds only what later
+/// steps and the run's [`FaultTelemetry`] read; `site` is the function
+/// and block executing when the fault fired.
+#[derive(Clone, Copy)]
+pub(crate) enum Injection {
+    /// Waiting for the plan's eligible ordinal.
+    Planned(FaultPlan),
     /// A deferred action ([`FaultAction::WrongEdge`],
-    /// [`FaultAction::CorruptAddress`]) reached its eligible ordinal
-    /// and now waits for its firing event (the next branch / memory
-    /// access). Immediate actions never set this.
-    armed: bool,
-    injected: bool,
-    detect_at: Option<u64>,
-    detected: bool,
-}
-
-impl FaultState {
-    fn new(plan: FaultPlan) -> Self {
-        Self { plan, armed: false, injected: false, detect_at: None, detected: false }
-    }
+    /// [`FaultAction::CorruptAddress`]) reached its ordinal and waits
+    /// for its firing event: the next conditional branch, or the next
+    /// program load or store.
+    Armed(FaultPlan),
+    /// Fired and not yet detected; detection is due at dynamic
+    /// instruction `detect_at`, or at an earlier symptom trap.
+    Live {
+        site: (FuncId, BlockId),
+        detect_at: u64,
+        /// A [`FaultAction::PowerFailure`]: the rollback also clears
+        /// the registers the recovery log checkpointed.
+        power: bool,
+    },
+    /// Detected and rolled back into `region`, whose recovery was
+    /// armed as activation `ordinal` ([`State::activations`]).
+    RolledBack { site: (FuncId, BlockId), region: RegionId, ordinal: u64 },
+    /// The rollback's re-executed `SetRecovery` retired at dynamic
+    /// instruction `at`, where the golden run was at activation
+    /// `ordinal`: the point the splice measures its drift from.
+    Realigned { site: (FuncId, BlockId), region: RegionId, ordinal: u64, at: u64 },
+    /// Detected with no recovery armed: the run ends in a
+    /// [`TrapKind::DetectedUnrecoverable`] trap.
+    Unrecoverable { site: (FuncId, BlockId) },
 }
 
 /// What an observed run records: the training [`Profile`], the
@@ -403,10 +422,8 @@ pub(crate) struct Machine<'m, 'c> {
     /// The resumable state: what a snapshot captures.
     pub(crate) state: State,
     pub(crate) obs: Observers,
-    fault: Option<FaultState>,
-    telemetry: FaultTelemetry,
-    /// Splice realignment bookkeeping.
-    pub(crate) splice: SpliceTrack,
+    /// The planned fault's phase; `None` for a fault-free run.
+    pub(crate) fault: Option<Injection>,
     pub(crate) fuel: u64,
     final_ret: Option<Value>,
     /// Object count at the machine's dirty-tracking baseline (the
@@ -490,55 +507,42 @@ fn resolve_decoded(
 }
 
 /// Applies the fault plan to a value-producing instruction's result,
-/// taking the fault fields as split borrows so the current frame can
+/// taking the fault phase as a split borrow so the current frame can
 /// stay mutably borrowed across the call. Counts one eligible
 /// instruction (even without a plan, so golden runs report the sample
 /// space) and, at the plan's ordinal, dispatches on the
 /// [`FaultAction`]: value corruptions apply here; deferred actions
 /// (wrong-edge, address) only *arm* and fire later at their matching
-/// event; a power failure marks itself injected with detection due
-/// immediately (the machine dies before the next instruction). Sets
-/// `fired` when the fault is injected by this call (the sprint loop
-/// then tightens its detection bound).
-#[allow(clippy::too_many_arguments)]
+/// event; a power failure fires with detection due immediately (the
+/// machine dies before the next instruction). Sets `fired` when the
+/// fault fires in this call (the sprint loop then tightens its
+/// detection bound).
 #[inline]
 fn inject(
-    fault: &mut Option<FaultState>,
+    fault: &mut Option<Injection>,
     eligible_seen: &mut u64,
     now: u64,
-    telemetry: &mut FaultTelemetry,
     site: (FuncId, BlockId),
     v: Value,
     fired: &mut bool,
 ) -> Value {
     let ordinal = *eligible_seen;
     *eligible_seen += 1;
-    let Some(f) = fault else { return v };
-    if f.injected || ordinal != f.plan.inject_at {
+    let Some(Injection::Planned(plan)) = *fault else { return v };
+    if ordinal != plan.inject_at {
         return v;
     }
-    match f.plan.action {
-        FaultAction::FlipBits { mask } => {
-            f.injected = true;
-            f.detect_at = Some(now + f.plan.detect_latency);
-            telemetry.injected = true;
-            telemetry.inject_site = Some(site);
-            *fired = true;
-            v.flip_bits(mask)
-        }
+    let (v, detect_at, power) = match plan.action {
+        FaultAction::FlipBits { mask } => (v.flip_bits(mask), now + plan.detect_latency, false),
         FaultAction::WrongEdge | FaultAction::CorruptAddress { .. } => {
-            f.armed = true;
-            v
+            *fault = Some(Injection::Armed(plan));
+            return v;
         }
-        FaultAction::PowerFailure => {
-            f.injected = true;
-            f.detect_at = Some(now);
-            telemetry.injected = true;
-            telemetry.inject_site = Some(site);
-            *fired = true;
-            v
-        }
-    }
+        FaultAction::PowerFailure => (v, now, true),
+    };
+    *fault = Some(Injection::Live { site, detect_at, power });
+    *fired = true;
+    v
 }
 
 /// Fires an armed [`FaultAction::CorruptAddress`] fault, if any: the
@@ -550,22 +554,21 @@ fn inject(
 /// is live.
 #[inline]
 fn corrupt_addr(
-    fault: &mut Option<FaultState>,
+    fault: &mut Option<Injection>,
     now: u64,
-    telemetry: &mut FaultTelemetry,
     site: (FuncId, BlockId),
     idx: i64,
     fired: &mut bool,
 ) -> i64 {
-    let Some(f) = fault else { return idx };
-    if !f.armed || f.injected {
+    let Some(Injection::Armed(FaultPlan {
+        action: FaultAction::CorruptAddress { mask },
+        detect_latency,
+        ..
+    })) = *fault
+    else {
         return idx;
-    }
-    let FaultAction::CorruptAddress { mask } = f.plan.action else { return idx };
-    f.injected = true;
-    f.detect_at = Some(now + f.plan.detect_latency);
-    telemetry.injected = true;
-    telemetry.inject_site = Some(site);
+    };
+    *fault = Some(Injection::Live { site, detect_at: now + detect_latency, power: false });
     *fired = true;
     idx ^ crate::value::fold_mask16(mask) as i64
 }
@@ -577,23 +580,21 @@ fn corrupt_addr(
 /// count; the caller has already advanced the instruction pointer.
 ///
 /// Returns `Ok(true)` on a *control event* the sprint must surface:
-/// either this instruction injected the planned fault (the sprint then
-/// tightens its detection bound), or — with no fault live — a
-/// `SetRecovery` realigned a rolled-back run (the sprint pauses so the
-/// splice driver can start probing golden snapshots).
+/// the fault went [`Injection::Live`] at this instruction (the sprint
+/// then tightens its detection bound), or a `SetRecovery` moved it from
+/// [`Injection::RolledBack`] to [`Injection::Realigned`] (the sprint
+/// pauses, so the splice driver can start probing golden snapshots).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn exec_fast<const OBSERVE: bool>(
     di: &DecodedInst<'_>,
     frame: &mut Frame,
     mem: &mut Memory,
-    fault: &mut Option<FaultState>,
+    fault: &mut Option<Injection>,
     eligible_seen: &mut u64,
-    telemetry: &mut FaultTelemetry,
     last_alloc_of_site: &[Option<u32>],
     ckpt_high_water: &mut u64,
     activations: &mut u64,
-    splice: &mut SpliceTrack,
     obs: &mut Observers,
     site: (FuncId, BlockId),
     now: u64,
@@ -605,38 +606,38 @@ fn exec_fast<const OBSERVE: bool>(
             let b = opnd(frame, rhs);
             let v = eval_bin(*op, a, b)
                 .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
-            let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
+            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
             frame.regs[dst.index()] = v;
         }
         MicroOp::Un { op, dst, src } => {
             let a = opnd(frame, src);
             let v =
                 eval_un(*op, a).map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
-            let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
+            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
             frame.regs[dst.index()] = v;
         }
         MicroOp::Mov { dst, src } => {
             let v = opnd(frame, src);
-            let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
+            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
             frame.regs[dst.index()] = v;
         }
         MicroOp::Load { dst, addr } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            let idx = corrupt_addr(fault, now, telemetry, site, idx, &mut fired);
+            let idx = corrupt_addr(fault, now, site, idx, &mut fired);
             let v = mem
                 .read(obj, idx)
                 .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
             if OBSERVE {
                 obs.program_access(mem, site.0, di.at, obj, idx, now, AccessKind::Load);
             }
-            let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
+            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
             frame.regs[dst.index()] = v;
         }
         MicroOp::Store { addr, src } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            let idx = corrupt_addr(fault, now, telemetry, site, idx, &mut fired);
+            let idx = corrupt_addr(fault, now, site, idx, &mut fired);
             let v = opnd(frame, src);
-            let v = inject(fault, eligible_seen, now, telemetry, site, v, &mut fired);
+            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
             mem.write(obj, idx, v)
                 .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
             if OBSERVE {
@@ -663,7 +664,10 @@ fn exec_fast<const OBSERVE: bool>(
             if OBSERVE {
                 obs.activation(now);
             }
-            fired = splice.on_set_recovery(now);
+            if let Some(Injection::RolledBack { site, region, ordinal }) = *fault {
+                *fault = Some(Injection::Realigned { site, region, ordinal, at: now });
+                fired = true;
+            }
         }
         MicroOp::CkptMem { addr } => {
             let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
@@ -828,7 +832,7 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// A plan whose inject ordinal precedes a resumed `state` cannot
     /// fire; [`SfiCampaign::run_one`](crate::SfiCampaign::run_one) only
     /// resumes from snapshots with `eligible_seen <= plan.inject_at`, so
-    /// the fresh (un-armed, un-injected) fault state is exactly what a
+    /// the fresh [`Injection::Planned`] phase is exactly what a
     /// from-scratch run carries at this point — for every
     /// [`FaultAction`], deferred ones included, since arming happens at
     /// or after the inject ordinal.
@@ -846,9 +850,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             base_objects: state.mem.object_count(),
             state,
             obs: Observers::default(),
-            fault: config.fault.map(FaultState::new),
-            telemetry: FaultTelemetry::default(),
-            splice: SpliceTrack::default(),
+            fault: config.fault.map(Injection::Planned),
             fuel: config.fuel,
             final_ret: None,
             probe: ProbeState::default(),
@@ -904,21 +906,11 @@ impl<'m, 'c> Machine<'m, 'c> {
         frame.regs[r.index()] = v;
     }
 
-    /// True when a live (injected, undetected) fault should now be
-    /// detected.
-    fn detection_due(&self) -> bool {
-        match &self.fault {
-            Some(f) if f.injected && !f.detected => {
-                f.detect_at.map(|d| self.state.dyn_insts >= d).unwrap_or(false)
-            }
-            _ => false,
-        }
-    }
-
-    /// Fault detection fired: unwind to the nearest armed frame and
-    /// redirect to its recovery block.
+    /// Detection of the live fault fired at `site`: unwind to the
+    /// nearest armed frame and redirect to its recovery block, moving
+    /// the fault to [`Injection::RolledBack`].
     ///
-    /// For a [`FaultAction::PowerFailure`] the machine additionally
+    /// For a [`FaultAction::PowerFailure`] (`power`) the machine also
     /// loses the in-flight volatile state of the region it restarts:
     /// every register the recovery log checkpointed is zeroed before
     /// the recovery block runs, modeling a reboot on an intermittent
@@ -931,16 +923,9 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// (the standard just-in-time-checkpointing contract; our log only
     /// materializes the WAR subset Encore checkpoints).
     ///
-    /// Returns `Err` when no frame is armed (unrecoverable).
-    fn trigger_recovery(&mut self) -> Result<(), Trap> {
-        let power = matches!(
-            &self.fault,
-            Some(f) if matches!(f.plan.action, FaultAction::PowerFailure)
-        );
-        if let Some(f) = &mut self.fault {
-            f.detected = true;
-        }
-        self.telemetry.detected = true;
+    /// Returns `Err` when no frame is armed, leaving the fault
+    /// [`Injection::Unrecoverable`].
+    fn trigger_recovery(&mut self, site: (FuncId, BlockId), power: bool) -> Result<(), Trap> {
         // Find the deepest armed frame.
         while let Some(frame) = self.state.control.frames.last_mut() {
             if let Some(rec) = frame.recovery {
@@ -953,16 +938,18 @@ impl<'m, 'c> Machine<'m, 'c> {
                         }
                     }
                 }
-                self.telemetry.rolled_back = true;
-                self.telemetry.rollback_region = Some(rec.region);
-                self.splice.on_rollback(rec.act_ordinal);
                 // The fault is consumed: re-execution is fault-free.
-                self.fault = None;
+                self.fault = Some(Injection::RolledBack {
+                    site,
+                    region: rec.region,
+                    ordinal: rec.act_ordinal,
+                });
                 return Ok(());
             }
             let popped = self.state.control.frames.pop().expect("frame");
             self.spare_frames.push(popped);
         }
+        self.fault = Some(Injection::Unrecoverable { site });
         Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.state.dyn_insts })
     }
 
@@ -989,8 +976,10 @@ impl<'m, 'c> Machine<'m, 'c> {
         if self.state.dyn_insts >= self.fuel {
             return Err(Trap { kind: TrapKind::FuelExhausted, at: self.state.dyn_insts });
         }
-        if self.detection_due() {
-            self.trigger_recovery()?;
+        if let Some(Injection::Live { site, detect_at, power }) = self.fault {
+            if self.state.dyn_insts >= detect_at {
+                self.trigger_recovery(site, power)?;
+            }
         }
         let Some(frame) = self.state.control.frames.last() else {
             return Ok(false);
@@ -1015,7 +1004,7 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
         let stop = {
             let fuel = self.fuel;
-            let Machine { state, fault, telemetry, splice, obs, .. } = self;
+            let Machine { state, fault, obs, .. } = self;
             let State {
                 control, mem, dyn_insts, eligible_seen, ckpt_high_water, activations, ..
             } = state;
@@ -1033,12 +1022,8 @@ impl<'m, 'c> Machine<'m, 'c> {
             // detection due-time. The hit branch below disambiguates in
             // priority order: limit, then fuel, then detection.
             let mut bound = limit.min(fuel);
-            if let Some(f) = &*fault {
-                if f.injected && !f.detected {
-                    if let Some(d) = f.detect_at {
-                        bound = bound.min(d);
-                    }
-                }
+            if let Some(Injection::Live { detect_at, .. }) = *fault {
+                bound = bound.min(detect_at);
             }
             loop {
                 if *dyn_insts >= bound {
@@ -1073,28 +1058,24 @@ impl<'m, 'c> Machine<'m, 'c> {
                         mem,
                         fault,
                         eligible_seen,
-                        telemetry,
                         last_alloc_of_site,
                         ckpt_high_water,
                         activations,
-                        splice,
                         obs,
                         site,
                         *dyn_insts,
                     ) {
                         Ok(false) => {}
-                        Ok(true) => match &*fault {
-                            // The fault was injected just now: start
-                            // pausing at its detection due-time.
-                            Some(f) => {
-                                if let Some(d) = f.detect_at {
-                                    bound = bound.min(d);
-                                }
+                        Ok(true) => match *fault {
+                            // The fault fired just now: start pausing
+                            // at its detection due-time.
+                            Some(Injection::Live { detect_at, .. }) => {
+                                bound = bound.min(detect_at);
                             }
-                            // No fault live: a `SetRecovery` realigned
-                            // a rolled-back run. Pause so the splice
-                            // driver can probe golden snapshots.
-                            None => {
+                            // A `SetRecovery` realigned a rolled-back
+                            // run. Pause so the splice driver can
+                            // probe golden snapshots.
+                            _ => {
                                 frame.ip = ip;
                                 break Stop::Boundary;
                             }
@@ -1124,19 +1105,16 @@ impl<'m, 'c> Machine<'m, 'c> {
                             // An armed wrong-edge fault fires at the
                             // first conditional branch after its
                             // ordinal, taking the not-taken edge.
-                            if let Some(f) = fault.as_mut() {
-                                if f.armed
-                                    && !f.injected
-                                    && matches!(f.plan.action, FaultAction::WrongEdge)
-                                {
-                                    target = if target == *then_bb { *else_bb } else { *then_bb };
-                                    f.injected = true;
-                                    let due = *dyn_insts + f.plan.detect_latency;
-                                    f.detect_at = Some(due);
-                                    telemetry.injected = true;
-                                    telemetry.inject_site = Some(site);
-                                    bound = bound.min(due);
-                                }
+                            if let Some(Injection::Armed(FaultPlan {
+                                action: FaultAction::WrongEdge,
+                                detect_latency,
+                                ..
+                            })) = *fault
+                            {
+                                target = if target == *then_bb { *else_bb } else { *then_bb };
+                                let detect_at = *dyn_insts + detect_latency;
+                                *fault = Some(Injection::Live { site, detect_at, power: false });
+                                bound = bound.min(detect_at);
                             }
                             target
                         }
@@ -1224,7 +1202,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                         &mut self.fault,
                         &mut self.state.eligible_seen,
                         self.state.dyn_insts,
-                        &mut self.telemetry,
                         site,
                         r,
                         &mut fired,
@@ -1290,14 +1267,12 @@ impl<'m, 'c> Machine<'m, 'c> {
         self.spare_frames.push(frame);
     }
 
-    fn fault_live(&self) -> bool {
-        self.fault.as_ref().map(|f| f.injected && !f.detected).unwrap_or(false)
-    }
-
-    /// `true` while the planned fault is not yet consumed by a rollback:
-    /// armed, live, or still to come.
+    /// `true` while the planned fault is still to come, armed or live.
     pub(crate) fn fault_pending(&self) -> bool {
-        self.fault.is_some()
+        matches!(
+            self.fault,
+            Some(Injection::Planned(_) | Injection::Armed(_) | Injection::Live { .. })
+        )
     }
 
     /// `true` when a profile, trace or golden record observes the run.
@@ -1313,13 +1288,15 @@ impl<'m, 'c> Machine<'m, 'c> {
     pub(crate) fn step_detected<const OBSERVE: bool>(&mut self, limit: u64) -> Result<bool, Trap> {
         match self.step::<OBSERVE>(limit) {
             Ok(alive) => Ok(alive),
-            Err(t) => {
-                if self.fault_live() && !matches!(t.kind, TrapKind::FuelExhausted) {
-                    self.trigger_recovery()?;
-                    return Ok(true);
+            Err(t) => match self.fault {
+                Some(Injection::Live { site, power, .. })
+                    if !matches!(t.kind, TrapKind::FuelExhausted) =>
+                {
+                    self.trigger_recovery(site, power)?;
+                    Ok(true)
                 }
-                Err(t)
-            }
+                _ => Err(t),
+            },
         }
     }
 
@@ -1361,23 +1338,12 @@ impl<'m, 'c> Machine<'m, 'c> {
         self.state.dyn_insts
     }
 
-    /// [`Machine::run_to_end`] for fault-free runs, capturing a
+    /// [`Machine::run_to_end`] for the golden capture run, capturing a
     /// snapshot into `log` at the first step boundary past each
-    /// `stride`-instruction interval.
+    /// `stride`-instruction interval. The run is fault-free and always
+    /// observed: it fills the golden record.
     fn run_to_end_capturing(&mut self, stride: u64, log: &mut SnapshotLog) -> Option<Trap> {
-        if self.obs.any() {
-            self.capture_loop::<true>(stride, log)
-        } else {
-            self.capture_loop::<false>(stride, log)
-        }
-    }
-
-    fn capture_loop<const OBSERVE: bool>(
-        &mut self,
-        stride: u64,
-        log: &mut SnapshotLog,
-    ) -> Option<Trap> {
-        debug_assert!(stride > 0 && self.fault.is_none());
+        debug_assert!(stride > 0 && self.fault.is_none() && self.obs.golden.is_some());
         // Each capture below drains the pages written since the
         // previous capture into that interval's page list.
         self.state.mem.reset_dirty();
@@ -1394,7 +1360,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             }
             // Bounding the sprint by `next_at` keeps capture points at
             // exact instruction-count boundaries.
-            match self.step::<OBSERVE>(next_at) {
+            match self.step::<true>(next_at) {
                 Ok(true) => continue,
                 Ok(false) => return None,
                 // No fault is live (asserted), so a trap is terminal.
@@ -1406,6 +1372,7 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// Consumes the machine into a [`RunResult`] after `run_to_end`
     /// returned `trap`.
     pub(crate) fn into_result(self, trap: Option<Trap>) -> RunResult {
+        let fault = self.telemetry();
         RunResult {
             ret: self.final_ret,
             completed: trap.is_none(),
@@ -1417,7 +1384,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             trace: self.obs.trace,
             eligible_insts: self.state.eligible_seen,
             ckpt_high_water_bytes: self.state.ckpt_high_water,
-            fault: self.telemetry,
+            fault,
         }
     }
 
@@ -1437,9 +1404,26 @@ impl<'m, 'c> Machine<'m, 'c> {
         &self.state.mem
     }
 
-    /// Fault telemetry of this run.
-    pub(crate) fn telemetry(&self) -> &FaultTelemetry {
-        &self.telemetry
+    /// What the planned fault has done so far: a view of its phase.
+    pub(crate) fn telemetry(&self) -> FaultTelemetry {
+        let (site, detected, region) = match self.fault {
+            None | Some(Injection::Planned(_) | Injection::Armed(_)) => {
+                return FaultTelemetry::default()
+            }
+            Some(Injection::Live { site, .. }) => (site, false, None),
+            Some(Injection::Unrecoverable { site }) => (site, true, None),
+            Some(
+                Injection::RolledBack { site, region, .. }
+                | Injection::Realigned { site, region, .. },
+            ) => (site, true, Some(region)),
+        };
+        FaultTelemetry {
+            injected: true,
+            detected,
+            rolled_back: region.is_some(),
+            rollback_region: region,
+            inject_site: Some(site),
+        }
     }
 }
 
@@ -1713,7 +1697,10 @@ mod tests {
             ("output", |b| b.state.control.externs.output.push(1)),
             ("diff cell value", |b| b.state.mem.write(0, 1, Value::Int(5)).expect("in bounds")),
             ("heap allocation", |b| b.state.control.last_alloc_of_site[0] = Some(9)),
-            ("rollback flag", |b| b.telemetry.rolled_back = true),
+            ("rollback flag", |b| {
+                let site = (b.state.control.frames[0].func, BlockId::new(0));
+                b.fault = Some(Injection::RolledBack { site, region: RegionId::new(0), ordinal: 0 });
+            }),
         ];
         for (what, change) in changes {
             let mut b = fresh();

@@ -20,7 +20,7 @@ pub struct MaskingModel {
 impl MaskingModel {
     /// The paper's ARM926 measurement.
     pub fn arm926() -> Self {
-        Self { rate: 0.91 }
+        Self { rate: encore_core::ARM926_MASKING_RATE }
     }
 
     /// Creates a model with an explicit rate in `[0, 1]`.

@@ -1500,7 +1500,7 @@ mod tests {
         // next matching event; a run may therefore end with the fault
         // armed but never fired, which must classify as Benign (and
         // must never certify through the splice, whose probes require
-        // the fault slot to be empty).
+        // no fault pending).
         let (m, map, fid) = protected_kernel();
         for model in [FaultModelKind::ControlFlow, FaultModelKind::Address] {
             let config =

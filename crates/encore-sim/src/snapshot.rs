@@ -12,7 +12,7 @@
 //!
 //! Restoring must be indistinguishable from having executed the prefix,
 //! so a snapshot holds the machine's whole resumable
-//! [`State`](crate::interp::State), cloned at capture and cloned back at
+//! [`State`], cloned at capture and cloned back at
 //! resume: the frame stack (registers, instruction pointers, armed
 //! recovery states and their checkpoint logs), the full
 //! [`Memory`](crate::Memory) arena, the [`Externs`](crate::Externs)
@@ -27,9 +27,9 @@
 //! resumption exact: a restored machine's fuel check and detection
 //! deadline arithmetic see the same numbers a from-scratch run would.
 //!
-//! Snapshots are immutable once captured and shared via [`Arc`], so a
-//! campaign's worker threads restore from the same log without copying
-//! it per worker.
+//! Snapshots are immutable once captured: a campaign's worker threads
+//! borrow the same log and restore from it without copying it per
+//! worker.
 //!
 //! Beside the snapshots, the log keeps the capture run's
 //! [`GoldenRecord`]: its activation timeline, and the last
@@ -37,7 +37,6 @@
 //! which is all the divergence splice asks of the golden suffix.
 
 use crate::interp::State;
-use std::sync::Arc;
 
 /// What the golden capture run records for the divergence splice: its
 /// activation timeline, and for each memory cell the last interval that
@@ -146,7 +145,7 @@ impl std::fmt::Debug for Snapshot {
 /// non-decreasing and lookups are binary searches.
 #[derive(Debug, Default)]
 pub struct SnapshotLog {
-    snaps: Vec<Arc<Snapshot>>,
+    snaps: Vec<Snapshot>,
     stride: u64,
     /// The golden run's activation timeline and last access intervals
     /// (empty when capture is disabled).
@@ -183,7 +182,7 @@ impl SnapshotLog {
         interval.sort_unstable();
         interval.dedup();
         self.interval_pages.push(interval);
-        self.snaps.push(Arc::new(Snapshot { index: self.snaps.len(), state }));
+        self.snaps.push(Snapshot { index: self.snaps.len(), state });
     }
 
     /// The capture stride this log was built with (0 = disabled).
@@ -208,7 +207,7 @@ impl SnapshotLog {
     /// `<= ordinal` — the cheapest valid starting point for an
     /// injection at `ordinal`. `None` means start from scratch.
     #[must_use]
-    pub fn nearest_at_or_before(&self, ordinal: u64) -> Option<&Arc<Snapshot>> {
+    pub fn nearest_at_or_before(&self, ordinal: u64) -> Option<&Snapshot> {
         let n = self.snaps.partition_point(|s| s.eligible_seen() <= ordinal);
         n.checked_sub(1).map(|i| &self.snaps[i])
     }
@@ -227,7 +226,7 @@ impl SnapshotLog {
 
     /// The `i`-th snapshot in capture order.
     pub(crate) fn get(&self, i: usize) -> Option<&Snapshot> {
-        self.snaps.get(i).map(Arc::as_ref)
+        self.snaps.get(i)
     }
 
     /// Index of the first snapshot captured at `dyn_insts >= d`.

@@ -6,11 +6,12 @@
 //! reads. The splice proves such outcomes at *probe points* instead of
 //! simulating the suffix:
 //!
-//! * [`SpliceTrack`] realigns a rolled-back run against the golden
-//!   activation timeline and measures how far it drifted (`delta`);
-//! * [`Machine::advance_to_first_probe`] runs to the first realigned
-//!   golden snapshot, and [`Machine::run_to_end_or_splice`] probes on
-//!   from there on a dense-then-backoff schedule;
+//! * [`Machine::advance_to_first_probe`] runs until the rollback's
+//!   re-executed `SetRecovery` realigns the run against the golden
+//!   activation timeline ([`Injection::Realigned`]), measures how far
+//!   it drifted (`delta`), and steps to the first realigned golden
+//!   snapshot; [`Machine::run_to_end_or_splice`] probes on from there
+//!   on a dense-then-backoff schedule;
 //! * each probe's gate compares the run's [`ControlState`] with the
 //!   snapshot's, [`Machine::golden_diff`] collects the memory cells the
 //!   two disagree on in O(dirty), and the [`SpliceRule`]s read the
@@ -22,7 +23,7 @@
 //! Every miss falls back to plain execution, so the splice can only
 //! shorten a run, never change its outcome (DESIGN.md §10, §13, §14).
 
-use crate::interp::{ControlState, Frame, Machine, Trap};
+use crate::interp::{ControlState, Frame, Injection, Machine, Trap};
 use crate::memory::ProbeCost;
 use crate::snapshot::{Snapshot, SnapshotLog};
 
@@ -72,58 +73,6 @@ impl SpliceRule {
             SpliceRule::Converged => "converged",
             SpliceRule::DeadDiff => "dead_diff",
             SpliceRule::Sdc => "sdc",
-        }
-    }
-}
-
-/// Realignment bookkeeping for the splice.
-///
-/// Once a rolled-back run's complete architectural state *equals* a
-/// golden snapshot's, its remaining execution is provably identical to
-/// the golden run's (equal state implies equal future under the
-/// deterministic interpreter), so the run can stop right there.
-///
-/// The only heuristic part is deciding *where* to compare. Activations
-/// anchor that: the golden run logs its dynamic instruction count at
-/// each `SetRecovery` (by global activation ordinal, counted in the
-/// machine's state), and a rollback remembers the armed ordinal so the
-/// re-executed arming can measure `delta` — how far the faulted run's
-/// instruction count has drifted ahead of the golden run's at the same
-/// program point. Golden snapshots are then probed at
-/// `snapshot dyn + delta`. A wrong or unmeasurable `delta` can only make
-/// comparisons fail, never pass, so every miss falls back to plain
-/// execution.
-#[derive(Default)]
-pub(crate) struct SpliceTrack {
-    /// Splice bookkeeping requested (campaign injection runs only).
-    armed: bool,
-    /// Armed ordinal of the region a rollback unwound to; consumed by
-    /// the next `SetRecovery`.
-    pending_realign: Option<u64>,
-    /// `(dyn at the re-executed SetRecovery, golden ordinal)` — the
-    /// realignment point the splice driver probes from.
-    realign: Option<(u64, u64)>,
-}
-
-impl SpliceTrack {
-    /// Notes one `SetRecovery` execution at dyn count `now`, returning
-    /// whether this arming realigned a rolled-back run (a control event
-    /// the sprint must surface).
-    #[inline]
-    pub(crate) fn on_set_recovery(&mut self, now: u64) -> bool {
-        match self.pending_realign.take() {
-            Some(ord) => {
-                self.realign = Some((now, ord));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Notes a rollback into the recovery armed under `armed_ordinal`.
-    pub(crate) fn on_rollback(&mut self, armed_ordinal: u64) {
-        if self.armed {
-            self.pending_realign = Some(armed_ordinal);
         }
     }
 }
@@ -214,18 +163,34 @@ impl Machine<'_, '_> {
     /// golden snapshot's realigned position. A deterministic function
     /// of the injection, so replaying a plan lands on the same probe
     /// position in the same state.
+    ///
+    /// Once a rolled-back run's complete architectural state *equals* a
+    /// golden snapshot's, its remaining execution is provably identical
+    /// to the golden run's (equal state implies equal future under the
+    /// deterministic interpreter), so the run can stop right there. The
+    /// only heuristic part is deciding *where* to compare. Activations
+    /// anchor that: the golden run logs its dynamic instruction count
+    /// at each `SetRecovery` (by global activation ordinal, counted in
+    /// the machine's state), a rollback carries the armed ordinal in
+    /// [`Injection::RolledBack`], and the re-executed arming records
+    /// where it retired in [`Injection::Realigned`]. That point minus
+    /// the golden run's count at the same activation is `delta`: how
+    /// far the faulted run's instruction count has drifted ahead of the
+    /// golden run's at the same program point.
+    /// Golden snapshots are then probed at `snapshot dyn + delta`. A
+    /// wrong or unmeasurable `delta` can only make comparisons fail,
+    /// never pass, so every miss falls back to plain execution.
     pub(crate) fn advance_to_first_probe<'s>(
         &mut self,
         snapshots: &'s SnapshotLog,
         golden_final_dyn: u64,
     ) -> Advance<'s> {
         debug_assert!(!self.observed(), "injection runs are not observed");
-        self.splice.armed = true;
         let (realign_dyn, ordinal) = loop {
             match self.step_detected::<false>(u64::MAX) {
                 Ok(true) => {
-                    if let Some(r) = self.splice.realign.take() {
-                        break r;
+                    if let Some(Injection::Realigned { at, ordinal, .. }) = self.fault {
+                        break (at, ordinal);
                     }
                 }
                 Ok(false) => return Advance::Done(None),
@@ -262,8 +227,9 @@ impl Machine<'_, '_> {
     /// snapshots are probed and the run's *diff* against each is
     /// classified by [`Machine::classify_divergence`] — a certified
     /// rule ends the run early; a miss merely falls back to plain
-    /// execution. See [`SpliceTrack`] for the realignment mechanics
-    /// and [`SpliceRule`] for the per-rule soundness arguments.
+    /// execution. See [`Machine::advance_to_first_probe`] for the
+    /// realignment mechanics and [`SpliceRule`] for the per-rule
+    /// soundness arguments.
     ///
     /// When the run lands exactly on its first probe position and no
     /// rule certifies it there, `first_miss` is asked once; an answer

@@ -9,14 +9,16 @@
 //! * stale arming (detection after region exit) rolls back to the wrong
 //!   region and is visible as state divergence;
 //! * detection with no armed frame is unrecoverable;
+//! * `RunResult::fault` reports where each fault action fired and what
+//!   its detection did;
 //! * a callee's second activation starts with zeroed registers and no
 //!   armed recovery, whatever the first one left behind.
 
 use encore_core::{RegionInfo, RegionMap};
 use encore_ir::{
-    AddrExpr, BinOp, BlockId, FuncId, Inst, ModuleBuilder, Operand, RegionId,
+    AddrExpr, BinOp, BlockId, FuncId, Inst, ModuleBuilder, Operand, RegionId, Terminator,
 };
-use encore_sim::{run_function, FaultPlan, RunConfig, TrapKind, Value};
+use encore_sim::{run_function, FaultAction, FaultPlan, RunConfig, TrapKind, Value};
 
 /// Builds a RegionMap with one entry per (func, header, recovery block).
 fn map_of(entries: &[(FuncId, BlockId, BlockId)]) -> RegionMap {
@@ -420,4 +422,99 @@ fn recycled_activations_start_clean() {
         "the second activation unwound to a recovery it never armed"
     );
     assert!(second.completed && second.observably_equal(&golden), "{:?}", second.trap);
+}
+
+#[test]
+fn fault_telemetry_reports_what_every_action_did() {
+    // The accumulation loop of `rearming_resets_the_checkpoint_log`
+    // behind an unprotected prefix (a `mov`, and a load and store of
+    // g[1]): a fault detected in the prefix has no recovery to roll back
+    // to, and a deferred action armed there fires in the loop.
+    let mut mb = ModuleBuilder::new("m");
+    let g = mb.global("g", 2);
+    let fid = mb.function("f", 0, |f| {
+        let hdr = f.add_block();
+        let recovery = f.add_block();
+        let exit = f.add_block();
+        let i = f.mov(Operand::ImmI(0));
+        let x = f.load(AddrExpr::global(g, 1));
+        f.store(AddrExpr::global(g, 1), x.into());
+        f.jump(hdr);
+        f.switch_to(hdr);
+        f.emit(Inst::SetRecovery { region: RegionId::new(0) });
+        f.emit(Inst::CheckpointReg { reg: i });
+        f.emit(Inst::CheckpointMem { addr: AddrExpr::global(g, 0) });
+        let cur = f.load(AddrExpr::global(g, 0));
+        let next = f.bin(BinOp::Add, cur.into(), Operand::ImmI(10));
+        f.store(AddrExpr::global(g, 0), next.into());
+        f.bin_to(i, BinOp::Add, i.into(), Operand::ImmI(1));
+        let more = f.bin(BinOp::Lt, i.into(), Operand::ImmI(2));
+        f.branch(more.into(), hdr, exit);
+        f.switch_to(recovery);
+        f.emit(Inst::Restore { region: RegionId::new(0) });
+        f.jump(hdr);
+        f.switch_to(exit);
+        let out = f.load(AddrExpr::global(g, 0));
+        f.ret(Some(out.into()));
+    });
+    let m = mb.finish();
+    let map = map_of(&[(fid, BlockId::new(1), BlockId::new(2))]);
+    let golden = run_function(&m, Some(&map), fid, &[], &RunConfig::default());
+    assert_eq!(golden.ret, Some(Value::Int(20)));
+
+    let func = m.func(fid);
+    let ends_in_branch =
+        |b: BlockId| matches!(func.block(b).term, Some(Terminator::Branch { .. }));
+    let accesses_memory = |b: BlockId| {
+        func.block(b).insts.iter().any(|i| i.load_addr().is_some() || i.store_addr().is_some())
+    };
+    // Mask 1 keeps a corrupted g index in bounds; mask 2 sends it out
+    // of bounds, so detection comes from the symptom trap.
+    let actions = [
+        FaultAction::FlipBits { mask: 1 << 1 },
+        FaultAction::WrongEdge,
+        FaultAction::CorruptAddress { mask: 1 },
+        FaultAction::CorruptAddress { mask: 2 },
+        FaultAction::PowerFailure,
+    ];
+    let mut fired = [false; 5];
+    for (a, &action) in actions.iter().enumerate() {
+        for inject_at in 0..golden.eligible_insts + 2 {
+            for detect_latency in [0, 3] {
+                let plan = FaultPlan { inject_at, action, detect_latency };
+                let config = RunConfig { fault: Some(plan), ..Default::default() };
+                let r = run_function(&m, Some(&map), fid, &[], &config);
+                let t = r.fault;
+                let unrecoverable =
+                    r.trap.as_ref().is_some_and(|t| t.kind == TrapKind::DetectedUnrecoverable);
+                assert_eq!(t.inject_site.is_some(), t.injected, "{plan:?}: {t:?}");
+                assert!(!t.rolled_back || t.detected, "{plan:?}: {t:?}");
+                assert!(!t.detected || t.injected, "{plan:?}: {t:?}");
+                assert_eq!(
+                    t.rollback_region,
+                    t.rolled_back.then_some(RegionId::new(0)),
+                    "{plan:?}: {t:?}"
+                );
+                assert_eq!(t.detected && !t.rolled_back, unrecoverable, "{plan:?}: {t:?} {r:?}");
+                let Some((site_func, block)) = t.inject_site else {
+                    assert!(
+                        r.completed && r.observably_equal(&golden),
+                        "{plan:?}: a fault that never fired changed the run"
+                    );
+                    continue;
+                };
+                fired[a] = true;
+                assert_eq!(site_func, fid);
+                match action {
+                    FaultAction::WrongEdge => assert!(ends_in_branch(block), "{plan:?}: {t:?}"),
+                    FaultAction::CorruptAddress { .. } => {
+                        assert!(accesses_memory(block), "{plan:?}: {t:?}");
+                    }
+                    FaultAction::PowerFailure => assert!(t.detected, "{plan:?}: {t:?}"),
+                    FaultAction::FlipBits { .. } => {}
+                }
+            }
+        }
+    }
+    assert_eq!(fired, [true; 5], "an action never fired");
 }

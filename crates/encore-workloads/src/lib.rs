@@ -139,65 +139,61 @@ impl Workload {
     }
 }
 
-macro_rules! workload {
-    ($name:literal, $suite:expr, $desc:literal, $builder:path, $train:literal, $eval:literal) => {{
-        let (module, entry) = $builder();
-        Workload {
-            name: $name,
-            suite: $suite,
-            description: $desc,
-            module,
-            entry,
-            train_arg: $train,
-            eval_arg: $eval,
-            scale: 1,
-        }
-    }};
+/// One workload: name, suite, description, module builder (returning
+/// the module and its entry function), training argument and
+/// evaluation argument.
+type Row = (&'static str, Suite, &'static str, fn() -> (Module, FuncId), i64, i64);
+
+/// The 23 workloads in the paper's figure order.
+#[rustfmt::skip]
+const TABLE: [Row; 23] = {
+    use Suite::*;
+    [
+        ("164.gzip", Spec2kInt, "LZ hash-chain compressor", intbench::build_gzip, 128, 254),
+        ("175.vpr", Spec2kInt, "annealing placement with one-time allocation", intbench::build_vpr, 200, 400),
+        ("181.mcf", Spec2kInt, "in-place network-simplex relaxation", intbench::build_mcf, 4, 8),
+        ("197.parser", Spec2kInt, "tokenizer with dictionary counters", intbench::build_parser, 128, 256),
+        ("256.bzip2", Spec2kInt, "move-to-front coder", intbench::build_bzip2, 96, 192),
+        ("300.twolf", Spec2kInt, "cell-placement refinement", intbench::build_twolf, 200, 400),
+        ("172.mgrid", Spec2kFp, "multigrid stencil smoother", fpbench::build_mgrid, 64, 128),
+        ("173.applu", Spec2kFp, "SSOR sweep with norm accumulator", fpbench::build_applu, 64, 128),
+        ("177.mesa", Spec2kFp, "vertex transform with depth buffer", fpbench::build_mesa, 48, 96),
+        ("179.art", Spec2kFp, "ART winner-take-all network", fpbench::build_art, 3, 6),
+        ("183.equake", Spec2kFp, "sparse matvec with residual", fpbench::build_equake, 4, 8),
+        ("cjpeg", Mediabench, "forward block transform + quantize", mediabench::build_cjpeg, 12, 24),
+        ("djpeg", Mediabench, "dequantize + inverse block transform", mediabench::build_djpeg, 12, 24),
+        ("epic", Mediabench, "image-pyramid analysis (aliased offsets)", mediabench::build_epic, 64, 128),
+        ("unepic", Mediabench, "image-pyramid synthesis", mediabench::build_unepic, 64, 128),
+        ("g721encode", Mediabench, "ADPCM encoder, 4-tap predictor", mediabench::build_g721encode, 128, 256),
+        ("g721decode", Mediabench, "ADPCM decoder, 4-tap predictor", mediabench::build_g721decode, 128, 256),
+        ("mpeg2dec", Mediabench, "motion compensation", mediabench::build_mpeg2dec, 96, 192),
+        ("mpeg2enc", Mediabench, "SAD motion estimation", mediabench::build_mpeg2enc, 4, 8),
+        ("pegwitdec", Mediabench, "chained block decryption", mediabench::build_pegwitdec, 24, 48),
+        ("pegwitenc", Mediabench, "chained block encryption", mediabench::build_pegwitenc, 24, 48),
+        ("rawcaudio", Mediabench, "2-tap ADPCM encoder", mediabench::build_rawcaudio, 128, 256),
+        ("rawdaudio", Mediabench, "2-tap ADPCM decoder", mediabench::build_rawdaudio, 128, 256),
+    ]
+};
+
+/// The workload of one table row, with its module built.
+fn build(&(name, suite, description, builder, train_arg, eval_arg): &Row) -> Workload {
+    let (module, entry) = builder();
+    Workload { name, suite, description, module, entry, train_arg, eval_arg, scale: 1 }
 }
 
 /// Builds all 23 workloads in the paper's figure order.
 pub fn all() -> Vec<Workload> {
-    use Suite::*;
-    vec![
-        workload!("164.gzip", Spec2kInt, "LZ hash-chain compressor", intbench::build_gzip, 128, 254),
-        workload!("175.vpr", Spec2kInt, "annealing placement with one-time allocation", intbench::build_vpr, 200, 400),
-        workload!("181.mcf", Spec2kInt, "in-place network-simplex relaxation", intbench::build_mcf, 4, 8),
-        workload!("197.parser", Spec2kInt, "tokenizer with dictionary counters", intbench::build_parser, 128, 256),
-        workload!("256.bzip2", Spec2kInt, "move-to-front coder", intbench::build_bzip2, 96, 192),
-        workload!("300.twolf", Spec2kInt, "cell-placement refinement", intbench::build_twolf, 200, 400),
-        workload!("172.mgrid", Spec2kFp, "multigrid stencil smoother", fpbench::build_mgrid, 64, 128),
-        workload!("173.applu", Spec2kFp, "SSOR sweep with norm accumulator", fpbench::build_applu, 64, 128),
-        workload!("177.mesa", Spec2kFp, "vertex transform with depth buffer", fpbench::build_mesa, 48, 96),
-        workload!("179.art", Spec2kFp, "ART winner-take-all network", fpbench::build_art, 3, 6),
-        workload!("183.equake", Spec2kFp, "sparse matvec with residual", fpbench::build_equake, 4, 8),
-        workload!("cjpeg", Mediabench, "forward block transform + quantize", mediabench::build_cjpeg, 12, 24),
-        workload!("djpeg", Mediabench, "dequantize + inverse block transform", mediabench::build_djpeg, 12, 24),
-        workload!("epic", Mediabench, "image-pyramid analysis (aliased offsets)", mediabench::build_epic, 64, 128),
-        workload!("unepic", Mediabench, "image-pyramid synthesis", mediabench::build_unepic, 64, 128),
-        workload!("g721encode", Mediabench, "ADPCM encoder, 4-tap predictor", mediabench::build_g721encode, 128, 256),
-        workload!("g721decode", Mediabench, "ADPCM decoder, 4-tap predictor", mediabench::build_g721decode, 128, 256),
-        workload!("mpeg2dec", Mediabench, "motion compensation", mediabench::build_mpeg2dec, 96, 192),
-        workload!("mpeg2enc", Mediabench, "SAD motion estimation", mediabench::build_mpeg2enc, 4, 8),
-        workload!("pegwitdec", Mediabench, "chained block decryption", mediabench::build_pegwitdec, 24, 48),
-        workload!("pegwitenc", Mediabench, "chained block encryption", mediabench::build_pegwitenc, 24, 48),
-        workload!("rawcaudio", Mediabench, "2-tap ADPCM encoder", mediabench::build_rawcaudio, 128, 256),
-        workload!("rawdaudio", Mediabench, "2-tap ADPCM decoder", mediabench::build_rawdaudio, 128, 256),
-    ]
+    TABLE.iter().map(build).collect()
 }
 
 /// Builds the workload named `name` (paper spelling).
 pub fn by_name(name: &str) -> Option<Workload> {
-    all().into_iter().find(|w| w.name == name)
+    TABLE.iter().find(|row| row.0 == name).map(build)
 }
 
 /// Names of all workloads, in figure order.
 pub fn names() -> Vec<&'static str> {
-    all().iter().map(|w| w.name).collect()
-}
-
-/// All workloads belonging to `suite`, in figure order.
-pub fn by_suite(suite: Suite) -> Vec<Workload> {
-    all().into_iter().filter(|w| w.suite == suite).collect()
+    TABLE.iter().map(|row| row.0).collect()
 }
 
 /// Splits a workload spec into its base name and scale factor: plain
@@ -235,9 +231,9 @@ mod tests {
     fn twenty_three_workloads() {
         let ws = all();
         assert_eq!(ws.len(), 23);
-        assert_eq!(by_suite(Suite::Spec2kInt).len(), 6);
-        assert_eq!(by_suite(Suite::Spec2kFp).len(), 5);
-        assert_eq!(by_suite(Suite::Mediabench).len(), 12);
+        for (suite, n) in [(Suite::Spec2kInt, 6), (Suite::Spec2kFp, 5), (Suite::Mediabench, 12)] {
+            assert_eq!(ws.iter().filter(|w| w.suite == suite).count(), n, "{suite}");
+        }
     }
 
     #[test]

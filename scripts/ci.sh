@@ -29,6 +29,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> cargo doc --offline (rustdoc -D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+# Private items' docs link to each other as much as public ones do (the
+# simulator's internals are mostly `pub(crate)`), and the public pass
+# does not render them, so check their links in a second pass.
+echo "==> cargo doc --offline --document-private-items (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline
+
 # EXPERIMENTS.md quotes the experiment binaries verbatim: rerun the
 # command of every labelled block and fail on any line that differs, so
 # an outcome change must be written back to the document.
