@@ -34,7 +34,7 @@ use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::memory::Memory;
 use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
-use crate::snapshot::{GoldenRecord, Snapshot, SnapshotLog};
+use crate::snapshot::{GoldenRecord, Position, Snapshot, SnapshotLog};
 use crate::splice::ProbeState;
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
@@ -223,13 +223,15 @@ enum CkptEntry {
 const _: () = assert!(std::mem::size_of::<CkptEntry>() <= 32);
 
 /// One activation record. `Clone` because frames are part of a
-/// [`Snapshot`]; `PartialEq` because frames are part of the splice's
-/// convergence predicate; `Hash` because they are part of the campaign
-/// memo's key.
+/// [`Snapshot`]; `PartialEq` and `Hash` because they are part of the
+/// campaign memo's compare and key. The splice gate compares them with
+/// [`Frame::equal_where_live`].
 #[derive(Clone, PartialEq, Hash)]
 pub(crate) struct Frame {
     func: FuncId,
     block: BlockId,
+    /// The next instruction of `block` to execute; the block's length
+    /// at its terminator. A caller's stands just past its `Call`.
     ip: usize,
     regs: Vec<Value>,
     slots: Vec<u32>,
@@ -243,6 +245,40 @@ pub(crate) struct Frame {
     /// update is O(1) instead of a rescan of the whole log.
     log_bytes: u64,
     ret_dst: Option<Reg>,
+}
+
+impl Frame {
+    /// Where the frame stands.
+    pub(crate) fn position(&self) -> Position {
+        (self.func, self.block, self.ip)
+    }
+
+    /// `self == golden` in every field but the registers, which are
+    /// compared only where `live`, the registers live at the frame's
+    /// position. Every other register is written before it is read on
+    /// every path the program's own control flow takes from here, and
+    /// at a landed probe no rollback can take another path, so the rest
+    /// of the run never sees its value. Ordered to fail fast: the
+    /// checkpoint log, the one field that grows, last.
+    ///
+    /// The pattern names every field, so a field added to the type
+    /// does not compile until the splice gate says how it compares.
+    pub(crate) fn equal_where_live(&self, golden: &Frame, live: &[u32]) -> bool {
+        let Frame { func, block, ip, regs, slots, recovery, log, log_bytes, ret_dst } = self;
+        (*func, *block, *ip) == golden.position()
+            && live.iter().all(|&r| regs[r as usize] == golden.regs[r as usize])
+            && *slots == golden.slots
+            && *recovery == golden.recovery
+            && *ret_dst == golden.ret_dst
+            && *log_bytes == golden.log_bytes
+            && *log == golden.log
+    }
+
+    /// The frame's registers, for tests that overwrite dead ones.
+    #[cfg(test)]
+    pub(crate) fn regs_mut(&mut self) -> &mut [Value] {
+        &mut self.regs
+    }
 }
 
 /// Everything a run's future reads: what a [`Snapshot`] holds and what
@@ -751,7 +787,7 @@ pub fn run_function_with_snapshots<'m>(
         Ok(()) => m.run_to_end_capturing(stride, &mut log),
     };
     if let Some(golden) = m.obs.golden.take() {
-        log.set_golden(*golden);
+        log.finish(module, *golden);
     }
     (m.into_result(trap), log)
 }

@@ -31,22 +31,33 @@
 //! borrow the same log and restore from it without copying it per
 //! worker.
 //!
-//! Beside the snapshots, the log keeps the capture run's
-//! [`GoldenRecord`]: its activation timeline, and the last
-//! inter-snapshot interval that read and that wrote each memory cell,
-//! which is all the divergence splice asks of the golden suffix.
+//! Beside the snapshots, the log keeps what the divergence splice asks
+//! of the golden suffix, all of it computed once, by the capture run:
+//!
+//! * the capture run's [`GoldenRecord`]: its activation timeline, the
+//!   last inter-snapshot interval that wrote each memory cell, and
+//!   whether the golden run's first access to a cell after a snapshot
+//!   is a read;
+//! * the registers live at each frame position a snapshot stands at,
+//!   from register liveness over the position's function, so the
+//!   splice gate compares only registers the program can still read.
 
 use crate::interp::State;
+use encore_analysis::{BitSet, Liveness};
+use encore_ir::{BlockId, FuncId, Module, Terminator};
+use std::collections::BTreeMap;
 
 /// What the golden capture run records for the divergence splice: its
-/// activation timeline, and for each memory cell the last interval that
-/// read it and the last that wrote it.
+/// activation timeline, the last interval that wrote each memory cell,
+/// and the kind of each cell's first access in every interval that
+/// touched it.
 ///
 /// Interval 0 runs from the start of the run to the first capture, and
-/// interval `k + 1` from capture `k` to the next capture or the end. A
-/// cell's stamp is the last interval that touched it, so the golden run
-/// touches the cell after snapshot `k` exactly when its stamp is greater
-/// than `k`.
+/// interval `k + 1` from capture `k` to the next capture or the end. The
+/// golden run writes a cell after snapshot `k` exactly when its last
+/// write interval is greater than `k`, and its first access to the cell
+/// after snapshot `k` is the first access of the earliest interval
+/// greater than `k` that touched it.
 #[derive(Debug, Default)]
 pub(crate) struct GoldenRecord {
     /// The current interval: the number of captures so far.
@@ -56,17 +67,49 @@ pub(crate) struct GoldenRecord {
     /// rolled-back run's dyn-count timeline with the golden run's on
     /// it.
     activation_dyn: Vec<u64>,
-    /// The last interval that read each cell, by object handle, then
-    /// cell index.
-    last_read: Vec<Vec<u32>>,
-    /// The last interval that wrote each cell, indexed the same way.
-    last_write: Vec<Vec<u32>>,
+    /// The last interval that wrote and that touched each cell, by
+    /// object handle, then cell index.
+    last: Vec<Vec<LastAccess>>,
+    /// `(object, cell, interval << 1 | read)` for the first access to
+    /// each cell in each interval from 1 on, in capture order, where
+    /// `read` says that access was a read. Capture only;
+    /// [`GoldenRecord::bucket`] moves it into `first`.
+    log: Vec<(u32, u32, u32)>,
+    /// The log bucketed by cell, for [`SnapshotLog::live_after`].
+    first: FirstAccesses,
+}
+
+/// A cell's stamps in the golden record. The table grows on demand and
+/// fills with 0, and 0 is exact for a cell the run never touched as well
+/// as for one it touched only before the first capture: neither is
+/// touched after any snapshot.
+#[derive(Clone, Copy, Default, Debug)]
+struct LastAccess {
+    /// The last interval that wrote the cell.
+    write: u32,
+    /// The last interval that read or wrote it: an access is its
+    /// interval's first to the cell exactly when this is older.
+    touch: u32,
+}
+
+/// The golden record's first-access log bucketed by cell. Cells are
+/// numbered flat: object `o` owns the ids `base[o]..base[o + 1]`.
+#[derive(Debug, Default)]
+struct FirstAccesses {
+    /// The flat id of each object's cell 0, and one past the last id.
+    base: Vec<u32>,
+    /// Cell `c`'s stamps are `stamps[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    /// `interval << 1 | read`, grouped by cell, each group in interval
+    /// order.
+    stamps: Vec<u32>,
 }
 
 impl GoldenRecord {
     /// Closes the current interval: the run was captured here.
     pub(crate) fn advance(&mut self) {
-        self.interval = self.interval.checked_add(1).expect("fewer than 2^32 captures");
+        assert!(self.interval < u32::MAX >> 1, "fewer than 2^31 captures");
+        self.interval += 1;
     }
 
     /// Notes one `SetRecovery` retired at dynamic instruction `now`.
@@ -75,29 +118,71 @@ impl GoldenRecord {
     }
 
     /// Notes one read or write of cell `(obj, idx)` in the current
-    /// interval.
+    /// interval. Interval 0 logs nothing: its stamp is the table's fill
+    /// value, and no snapshot precedes it.
     pub(crate) fn access(&mut self, obj: u32, idx: u32, write: bool) {
-        let table = if write { &mut self.last_write } else { &mut self.last_read };
-        let obj = obj as usize;
-        if table.len() <= obj {
-            table.resize_with(obj + 1, Vec::new);
+        let last = &mut self.last;
+        let o = obj as usize;
+        if last.len() <= o {
+            last.resize_with(o + 1, Vec::new);
         }
-        let cells = &mut table[obj];
-        let idx = idx as usize;
-        if cells.len() <= idx {
-            cells.resize(idx + 1, 0);
+        let cells = &mut last[o];
+        let i = idx as usize;
+        if cells.len() <= i {
+            cells.resize(i + 1, LastAccess::default());
         }
-        cells[idx] = self.interval;
+        let cell = &mut cells[i];
+        if write {
+            cell.write = self.interval;
+        }
+        if cell.touch < self.interval {
+            cell.touch = self.interval;
+            self.log.push((obj, idx, self.interval << 1 | u32::from(!write)));
+        }
+    }
+
+    /// The last interval that wrote cell `(obj, idx)`.
+    fn last_write(&self, (obj, idx): (u32, u32)) -> u32 {
+        self.last.get(obj as usize).and_then(|cells| cells.get(idx as usize)).map_or(0, |c| c.write)
+    }
+
+    /// Buckets the first-access log by cell with a counting sort. The
+    /// log lists each cell's intervals in increasing order, and the
+    /// sort is stable, so each bucket does too.
+    fn bucket(&mut self) {
+        let mut base = Vec::with_capacity(self.last.len() + 1);
+        let mut cells = 0u32;
+        for object in &self.last {
+            base.push(cells);
+            cells += u32::try_from(object.len()).expect("fewer than 2^32 cells");
+        }
+        base.push(cells);
+        let log = std::mem::take(&mut self.log);
+        let flat = |obj: u32, idx: u32| (base[obj as usize] + idx) as usize;
+        // Count each cell's entries, sum them up to each bucket's end,
+        // then fill every bucket from its end backwards, walking the log
+        // backwards: each `start[c]` ends at its bucket's beginning.
+        let mut start = vec![0u32; cells as usize + 1];
+        for &(obj, idx, _) in &log {
+            start[flat(obj, idx)] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut start {
+            sum += *s;
+            *s = sum;
+        }
+        let mut stamps = vec![0u32; log.len()];
+        for &(obj, idx, stamp) in log.iter().rev() {
+            let c = flat(obj, idx);
+            start[c] -= 1;
+            stamps[start[c] as usize] = stamp;
+        }
+        self.first = FirstAccesses { base, start, stamps };
     }
 }
 
-/// The last interval of `table` that touched `(obj, idx)`. The tables
-/// grow on demand and fill with 0, and 0 is exact for a cell the run
-/// never touched as well as for one it touched only before the first
-/// capture: neither is touched after any snapshot.
-fn last(table: &[Vec<u32>], (obj, idx): (u32, u32)) -> u32 {
-    table.get(obj as usize).and_then(|cells| cells.get(idx as usize)).copied().unwrap_or(0)
-}
+/// Where a frame stands: its function, block and instruction index.
+pub(crate) type Position = (FuncId, BlockId, usize);
 
 /// Complete interpreter state at one golden-run step boundary.
 ///
@@ -147,9 +232,12 @@ impl std::fmt::Debug for Snapshot {
 pub struct SnapshotLog {
     snaps: Vec<Snapshot>,
     stride: u64,
-    /// The golden run's activation timeline and last access intervals
-    /// (empty when capture is disabled).
+    /// The golden run's activation timeline, last write intervals and
+    /// first accesses (empty when capture is disabled).
     golden: GoldenRecord,
+    /// The registers live at each frame position a snapshot stands at,
+    /// by register index.
+    live_regs: BTreeMap<Position, Box<[u32]>>,
     /// Per snapshot `k`: the sorted `(object, page)` pages the golden
     /// run wrote in the interval `(snapshot k-1, snapshot k]` (for
     /// `k = 0`, since the golden run began). The splice probe unions
@@ -167,6 +255,7 @@ impl SnapshotLog {
             snaps: Vec::new(),
             stride,
             golden: GoldenRecord::default(),
+            live_regs: BTreeMap::new(),
             interval_pages: Vec::new(),
         }
     }
@@ -212,10 +301,66 @@ impl SnapshotLog {
         n.checked_sub(1).map(|i| &self.snaps[i])
     }
 
-    /// Installs the record the capture run filled.
-    pub(crate) fn set_golden(&mut self, golden: GoldenRecord) {
+    /// Ends the capture: installs the record the capture run filled,
+    /// bucketing its first accesses by cell, and computes the registers
+    /// live at each position of `module` a snapshot's frame stands at.
+    /// A position's live registers are its block's live-out and its
+    /// terminator's uses, walked back over the instructions from the
+    /// position's on, each removing its def and adding its uses.
+    /// Positions are visited in descending order, so one walk back from
+    /// a block's end serves all of the block's positions. A caller frame
+    /// stands just past its `Call`, so its callee's return is a write
+    /// the walk does not see, which only keeps more registers live.
+    pub(crate) fn finish(&mut self, module: &Module, mut golden: GoldenRecord) {
         debug_assert_eq!(golden.interval as usize, self.snaps.len(), "one interval per capture");
+        golden.bucket();
         self.golden = golden;
+        for snap in &self.snaps {
+            for frame in &snap.state.control.frames {
+                self.live_regs.entry(frame.position()).or_default();
+            }
+        }
+        let mut liveness: Option<(FuncId, Liveness)> = None;
+        // The block the last walk was in, the instruction it reached
+        // and the registers live there.
+        let mut walk: Option<(FuncId, BlockId, usize, BitSet)> = None;
+        for (&(func, block, ip), live_here) in self.live_regs.iter_mut().rev() {
+            let f = module.func(func);
+            if liveness.as_ref().is_none_or(|(id, _)| *id != func) {
+                liveness = Some((func, Liveness::compute(f)));
+            }
+            let b = f.block(block);
+            let (from, mut live) = match walk.take() {
+                Some((wf, wb, from, live)) if (wf, wb) == (func, block) => (from, live),
+                _ => {
+                    let lv = &liveness.as_ref().expect("computed above").1;
+                    let mut live = BitSet::new(f.reg_count as usize);
+                    let out = lv.live_out(block).into_iter();
+                    for r in out.chain(b.term.iter().flat_map(Terminator::uses)) {
+                        live.insert(r.index());
+                    }
+                    (b.insts.len(), live)
+                }
+            };
+            for inst in b.insts[ip..from].iter().rev() {
+                if let Some(d) = inst.def() {
+                    live.remove(d.index());
+                }
+                for u in inst.uses() {
+                    live.insert(u.index());
+                }
+            }
+            *live_here = live.iter().map(|r| r as u32).collect();
+            walk = Some((func, block, ip, live));
+        }
+    }
+
+    /// The registers live at frame position `at`, when a snapshot
+    /// stands there. On every path from `at`, every other register is
+    /// written before it is read, or never read, so its value cannot
+    /// influence the run.
+    pub(crate) fn live_regs(&self, at: Position) -> Option<&[u32]> {
+        self.live_regs.get(&at).map(|live| &live[..])
     }
 
     /// Golden dyn count at each `SetRecovery` execution, by activation
@@ -240,19 +385,30 @@ impl SnapshotLog {
         self.interval_pages.get(i).map_or(&[][..], Vec::as_slice)
     }
 
-    /// `true` when the golden run reads `cell` after snapshot `k`. A
-    /// divergence confined to cells it does not read can never
-    /// influence the golden suffix's execution: the dead-diff and SDC
-    /// splice rules' key input.
-    pub(crate) fn read_after(&self, k: usize, cell: (u32, u32)) -> bool {
-        last(&self.golden.last_read, cell) as usize > k
+    /// `true` when the golden run's first access to `cell` after
+    /// snapshot `k` is a read. A cell the golden suffix never touches,
+    /// or first overwrites, is dead: a divergence confined to dead cells
+    /// can never influence the suffix's execution, which is the
+    /// dead-diff and SDC splice rules' key input.
+    pub(crate) fn live_after(&self, k: usize, (obj, idx): (u32, u32)) -> bool {
+        let FirstAccesses { base, start, stamps } = &self.golden.first;
+        let o = obj as usize;
+        let Some(c) = base
+            .get(o..o + 2)
+            .and_then(|ends| (idx < ends[1] - ends[0]).then_some((ends[0] + idx) as usize))
+        else {
+            return false;
+        };
+        let bucket = &stamps[start[c] as usize..start[c + 1] as usize];
+        let after = bucket.partition_point(|&stamp| (stamp >> 1) as usize <= k);
+        bucket.get(after).is_some_and(|&stamp| stamp & 1 == 1)
     }
 
     /// `true` when the golden run writes `cell` after snapshot `k`. A
     /// dead divergent cell it writes is overwritten by the suffix and
     /// heals; one it does not write persists to the final state.
     pub(crate) fn written_after(&self, k: usize, cell: (u32, u32)) -> bool {
-        last(&self.golden.last_write, cell) as usize > k
+        self.golden.last_write(cell) as usize > k
     }
 }
 
@@ -315,33 +471,51 @@ mod tests {
     }
 
     #[test]
-    fn a_cell_is_touched_after_the_snapshots_before_its_last_interval() {
+    fn live_after_reads_the_first_access_after_each_snapshot() {
         // Three captures: intervals 0 (before snapshot 0), 1, 2 and 3.
         let mut golden = GoldenRecord::default();
         golden.access(0, 0, false);
         golden.advance();
+        // Interval 1: a write then a read, and a read then a write.
+        golden.access(1, 0, true);
+        golden.access(1, 0, false);
+        golden.access(1, 1, false);
+        golden.access(1, 1, true);
+        golden.advance();
+        // Interval 2: a read, overwritten first in interval 3.
         golden.access(1, 3, false);
         golden.advance();
+        // Interval 3: a cell's first access, and a write then a read.
         golden.access(1, 2, false);
-        golden.access(0, 1, true);
-        golden.advance();
+        golden.access(1, 3, true);
         golden.access(1, 3, false);
+        golden.bucket();
         let log = SnapshotLog { golden, ..SnapshotLog::new(1) };
+        // Per cell: `live_after(k)` for snapshots 0 to 3.
+        let table: [((u32, u32), [bool; 4]); 7] = [
+            // A write then a read in one interval is dead.
+            ((1, 0), [false; 4]),
+            // A read then a write is live.
+            ((1, 1), [true, false, false, false]),
+            // First touched two intervals later: live from there on back.
+            ((1, 2), [true, true, true, false]),
+            // Read in interval 2, first overwritten in interval 3.
+            ((1, 3), [true, true, false, false]),
+            // Untouched: read only before the first capture, inside a
+            // grown table, past its end, past the last object.
+            ((0, 0), [false; 4]),
+            ((0, 5), [false; 4]),
+            ((7, 0), [false; 4]),
+        ];
+        for (cell, live) in table {
+            for (k, &expected) in live.iter().enumerate() {
+                assert_eq!(log.live_after(k, cell), expected, "{cell:?} after snapshot {k}");
+            }
+        }
         for k in 0..4 {
-            assert!(!log.read_after(k, (0, 0)), "read before the first capture, k = {k}");
-            // Interval 2 is after snapshots 0 and 1, not after 2.
-            assert_eq!(log.read_after(k, (1, 2)), k <= 1, "k = {k}");
-            assert_eq!(log.written_after(k, (0, 1)), k <= 1, "k = {k}");
-            // The last of several intervals counts.
-            assert_eq!(log.read_after(k, (1, 3)), k <= 2, "k = {k}");
-            // Untouched: inside a grown table, past its end, past the
-            // last object, or touched only the other way.
-            for cell in [(1, 0), (0, 5), (7, 0), (0, 1)] {
-                assert!(!log.read_after(k, cell), "{cell:?} read, k = {k}");
-            }
-            for cell in [(0, 0), (0, 5), (7, 0), (1, 2)] {
-                assert!(!log.written_after(k, cell), "{cell:?} written, k = {k}");
-            }
+            assert_eq!(log.written_after(k, (1, 0)), k == 0, "k = {k}");
+            assert_eq!(log.written_after(k, (1, 3)), k <= 2, "k = {k}");
+            assert!(!log.written_after(k, (1, 2)), "k = {k}");
         }
     }
 
@@ -462,9 +636,10 @@ mod tests {
     }
 
     /// The golden record answers by replay: a run resumed from snapshot
-    /// `k` with a fresh record one interval in reads and writes exactly
-    /// the cells the capture's record says the golden run reads and
-    /// writes after snapshot `k`, over every cell of its final memory.
+    /// `k` with a fresh record one interval in first reads exactly the
+    /// cells the capture's record calls live after snapshot `k`, and
+    /// writes exactly the cells it says the golden run writes after
+    /// `k`, over every cell of its final memory.
     #[test]
     fn the_golden_record_matches_a_replay_from_every_snapshot() {
         for (inst, entry, args) in protected_kernels() {
@@ -473,7 +648,7 @@ mod tests {
             let code = DecodedModule::new(m, map);
             let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
             assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
-            let (mut reads, mut writes) = (0, 0);
+            let (mut live, mut dead, mut writes) = (0, 0, 0);
             for (k, snap) in log.snaps.iter().enumerate() {
                 let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
                 let mut fresh = GoldenRecord::default();
@@ -481,22 +656,63 @@ mod tests {
                 resumed.obs.golden = Some(Box::new(fresh));
                 assert_eq!(resumed.run_to_end(), None, "{}, from snapshot {k}", m.name);
                 let replay = resumed.obs.golden.take().expect("the record stays installed");
+                // Whether the replay's first access to each cell it
+                // touched was a read.
+                let mut first_read = std::collections::HashMap::new();
+                for &(obj, idx, stamp) in &replay.log {
+                    first_read.entry((obj, idx)).or_insert(stamp & 1 == 1);
+                }
                 let mem = resumed.mem();
                 for obj in 0..mem.object_count() as u32 {
                     for idx in (0..).take_while(|&i| mem.read(obj, i.into()).is_ok()) {
                         let cell = (obj, idx);
-                        let replayed = (
-                            last(&replay.last_read, cell) == 1,
-                            last(&replay.last_write, cell) == 1,
-                        );
-                        let recorded = (log.read_after(k, cell), log.written_after(k, cell));
+                        let touched = first_read.get(&cell).copied();
+                        let replayed = (touched == Some(true), replay.last_write(cell) == 1);
+                        let recorded = (log.live_after(k, cell), log.written_after(k, cell));
                         assert_eq!(replayed, recorded, "{}: {cell:?} after snapshot {k}", m.name);
-                        reads += usize::from(replayed.0);
+                        live += usize::from(touched == Some(true));
+                        dead += usize::from(touched == Some(false));
                         writes += usize::from(replayed.1);
                     }
                 }
             }
-            assert!(reads > 0 && writes > 0, "{}: the replays touched nothing", m.name);
+            assert!(live > 0 && dead > 0 && writes > 0, "{}: {live}, {dead}, {writes}", m.name);
+        }
+    }
+
+    /// The registers the capture calls dead at a frame's position are
+    /// dead: a run resumed from any snapshot with every dead register of
+    /// every frame overwritten with junk, an int one and a float one,
+    /// still ends in the uninterrupted run's
+    /// [`RunResult`](crate::RunResult).
+    #[test]
+    fn overwriting_dead_registers_never_changes_a_resumed_run() {
+        for junk in [Value::Int(0x5EED_F00D), Value::Float(-3.5e300)] {
+            for (inst, entry, args) in protected_kernels() {
+                let (m, map) = (&inst.module, Some(&inst.map));
+                let config = RunConfig::default();
+                let golden = run_function(m, map, entry, &args, &config);
+                let code = DecodedModule::new(m, map);
+                let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
+                let mut overwritten = 0;
+                for snap in &log.snaps {
+                    let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                    for frame in &mut resumed.state.control.frames {
+                        let live = log.live_regs(frame.position()).expect("each frame's mask");
+                        for (r, reg) in frame.regs_mut().iter_mut().enumerate() {
+                            if !live.contains(&(r as u32)) {
+                                *reg = junk;
+                                overwritten += 1;
+                            }
+                        }
+                    }
+                    let trap = resumed.run_to_end();
+                    let at = snap.dyn_insts();
+                    let what = format!("{}, from {at}, {junk:?}", m.name);
+                    assert_eq!(resumed.into_result(trap), golden, "{what}");
+                }
+                assert!(overwritten > 0, "{}: no register was dead", m.name);
+            }
         }
     }
 

@@ -13,17 +13,20 @@
 //!   snapshot; [`Machine::run_to_end_or_splice`] probes on from there
 //!   on a dense-then-backoff schedule;
 //! * each probe's gate compares the run's [`ControlState`] with the
-//!   snapshot's, [`Machine::golden_diff`] collects the memory cells the
+//!   snapshot's, registers only where they are live at each frame's
+//!   position, [`Machine::golden_diff`] collects the memory cells the
 //!   two disagree on in O(dirty), and the [`SpliceRule`]s read the
-//!   outcome off that diff;
+//!   outcome off that diff and what the golden suffix does to each of
+//!   its cells first;
 //! * the campaign memo (`sfi.rs`) keys and compares a run at its first
 //!   probe with [`Machine::probe_key`] and [`Machine::same_probe_state`],
-//!   which hash and compare the same [`ControlState`] whole.
+//!   which hash and compare the same [`ControlState`] whole, every
+//!   register included.
 //!
 //! Every miss falls back to plain execution, so the splice can only
 //! shorten a run, never change its outcome (DESIGN.md §10, §13, §14).
 
-use crate::interp::{ControlState, Frame, Injection, Machine, Trap};
+use crate::interp::{ControlState, Injection, Machine, Trap};
 use crate::memory::ProbeCost;
 use crate::snapshot::{Snapshot, SnapshotLog};
 
@@ -38,24 +41,26 @@ pub const DIFF_CAP: usize = 64;
 ///
 /// All three rules fire at a probe point where the run's control state
 /// (frames, the heap-site table, extern PRNG/clock) equals a golden
-/// snapshot's at the realigned position — they differ only in what the
-/// residual *memory/output* diff proves about the suffix.
+/// snapshot's at the realigned position, registers compared only where
+/// live — they differ only in what the residual *memory/output* diff
+/// proves about the suffix.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SpliceRule {
-    /// Rule (a) — generalized recovered-splice: the diff emptied (full
-    /// architectural-state equality, output included). The remaining
-    /// execution is bit-identical to the golden suffix: a certain
-    /// `Recovered`.
+    /// Rule (a) — generalized recovered-splice: the diff emptied
+    /// (architectural-state equality up to dead registers, output
+    /// included). The remaining execution is bit-identical to the
+    /// golden suffix: a certain `Recovered`.
     Converged,
     /// Rule (b) — dead-diff splice: the residual diff is confined to
-    /// cells the golden suffix never reads, every divergent *global*
-    /// cell is overwritten by the suffix (or is not architecturally
-    /// observable), and the output prefix matches. The suffix executes
-    /// identically and the final observable state equals golden's: a
-    /// certain `Recovered` without simulating the suffix.
+    /// dead cells, which the golden suffix never touches or first
+    /// overwrites, every divergent *global* cell is overwritten by the
+    /// suffix (or is not architecturally observable), and the output
+    /// prefix matches. The suffix executes identically and the final
+    /// observable state equals golden's: a certain `Recovered` without
+    /// simulating the suffix.
     DeadDiff,
     /// Rule (c) — SDC splice: the residual diff is dead (rule (b)'s
-    /// read-set condition holds, so the suffix still executes
+    /// first-read condition holds, so the suffix still executes
     /// identically and the run provably terminates like golden), but
     /// the append-only output prefix has diverged or a dead global cell
     /// escapes every suffix write: a certain `SilentCorruption`.
@@ -137,23 +142,28 @@ pub(crate) enum Advance<'s> {
 impl ControlState {
     /// The splice gate: `self == golden` in everything but the output
     /// channel, which the rules read separately (it is append-only and
-    /// never rolled back, so a diverged prefix is permanent). Ordered to
-    /// fail fast: the heap-site table first, frames last.
+    /// never rolled back, so a diverged prefix is permanent), and the
+    /// registers dead at each frame's position: each frame passes
+    /// [`Frame::equal_where_live`] under the mask the capture recorded
+    /// at golden's position. Ordered to fail fast: the heap-site table
+    /// first, then the extern state, then the frames innermost-first,
+    /// since the top frame diverges first in practice.
     ///
     /// The pattern names every field, so a field added to the type
     /// does not compile until the gate says how it compares.
-    fn equal_but_output(&self, golden: &ControlState) -> bool {
+    ///
+    /// [`Frame::equal_where_live`]: crate::interp::Frame::equal_where_live
+    fn equal_but_output(&self, golden: &ControlState, snapshots: &SnapshotLog) -> bool {
         let ControlState { frames, last_alloc_of_site, externs } = self;
         *last_alloc_of_site == golden.last_alloc_of_site
             && externs.state_equal_ignoring_output(&golden.externs)
-            && frames_equal(frames, &golden.frames)
+            && frames.len() == golden.frames.len()
+            && frames.iter().rev().zip(golden.frames.iter().rev()).all(|(run, gold)| {
+                snapshots
+                    .live_regs(gold.position())
+                    .is_some_and(|live| run.equal_where_live(gold, live))
+            })
     }
-}
-
-/// Exactly `a == b`, compared innermost-first: the top frame diverges
-/// first in practice.
-fn frames_equal(a: &[Frame], b: &[Frame]) -> bool {
-    a.len() == b.len() && a.iter().rev().eq(b.iter().rev())
 }
 
 impl Machine<'_, '_> {
@@ -309,21 +319,27 @@ impl Machine<'_, '_> {
     /// rule can certify an outcome here.
     ///
     /// The gate requires [`ControlState`] equality up to the output
-    /// channel — frames (registers, positions, armed recovery logs),
-    /// the latest allocation of each heap site and the non-output
-    /// extern state — so the only admissible divergence is in memory
-    /// cells and the output channel. Under a deterministic interpreter,
-    /// equal control state plus a memory diff no future instruction
-    /// reads means the suffix executes *identically* to the golden
-    /// suffix (same control flow, same writes, same output appends):
-    /// the final state is then golden's, modulo exactly the divergent
-    /// cells the suffix never overwrites and the already-diverged
-    /// output prefix. The rules read off the outcome:
+    /// channel and dead registers — frames (positions, slots, armed
+    /// recovery logs, the registers live at each position), the latest
+    /// allocation of each heap site and the non-output extern state —
+    /// so the only admissible divergence is in dead registers, memory
+    /// cells and the output channel. A landed probe has no fault
+    /// pending, so no detection, rollback or `Restore` runs again and
+    /// the run follows the program's own control flow. By induction
+    /// over the suffix under a deterministic interpreter, every
+    /// register it reads is live and so equal, and every cell it reads
+    /// is equal or was first overwritten with golden's value, so the
+    /// suffix executes *identically* to the golden suffix (same control
+    /// flow, same writes, same output appends): the final state is
+    /// then golden's, modulo exactly the divergent cells the suffix
+    /// never overwrites and the already-diverged output prefix. The
+    /// rules read off the outcome:
     ///
     /// * diff empty, output equal → [`SpliceRule::Converged`];
-    /// * diff dead (∉ suffix reads), every divergent global cell
-    ///   healed by a suffix write, output equal →
-    ///   [`SpliceRule::DeadDiff`] (final state provably golden);
+    /// * diff dead (the suffix's first access to each cell, if any, is
+    ///   a write), every divergent global cell healed by a suffix
+    ///   write, output equal → [`SpliceRule::DeadDiff`] (final state
+    ///   provably golden);
     /// * diff dead but output diverged or a global cell persists →
     ///   [`SpliceRule::Sdc`] (final state provably differs).
     ///
@@ -343,7 +359,7 @@ impl Machine<'_, '_> {
         diff: &mut Vec<(u32, u32)>,
     ) -> Option<SpliceRule> {
         let golden = &snap.state.control;
-        if !self.state.control.equal_but_output(golden)
+        if !self.state.control.equal_but_output(golden, snapshots)
             || !self.golden_diff(snapshots, idx, snap, diff)
         {
             return None;
@@ -352,9 +368,10 @@ impl Machine<'_, '_> {
         if diff.is_empty() && out_eq {
             return Some(SpliceRule::Converged);
         }
-        if diff.iter().any(|&cell| snapshots.read_after(idx, cell)) {
-            // A divergent cell feeds the suffix: its fate is unprovable
-            // here. Keep executing — later probes may still certify.
+        if diff.iter().any(|&cell| snapshots.live_after(idx, cell)) {
+            // The suffix reads a divergent cell before it writes it: its
+            // fate is unprovable here. Keep executing — later probes may
+            // still certify.
             return None;
         }
         // Dead diff. Non-global cells are architecturally invisible;

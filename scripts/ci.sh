@@ -64,9 +64,11 @@ done
 # executed ones, and the memo must answer some runs), the -0.0
 # regression (a sign-bit flip the splice once certified as recovered),
 # the faulted-alloc containment test (a grown `alloc` size once aborted
-# the process) and the bounded-exhaustive renaming sweep (every
+# the process), the bounded-exhaustive renaming sweep (every
 # fault plan up to latency 24 on kernels whose rollbacks re-call a
-# function classifies the same spliced as from scratch). The
+# function classifies the same spliced as from scratch) and the same
+# sweep on a region armed once, whose re-executed runs the splice
+# certifies by ignoring dead registers and cells written before read. The
 # resume-exactness test (a run resumed from any golden snapshot ends in
 # the uninterrupted run's `RunResult`) and the pinned trap texts are
 # encore-sim tests, so the release encore-sim step above runs them.
@@ -75,7 +77,8 @@ cargo test --release -q --offline --test sfi_campaign -- \
     splice_smoke_all_rules_engage splice_never_changes_campaign_results \
     memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome \
     faulted_alloc_sizes_are_contained \
-    renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan
+    renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan \
+    a_region_armed_once_splices_its_rerun_as_dead_diff
 
 # Containment: token-level mutants of printed modules, and four module
 # shapes too large to run, end in a parse or verify error or a trap,

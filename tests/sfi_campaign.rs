@@ -750,6 +750,78 @@ fn splice_rule_sdc_fires_on_persistent_dead_corruption() {
     assert!(rules.contains(&SpliceRule::Sdc), "rule (c) never fired: {rules:?}");
 }
 
+/// Cells [`armed_once_kernel`] copies and then sums.
+const ARMED_ONCE_CELLS: i64 = 12;
+
+/// Shaped like mpeg2enc's protected region: one region, armed once
+/// before a loop that copies `src[j]` into `out[j]` through a scratch
+/// register, then a loop that sums `out`. A fault detected in the copy
+/// loop rolls back to before its first trip, so the re-executed run
+/// reaches each probe with `out` cells its faulted pass already wrote
+/// (one maybe corrupted), which the golden suffix writes before it reads
+/// them, and with its scratch register holding a stale value the next
+/// trip overwrites before reading.
+fn armed_once_kernel() -> (encore_ir::Module, RegionMap, FuncId) {
+    let mut mb = ModuleBuilder::new("armed_once");
+    let src = mb.global_init("src", ARMED_ONCE_CELLS as u32, (1..=ARMED_ONCE_CELLS).collect());
+    let out = mb.global("out", ARMED_ONCE_CELLS as u32);
+    let fid = mb.function("f", 0, |f| {
+        let hdr = f.add_block();
+        let recovery = f.add_block();
+        let copy = f.add_block();
+        let sum = f.add_block();
+        f.jump(hdr);
+        f.switch_to(hdr);
+        f.emit(Inst::SetRecovery { region: RegionId::new(0) });
+        let j = f.mov(Operand::ImmI(0));
+        f.jump(copy);
+        f.switch_to(copy);
+        let scratch = f.load(AddrExpr::indexed(MemBase::Global(src), j, 1, 0));
+        f.store(AddrExpr::indexed(MemBase::Global(out), j, 1, 0), scratch.into());
+        f.bin_to(j, BinOp::Add, j.into(), Operand::ImmI(1));
+        let more = f.bin(BinOp::Lt, j.into(), Operand::ImmI(ARMED_ONCE_CELLS));
+        f.branch(more.into(), copy, sum);
+        f.switch_to(recovery);
+        f.emit(Inst::Restore { region: RegionId::new(0) });
+        f.jump(hdr);
+        f.switch_to(sum);
+        let acc = f.mov(Operand::ImmI(0));
+        f.for_range(Operand::ImmI(0), Operand::ImmI(ARMED_ONCE_CELLS), |f, k| {
+            let v = f.load(AddrExpr::indexed(MemBase::Global(out), k, 1, 0));
+            f.bin_to(acc, BinOp::Add, acc.into(), v.into());
+        });
+        f.ret(Some(acc.into()));
+    });
+    let m = mb.finish();
+    let map = map_of(&[(fid, BlockId::new(1), BlockId::new(2))]);
+    (m, map, fid)
+}
+
+/// A rolled-back run of [`armed_once_kernel`] differs from golden at
+/// its probes only in `out` cells the golden suffix overwrites before
+/// reading them and in registers dead there, so the splice certifies it
+/// `DeadDiff` while those still differ. Every plan of the bounded sweep
+/// at every eligible ordinal classifies the same spliced from snapshots
+/// as from scratch.
+#[test]
+fn a_region_armed_once_splices_its_rerun_as_dead_diff() {
+    let (m, map, fid) = armed_once_kernel();
+    let cfg = SfiConfig { snapshot_stride: 4, ..Default::default() };
+    let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
+    // Ordinal 21 is the load of `src[5]` in the sixth copy trip. Bit 3
+    // turns the 6 it loads into 14, the trip stores that into `out[5]`,
+    // and the detection four instructions later rolls back to before
+    // the first trip.
+    assert_eq!(
+        campaign.run_checked(FaultPlan::bit_flip(21, 3, 4)),
+        (FaultOutcome::Recovered, Some(SpliceRule::DeadDiff))
+    );
+    let bits = [0, 1, 2, 3, 7, 31, 62, 63];
+    let (plans, dead_diffs) = sweep_plans(&campaign, &bits, |rule| rule == SpliceRule::DeadDiff);
+    println!("{plans} plans, {dead_diffs} dead-diff splices, 0 disagreed");
+    assert!(dead_diffs > 0, "rule (b) never fired");
+}
+
 /// What the callee of [`recall_kernel`] allocates on each call.
 #[derive(Clone, Copy, Debug)]
 enum LeafAlloc {
@@ -845,6 +917,25 @@ fn plans_at(inject_at: u64, bits: &[u8], dmax: u64) -> Vec<FaultPlan> {
     plans
 }
 
+/// Runs every plan of the bounded sweep (`plans_at` up to latency 24)
+/// at every eligible ordinal through both twins, asserting they
+/// classify each identically, and returns how many plans ran and how
+/// many spliced under a rule `counted` accepts.
+fn sweep_plans(
+    campaign: &Twin<'_>,
+    bits: &[u8],
+    counted: impl Fn(SpliceRule) -> bool,
+) -> (usize, usize) {
+    let (mut plans, mut spliced) = (0, 0);
+    for inject_at in 0..campaign.eligible_insts() {
+        for plan in plans_at(inject_at, bits, 24) {
+            plans += 1;
+            spliced += usize::from(campaign.run_checked(plan).1.is_some_and(&counted));
+        }
+    }
+    (plans, spliced)
+}
+
 /// The bounded-exhaustive half of the renaming argument (DESIGN.md
 /// §14): the splice gate and the campaign memo compare states up to the
 /// numbers that only name slot and heap objects. On kernels whose
@@ -864,13 +955,7 @@ fn renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan() {
     ] {
         let (m, map, fid) = recall_kernel(leaf_alloc);
         let campaign = Twin::prepare(&m, Some(&map), fid, &[], &cfg);
-        let (mut plans, mut spliced) = (0usize, 0usize);
-        for inject_at in 0..campaign.eligible_insts() {
-            for plan in plans_at(inject_at, bits, 24) {
-                plans += 1;
-                spliced += usize::from(campaign.run_checked(plan).1.is_some());
-            }
-        }
+        let (plans, spliced) = sweep_plans(&campaign, bits, |_| true);
         println!("{leaf_alloc:?}: {plans} plans, {spliced} spliced, 0 disagreed");
         assert!(spliced > 0, "{leaf_alloc:?}: nothing spliced");
     }
