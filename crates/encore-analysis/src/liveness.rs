@@ -16,7 +16,6 @@ use std::collections::BTreeSet;
 pub struct Liveness {
     in_bits: Vec<BitSet>,
     out_bits: Vec<BitSet>,
-    use_bits: Vec<BitSet>,
     def_bits: Vec<BitSet>,
 }
 
@@ -83,7 +82,7 @@ impl Liveness {
             changed
         });
 
-        Self { in_bits, out_bits, use_bits, def_bits }
+        Self { in_bits, out_bits, def_bits }
     }
 
     /// Registers live at entry to `b`.
@@ -99,11 +98,6 @@ impl Liveness {
     /// Registers defined (written) inside `b`.
     pub fn defs(&self, b: BlockId) -> BTreeSet<Reg> {
         to_regs(&self.def_bits[b.index()])
-    }
-
-    /// Registers upward-exposed (used before any local def) in `b`.
-    pub fn upward_exposed(&self, b: BlockId) -> BTreeSet<Reg> {
-        to_regs(&self.use_bits[b.index()])
     }
 
     /// Registers that are live at entry to `header` *and* written anywhere
@@ -206,20 +200,5 @@ mod tests {
         let clobbered = lv.clobbered_live_ins(BlockId::new(1), region);
         assert!(clobbered.contains(&Reg::new(0)));
         assert!(!clobbered.contains(&Reg::new(1)));
-    }
-
-    #[test]
-    fn use_before_def_is_upward_exposed() {
-        let mut mb = ModuleBuilder::new("m");
-        mb.function("f", 1, |f| {
-            let p = f.param(0);
-            // use p, then redefine it
-            let q = f.bin(BinOp::Add, p.into(), Operand::ImmI(1));
-            f.mov_to(p, q.into());
-            f.ret(Some(p.into()));
-        });
-        let m = mb.finish();
-        let lv = Liveness::compute(&m.funcs[0]);
-        assert!(lv.upward_exposed(BlockId::new(0)).contains(&Reg::new(0)));
     }
 }

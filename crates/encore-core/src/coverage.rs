@@ -172,16 +172,6 @@ impl FullSystemCoverage {
     pub fn total(&self) -> f64 {
         self.masked + self.recovered_idempotent + self.recovered_checkpointed
     }
-
-    /// Reduction in unmasked failures relative to masking alone, the
-    /// paper's "66 % reduction in transient events that cause failures".
-    pub fn failure_reduction(&self) -> f64 {
-        let before = 1.0 - self.masked;
-        if before <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.not_recoverable / before
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +242,6 @@ mod tests {
         let model = CoverageModel::from_regions([(0.9, 1000, true)], 0.1, 100);
         let fs = FullSystemCoverage::compose(0.91, &model);
         assert!(fs.total() > 0.96, "total = {}", fs.total());
-        assert!(fs.failure_reduction() > 0.6);
         let sum = fs.masked + fs.recovered_idempotent + fs.recovered_checkpointed
             + fs.not_recoverable;
         assert!((sum - 1.0).abs() < 1e-9);

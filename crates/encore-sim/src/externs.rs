@@ -4,9 +4,10 @@
 //! (read-only) and I/O-ish effects (opaque). The effect class an
 //! instruction *declares* (`ExtEffect`) is what the static analysis
 //! trusts; the registry here provides the matching runtime behavior.
-//! Everything is deterministic: the PRNG is a seeded LCG and "time" is a
-//! call counter, so golden runs are reproducible.
+//! Everything is deterministic: the PRNG is a seeded [`SplitMix64`] and
+//! "time" is a call counter, so golden runs are reproducible.
 
+use crate::rng::{Rng, SplitMix64};
 use crate::value::{EvalError, Value};
 
 /// The external-function environment of a machine.
@@ -15,23 +16,14 @@ pub struct Externs {
     /// Values printed by `print_i64` / `print_f64` (the observable
     /// output channel compared against golden runs).
     pub output: Vec<i64>,
-    prng: u64,
+    prng: SplitMix64,
     clock: u64,
 }
 
 impl Externs {
     /// Creates the environment with the given PRNG seed.
     pub fn new(seed: u64) -> Self {
-        Self { output: Vec::new(), prng: seed | 1, clock: 0 }
-    }
-
-    fn next_prng(&mut self) -> i64 {
-        // SplitMix64 step: deterministic, decent quality.
-        self.prng = self.prng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.prng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as i64
+        Self { output: Vec::new(), prng: SplitMix64::new(seed | 1), clock: 0 }
     }
 
     fn float_arg(args: &[Value], i: usize, name: &str) -> Result<f64, EvalError> {
@@ -83,10 +75,10 @@ impl Externs {
                 Ok(Value::Int(self.clock as i64))
             }
             // Opaque effects.
-            "prng" => Ok(Value::Int(self.next_prng())),
+            "prng" => Ok(Value::Int(self.prng.next_u64() as i64)),
             "prng_range" => {
                 let n = Self::int_arg(args, 0, name)?.max(1);
-                Ok(Value::Int(self.next_prng().rem_euclid(n)))
+                Ok(Value::Int((self.prng.next_u64() as i64).rem_euclid(n)))
             }
             "print_i64" => {
                 self.output.push(Self::int_arg(args, 0, name)?);
@@ -127,6 +119,16 @@ mod tests {
         }
         let mut c = Externs::new(8);
         assert_ne!(a.call("prng", &[]).unwrap(), c.call("prng", &[]).unwrap());
+    }
+
+    #[test]
+    fn prng_draws_the_splitmix64_stream_of_its_odd_seed() {
+        let mut e = Externs::new(7);
+        let mut reference = SplitMix64::new(7 | 1);
+        for _ in 0..10 {
+            let expected = Value::Int(reference.next_u64() as i64);
+            assert_eq!(e.call("prng", &[]).unwrap(), expected);
+        }
     }
 
     #[test]

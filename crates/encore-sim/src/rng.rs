@@ -96,7 +96,7 @@ pub trait Rng {
 }
 
 /// SplitMix64: `state += γ; output = mix64(state)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SplitMix64 {
     state: u64,
 }

@@ -36,62 +36,44 @@
 //! Beside the snapshots, the log keeps what the divergence splice asks
 //! of the golden suffix, all of it computed once, by the capture run:
 //!
-//! * the capture run's [`GoldenRecord`]: its activation timeline, the
-//!   last inter-snapshot interval that wrote each memory cell, and
-//!   whether the golden run's first access to a cell after a snapshot
-//!   is a read;
+//! * the golden run's activation timeline, and the kind of its first
+//!   access to each memory cell after each snapshot, if it accesses the
+//!   cell at all, both filled in by a capture-only [`GoldenRecord`];
 //! * the registers live at each frame position a snapshot stands at,
 //!   from register liveness over the position's function, so the
 //!   splice gate compares only registers the program can still read.
 
 use crate::interp::State;
 use encore_analysis::{BitSet, Liveness};
-use encore_ir::{BlockId, FuncId, Module, Terminator};
+use encore_ir::{AccessKind, BlockId, FuncId, Module, Terminator};
 use std::collections::BTreeMap;
 
 /// What the golden capture run records for the divergence splice: its
-/// activation timeline, the last interval that wrote each memory cell,
-/// and the kind of each cell's first access in every interval that
-/// touched it.
+/// activation timeline and the kind of each cell's first access in
+/// every interval that touched it. [`SnapshotLog::finish`] consumes it.
 ///
 /// Interval 0 runs from the start of the run to the first capture, and
 /// interval `k + 1` from capture `k` to the next capture or the end. The
-/// golden run writes a cell after snapshot `k` exactly when its last
-/// write interval is greater than `k`, and its first access to the cell
-/// after snapshot `k` is the first access of the earliest interval
-/// greater than `k` that touched it.
-#[derive(Debug, Default)]
+/// golden run's first access to a cell after snapshot `k` is the first
+/// access of the earliest interval greater than `k` that touched it.
+#[derive(Default)]
 pub(crate) struct GoldenRecord {
     /// The current interval: the number of captures so far.
     interval: u32,
     /// Dynamic instruction count at each golden `SetRecovery`, by
-    /// activation ordinal. The convergence splice realigns a
-    /// rolled-back run's dyn-count timeline with the golden run's on
-    /// it.
+    /// activation ordinal.
     activation_dyn: Vec<u64>,
-    /// The last interval that wrote and that touched each cell, by
-    /// object handle, then cell index.
-    last: Vec<Vec<LastAccess>>,
+    /// The last interval that read or wrote each cell, by object handle,
+    /// then cell index: an access is its interval's first to the cell
+    /// exactly when this is older. The table grows on demand and fills
+    /// with 0, and 0 is exact for a cell the run never touched as well
+    /// as for one it touched only before the first capture: neither is
+    /// touched after any snapshot.
+    last_touch: Vec<Vec<u32>>,
     /// `(object, cell, interval << 1 | read)` for the first access to
     /// each cell in each interval from 1 on, in capture order, where
-    /// `read` says that access was a read. Capture only;
-    /// [`GoldenRecord::bucket`] moves it into `first`.
+    /// `read` says that access was a read.
     log: Vec<(u32, u32, u32)>,
-    /// The log bucketed by cell, for [`SnapshotLog::live_after`].
-    first: FirstAccesses,
-}
-
-/// A cell's stamps in the golden record. The table grows on demand and
-/// fills with 0, and 0 is exact for a cell the run never touched as well
-/// as for one it touched only before the first capture: neither is
-/// touched after any snapshot.
-#[derive(Clone, Copy, Default, Debug)]
-struct LastAccess {
-    /// The last interval that wrote the cell.
-    write: u32,
-    /// The last interval that read or wrote it: an access is its
-    /// interval's first to the cell exactly when this is older.
-    touch: u32,
 }
 
 /// The golden record's first-access log bucketed by cell. Cells are
@@ -123,7 +105,7 @@ impl GoldenRecord {
     /// interval. Interval 0 logs nothing: its stamp is the table's fill
     /// value, and no snapshot precedes it.
     pub(crate) fn access(&mut self, obj: u32, idx: u32, write: bool) {
-        let last = &mut self.last;
+        let last = &mut self.last_touch;
         let o = obj as usize;
         if last.len() <= o {
             last.resize_with(o + 1, Vec::new);
@@ -131,41 +113,35 @@ impl GoldenRecord {
         let cells = &mut last[o];
         let i = idx as usize;
         if cells.len() <= i {
-            cells.resize(i + 1, LastAccess::default());
+            cells.resize(i + 1, 0);
         }
-        let cell = &mut cells[i];
-        if write {
-            cell.write = self.interval;
-        }
-        if cell.touch < self.interval {
-            cell.touch = self.interval;
+        let touch = &mut cells[i];
+        if *touch < self.interval {
+            *touch = self.interval;
             self.log.push((obj, idx, self.interval << 1 | u32::from(!write)));
         }
     }
+}
 
-    /// The last interval that wrote cell `(obj, idx)`.
-    fn last_write(&self, (obj, idx): (u32, u32)) -> u32 {
-        self.last.get(obj as usize).and_then(|cells| cells.get(idx as usize)).map_or(0, |c| c.write)
-    }
-
-    /// Buckets the first-access log by cell with a counting sort. The
+impl FirstAccesses {
+    /// Buckets a capture's first-access `log` by cell with a counting
+    /// sort, numbering cells by the objects' sizes in `last_touch`. The
     /// log lists each cell's intervals in increasing order, and the
     /// sort is stable, so each bucket does too.
-    fn bucket(&mut self) {
-        let mut base = Vec::with_capacity(self.last.len() + 1);
+    fn bucket(last_touch: &[Vec<u32>], log: &[(u32, u32, u32)]) -> Self {
+        let mut base = Vec::with_capacity(last_touch.len() + 1);
         let mut cells = 0u32;
-        for object in &self.last {
+        for object in last_touch {
             base.push(cells);
             cells += u32::try_from(object.len()).expect("fewer than 2^32 cells");
         }
         base.push(cells);
-        let log = std::mem::take(&mut self.log);
         let flat = |obj: u32, idx: u32| (base[obj as usize] + idx) as usize;
         // Count each cell's entries, sum them up to each bucket's end,
         // then fill every bucket from its end backwards, walking the log
         // backwards: each `start[c]` ends at its bucket's beginning.
         let mut start = vec![0u32; cells as usize + 1];
-        for &(obj, idx, _) in &log {
+        for &(obj, idx, _) in log {
             start[flat(obj, idx)] += 1;
         }
         let mut sum = 0;
@@ -179,7 +155,7 @@ impl GoldenRecord {
             start[c] -= 1;
             stamps[start[c] as usize] = stamp;
         }
-        self.first = FirstAccesses { base, start, stamps };
+        Self { base, start, stamps }
     }
 }
 
@@ -230,9 +206,13 @@ impl std::fmt::Debug for Snapshot {
 pub struct SnapshotLog {
     snaps: Vec<Snapshot>,
     stride: u64,
-    /// The golden run's activation timeline, last write intervals and
-    /// first accesses (empty when capture is disabled).
-    golden: GoldenRecord,
+    /// Dynamic instruction count at each golden `SetRecovery`, by
+    /// activation ordinal. The splice realigns a rolled-back run's
+    /// dyn-count timeline with the golden run's on it.
+    activation_dyn: Vec<u64>,
+    /// The golden run's first access to each cell in every interval
+    /// that touched it (empty when capture is disabled).
+    first: FirstAccesses,
     /// The registers live at each frame position a snapshot stands at,
     /// by register index.
     live_regs: BTreeMap<Position, Box<[u32]>>,
@@ -243,12 +223,7 @@ impl SnapshotLog {
     /// disabled).
     #[must_use]
     pub(crate) fn new(stride: u64) -> Self {
-        Self {
-            snaps: Vec::new(),
-            stride,
-            golden: GoldenRecord::default(),
-            live_regs: BTreeMap::new(),
-        }
+        Self { stride, ..Self::default() }
     }
 
     /// Appends a capture of `state`.
@@ -287,8 +262,9 @@ impl SnapshotLog {
         n.checked_sub(1).map(|i| &self.snaps[i])
     }
 
-    /// Ends the capture: installs the record the capture run filled,
-    /// bucketing its first accesses by cell, and computes the registers
+    /// Ends the capture: consumes the record the capture run filled,
+    /// keeping its activation timeline and its first accesses bucketed
+    /// by cell, and computes the registers
     /// live at each position of `module` a snapshot's frame stands at.
     /// A position's live registers are its block's live-out and its
     /// terminator's uses, walked back over the instructions from the
@@ -297,10 +273,11 @@ impl SnapshotLog {
     /// a block's end serves all of the block's positions. A caller frame
     /// stands just past its `Call`, so its callee's return is a write
     /// the walk does not see, which only keeps more registers live.
-    pub(crate) fn finish(&mut self, module: &Module, mut golden: GoldenRecord) {
-        debug_assert_eq!(golden.interval as usize, self.snaps.len(), "one interval per capture");
-        golden.bucket();
-        self.golden = golden;
+    pub(crate) fn finish(&mut self, module: &Module, golden: GoldenRecord) {
+        let GoldenRecord { interval, activation_dyn, last_touch, log } = golden;
+        debug_assert_eq!(interval as usize, self.snaps.len(), "one interval per capture");
+        self.activation_dyn = activation_dyn;
+        self.first = FirstAccesses::bucket(&last_touch, &log);
         for snap in &self.snaps {
             for frame in &snap.state.control.frames {
                 self.live_regs.entry(frame.position()).or_default();
@@ -352,7 +329,7 @@ impl SnapshotLog {
     /// Golden dyn count at each `SetRecovery` execution, by activation
     /// ordinal.
     pub(crate) fn activation_dyn(&self) -> &[u64] {
-        &self.golden.activation_dyn
+        &self.activation_dyn
     }
 
     /// The `i`-th snapshot in capture order.
@@ -365,30 +342,28 @@ impl SnapshotLog {
         self.snaps.partition_point(|s| s.dyn_insts() < d)
     }
 
-    /// `true` when the golden run's first access to `cell` after
-    /// snapshot `k` is a read. A cell the golden suffix never touches,
-    /// or first overwrites, is dead: a divergence confined to dead cells
-    /// can never influence the suffix's execution, which is the
-    /// dead-diff and SDC splice rules' key input.
-    pub(crate) fn live_after(&self, k: usize, (obj, idx): (u32, u32)) -> bool {
-        let FirstAccesses { base, start, stamps } = &self.golden.first;
+    /// The kind of the golden run's first access to `cell` after
+    /// snapshot `k`, `None` when the golden suffix never touches it.
+    /// A cell the suffix first reads is live: its value can steer the
+    /// suffix. One it first overwrites, or never touches, is dead, and
+    /// the suffix writes a dead cell exactly when it touches it, so the
+    /// same answer says whether a dead divergent cell heals or persists:
+    /// the dead-diff and SDC splice rules' key input.
+    pub(crate) fn first_access_after(
+        &self,
+        k: usize,
+        (obj, idx): (u32, u32),
+    ) -> Option<AccessKind> {
+        let FirstAccesses { base, start, stamps } = &self.first;
         let o = obj as usize;
-        let Some(c) = base
+        let c = base
             .get(o..o + 2)
-            .and_then(|ends| (idx < ends[1] - ends[0]).then_some((ends[0] + idx) as usize))
-        else {
-            return false;
-        };
+            .and_then(|ends| (idx < ends[1] - ends[0]).then_some((ends[0] + idx) as usize))?;
         let bucket = &stamps[start[c] as usize..start[c + 1] as usize];
         let after = bucket.partition_point(|&stamp| (stamp >> 1) as usize <= k);
-        bucket.get(after).is_some_and(|&stamp| stamp & 1 == 1)
-    }
-
-    /// `true` when the golden run writes `cell` after snapshot `k`. A
-    /// dead divergent cell it writes is overwritten by the suffix and
-    /// heals; one it does not write persists to the final state.
-    pub(crate) fn written_after(&self, k: usize, cell: (u32, u32)) -> bool {
-        self.golden.last_write(cell) as usize > k
+        bucket
+            .get(after)
+            .map(|&stamp| if stamp & 1 == 1 { AccessKind::Load } else { AccessKind::Store })
     }
 }
 
@@ -451,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn live_after_reads_the_first_access_after_each_snapshot() {
+    fn first_access_after_reads_the_first_access_after_each_snapshot() {
         // Three captures: intervals 0 (before snapshot 0), 1, 2 and 3.
         let mut golden = GoldenRecord::default();
         golden.access(0, 0, false);
@@ -469,33 +444,30 @@ mod tests {
         golden.access(1, 2, false);
         golden.access(1, 3, true);
         golden.access(1, 3, false);
-        golden.bucket();
-        let log = SnapshotLog { golden, ..SnapshotLog::new(1) };
-        // Per cell: `live_after(k)` for snapshots 0 to 3.
-        let table: [((u32, u32), [bool; 4]); 7] = [
-            // A write then a read in one interval is dead.
-            ((1, 0), [false; 4]),
-            // A read then a write is live.
-            ((1, 1), [true, false, false, false]),
-            // First touched two intervals later: live from there on back.
-            ((1, 2), [true, true, true, false]),
+        let first = FirstAccesses::bucket(&golden.last_touch, &golden.log);
+        let log = SnapshotLog { first, ..SnapshotLog::new(1) };
+        use AccessKind::{Load, Store};
+        // Per cell: `first_access_after(k)` for snapshots 0 to 3.
+        let table = [
+            // A write then a read in one interval is a write.
+            ((1, 0), [Some(Store), None, None, None]),
+            // A read then a write is a read.
+            ((1, 1), [Some(Load), None, None, None]),
+            // First touched two intervals later: read from there on back.
+            ((1, 2), [Some(Load), Some(Load), Some(Load), None]),
             // Read in interval 2, first overwritten in interval 3.
-            ((1, 3), [true, true, false, false]),
+            ((1, 3), [Some(Load), Some(Load), Some(Store), None]),
             // Untouched: read only before the first capture, inside a
             // grown table, past its end, past the last object.
-            ((0, 0), [false; 4]),
-            ((0, 5), [false; 4]),
-            ((7, 0), [false; 4]),
+            ((0, 0), [None; 4]),
+            ((0, 5), [None; 4]),
+            ((7, 0), [None; 4]),
         ];
-        for (cell, live) in table {
-            for (k, &expected) in live.iter().enumerate() {
-                assert_eq!(log.live_after(k, cell), expected, "{cell:?} after snapshot {k}");
+        for (cell, first) in table {
+            for (k, &expected) in first.iter().enumerate() {
+                let got = log.first_access_after(k, cell);
+                assert_eq!(got, expected, "{cell:?} after snapshot {k}");
             }
-        }
-        for k in 0..4 {
-            assert_eq!(log.written_after(k, (1, 0)), k == 0, "k = {k}");
-            assert_eq!(log.written_after(k, (1, 3)), k <= 2, "k = {k}");
-            assert!(!log.written_after(k, (1, 2)), "k = {k}");
         }
     }
 
@@ -615,11 +587,12 @@ mod tests {
         }
     }
 
-    /// The golden record answers by replay: a run resumed from snapshot
-    /// `k` with a fresh record one interval in first reads exactly the
-    /// cells the capture's record calls live after snapshot `k`, and
-    /// writes exactly the cells it says the golden run writes after
-    /// `k`, over every cell of its final memory.
+    /// The golden record answers by replay: over every cell of its final
+    /// memory, a run resumed from snapshot `k` with a fresh record one
+    /// interval in first accesses each cell the way the capture's record
+    /// says the golden run first accesses it after snapshot `k`, and
+    /// leaves untouched exactly the cells it says the golden suffix
+    /// never touches.
     #[test]
     fn the_golden_record_matches_a_replay_from_every_snapshot() {
         for (inst, entry, args) in protected_kernels() {
@@ -628,7 +601,7 @@ mod tests {
             let code = DecodedModule::new(m, map);
             let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
             assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
-            let (mut live, mut dead, mut writes) = (0, 0, 0);
+            let (mut loads, mut stores) = (0, 0);
             for (k, snap) in log.snaps.iter().enumerate() {
                 let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
                 let mut fresh = GoldenRecord::default();
@@ -636,27 +609,26 @@ mod tests {
                 resumed.obs.golden = Some(Box::new(fresh));
                 assert_eq!(resumed.run_to_end(), None, "{}, from snapshot {k}", m.name);
                 let replay = resumed.obs.golden.take().expect("the record stays installed");
-                // Whether the replay's first access to each cell it
-                // touched was a read.
-                let mut first_read = std::collections::HashMap::new();
+                // The kind of the replay's first access to each cell it
+                // touched, read off its raw log.
+                let mut first = std::collections::HashMap::new();
                 for &(obj, idx, stamp) in &replay.log {
-                    first_read.entry((obj, idx)).or_insert(stamp & 1 == 1);
+                    let kind = if stamp & 1 == 1 { AccessKind::Load } else { AccessKind::Store };
+                    first.entry((obj, idx)).or_insert(kind);
                 }
                 let mem = resumed.mem();
                 for obj in 0..mem.object_count() as u32 {
                     for idx in (0..).take_while(|&i| mem.read(obj, i.into()).is_ok()) {
                         let cell = (obj, idx);
-                        let touched = first_read.get(&cell).copied();
-                        let replayed = (touched == Some(true), replay.last_write(cell) == 1);
-                        let recorded = (log.live_after(k, cell), log.written_after(k, cell));
+                        let replayed = first.get(&cell).copied();
+                        let recorded = log.first_access_after(k, cell);
                         assert_eq!(replayed, recorded, "{}: {cell:?} after snapshot {k}", m.name);
-                        live += usize::from(touched == Some(true));
-                        dead += usize::from(touched == Some(false));
-                        writes += usize::from(replayed.1);
+                        loads += usize::from(replayed == Some(AccessKind::Load));
+                        stores += usize::from(replayed == Some(AccessKind::Store));
                     }
                 }
             }
-            assert!(live > 0 && dead > 0 && writes > 0, "{}: {live}, {dead}, {writes}", m.name);
+            assert!(loads > 0 && stores > 0, "{}: {loads} reads, {stores} writes", m.name);
         }
     }
 

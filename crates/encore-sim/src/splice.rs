@@ -16,8 +16,9 @@
 //!   snapshot's, registers only where they are live at each frame's
 //!   position, [`Machine::golden_diff`] collects the memory cells the
 //!   two disagree on, reading only the pages they do not share, and the
-//!   [`SpliceRule`]s read the outcome off that diff and what the golden
-//!   suffix does to each of its cells first;
+//!   [`SpliceRule`]s read the outcome off that diff and the golden
+//!   suffix's first access to each of its cells: a read, a write or
+//!   none;
 //! * the campaign memo (`sfi.rs`) keys and compares a run at its first
 //!   probe with [`Machine::probe_key`] and [`Machine::same_probe_state`],
 //!   which hash and compare the same [`ControlState`] whole, every
@@ -28,6 +29,7 @@
 
 use crate::interp::{ControlState, Injection, Machine, Trap};
 use crate::snapshot::{Snapshot, SnapshotLog};
+use encore_ir::AccessKind;
 
 /// Residual-diff size cap for the divergence splice: a run diverging
 /// from the golden snapshot in more than this many cells is not worth
@@ -50,19 +52,17 @@ pub enum SpliceRule {
     /// included). The remaining execution is bit-identical to the
     /// golden suffix: a certain `Recovered`.
     Converged,
-    /// Rule (b) — dead-diff splice: the residual diff is confined to
-    /// dead cells, which the golden suffix never touches or first
-    /// overwrites, every divergent *global* cell is overwritten by the
-    /// suffix (or is not architecturally observable), and the output
-    /// prefix matches. The suffix executes identically and the final
-    /// observable state equals golden's: a certain `Recovered` without
-    /// simulating the suffix.
+    /// Rule (b) — dead-diff splice: the golden suffix reads no divergent
+    /// cell before writing it (the diff is dead), writes every divergent
+    /// *global* cell, and the output prefix matches. The suffix executes
+    /// identically and the final observable state equals golden's: a
+    /// certain `Recovered` without simulating the suffix.
     DeadDiff,
-    /// Rule (c) — SDC splice: the residual diff is dead (rule (b)'s
-    /// first-read condition holds, so the suffix still executes
-    /// identically and the run provably terminates like golden), but
-    /// the append-only output prefix has diverged or a dead global cell
-    /// escapes every suffix write: a certain `SilentCorruption`.
+    /// Rule (c) — SDC splice: the residual diff is dead (so the suffix
+    /// still executes identically and the run provably terminates like
+    /// golden), but the append-only output prefix has diverged or the
+    /// suffix never touches some divergent global cell, which persists:
+    /// a certain `SilentCorruption`.
     Sdc,
 }
 
@@ -307,16 +307,18 @@ impl Machine<'_, '_> {
     /// suffix executes *identically* to the golden suffix (same control
     /// flow, same writes, same output appends): the final state is
     /// then golden's, modulo exactly the divergent cells the suffix
-    /// never overwrites and the already-diverged output prefix. The
-    /// rules read off the outcome:
+    /// never overwrites and the already-diverged output prefix. Each
+    /// divergent cell's fate is the suffix's first access to it
+    /// ([`SnapshotLog::first_access_after`]): a read keeps it live, a
+    /// write heals it, and none leaves it persisting. The rules:
     ///
     /// * diff empty, output equal → [`SpliceRule::Converged`];
-    /// * diff dead (the suffix's first access to each cell, if any, is
-    ///   a write), every divergent global cell healed by a suffix
-    ///   write, output equal → [`SpliceRule::DeadDiff`] (final state
+    /// * no divergent cell first read, every divergent global cell first
+    ///   written, output equal → [`SpliceRule::DeadDiff`] (final state
     ///   provably golden);
-    /// * diff dead but output diverged or a global cell persists →
-    ///   [`SpliceRule::Sdc`] (final state provably differs).
+    /// * no divergent cell first read, but output diverged or a
+    ///   divergent global cell untouched → [`SpliceRule::Sdc`] (final
+    ///   state provably differs).
     ///
     /// The counters outside the control state (`dyn_insts`,
     /// `eligible_seen`, the checkpoint high-water mark, the activation
@@ -342,19 +344,19 @@ impl Machine<'_, '_> {
         if diff.is_empty() && out_eq {
             return Some(SpliceRule::Converged);
         }
-        if diff.iter().any(|&cell| snapshots.live_after(idx, cell)) {
-            // The suffix reads a divergent cell before it writes it: its
-            // fate is unprovable here. Keep executing — later probes may
-            // still certify.
-            return None;
+        let mut persists = false;
+        for &cell in diff.iter() {
+            match snapshots.first_access_after(idx, cell) {
+                // Read before written: its fate is unprovable here. Keep
+                // executing — later probes may still certify.
+                Some(AccessKind::Load) => return None,
+                // Overwritten by the identically executing suffix: heals.
+                Some(AccessKind::Store) => {}
+                // Never touched: a global cell persists into the final
+                // observable state; any other is architecturally invisible.
+                None => persists |= self.state.mem.is_global(cell.0),
+            }
         }
-        // Dead diff. Non-global cells are architecturally invisible;
-        // a global cell the suffix overwrites heals to golden's value
-        // (the suffix executes identically); one it never writes
-        // persists into the final observable state.
-        let persists = diff
-            .iter()
-            .any(|&cell| self.state.mem.is_global(cell.0) && !snapshots.written_after(idx, cell));
         if out_eq && !persists {
             Some(SpliceRule::DeadDiff)
         } else {

@@ -97,13 +97,6 @@ impl Value {
         }
     }
 
-    /// Flips bit `bit` (0–63) of the value's 64-bit representation —
-    /// the classic single-event-upset fault. Equivalent to
-    /// [`Value::flip_bits`] with a one-bit mask.
-    pub fn flip_bit(self, bit: u8) -> Value {
-        self.flip_bits(1u64 << (bit % 64))
-    }
-
     /// XORs `mask` into the value's 64-bit representation — the general
     /// value-corruption fault (single- and multi-bit). Integers and
     /// floats flip their payload bits; pointers fold the mask into
@@ -334,25 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_changes_and_restores() {
-        let v = Value::Int(42);
-        let f = v.flip_bit(3);
-        assert_ne!(v, f);
-        assert_eq!(f.flip_bit(3), v);
-        let fl = Value::Float(1.5).flip_bit(52);
-        assert_ne!(fl, Value::Float(1.5));
-    }
-
-    #[test]
     fn bit_63_flips_the_sign_bit() {
         // The top bit is in range for every representation: integers
-        // flip sign, floats flip their sign bit, and bit indices ≥ 64
-        // wrap rather than shifting into UB.
-        assert_eq!(Value::Int(1).flip_bit(63), Value::Int(1 ^ i64::MIN));
-        assert_eq!(Value::Float(1.5).flip_bit(63), Value::Float(-1.5));
-        assert_eq!(Value::Int(5).flip_bit(64), Value::Int(4)); // 64 % 64 == 0
+        // flip sign and floats flip their sign bit.
+        assert_eq!(Value::Int(1).flip_bits(1 << 63), Value::Int(1 ^ i64::MIN));
+        assert_eq!(Value::Float(1.5).flip_bits(1 << 63), Value::Float(-1.5));
         assert_eq!(
-            Value::Int(i64::MIN).flip_bit(63),
+            Value::Int(i64::MIN).flip_bits(1 << 63),
             Value::Int(0),
             "flipping the sign bit of MIN yields zero"
         );
@@ -365,13 +346,13 @@ mod tests {
         // exactly how address faults become symptom traps. Bits ≥ 16
         // fold back into the 16-bit index window.
         let p = Value::Ptr { obj: 3, idx: 4 };
-        assert_eq!(p.flip_bit(15), Value::Ptr { obj: 3, idx: 4 ^ (1 << 15) });
-        assert_eq!(p.flip_bit(16), Value::Ptr { obj: 3, idx: 5 }); // 16 folds to bit 0
-        assert_eq!(p.flip_bit(63), Value::Ptr { obj: 3, idx: 4 ^ (1 << 15) });
+        assert_eq!(p.flip_bits(1 << 15), Value::Ptr { obj: 3, idx: 4 ^ (1 << 15) });
+        assert_eq!(p.flip_bits(1 << 16), Value::Ptr { obj: 3, idx: 5 }); // 16 folds to bit 0
+        assert_eq!(p.flip_bits(1 << 63), Value::Ptr { obj: 3, idx: 4 ^ (1 << 15) });
         // The object handle is never corrupted (the fault is an address
         // *computation* fault, not a type-system escape).
         for bit in 0..64 {
-            match p.flip_bit(bit) {
+            match p.flip_bits(1 << bit) {
                 Value::Ptr { obj, .. } => assert_eq!(obj, 3),
                 other => panic!("flip changed representation: {other:?}"),
             }
@@ -404,13 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn single_bit_flip_matches_folded_mask_flip() {
-        // flip_bit(b) must stay exactly flip_bits(1 << b), including the
-        // pointer fold — the bit-for-bit compatibility contract the
-        // default campaign stream depends on.
-        let p = Value::Ptr { obj: 2, idx: 100 };
-        for bit in 0..64u8 {
-            assert_eq!(p.flip_bit(bit), p.flip_bits(1u64 << bit));
+    fn single_bit_masks_fold_to_their_bit_mod_16() {
+        // A one-bit mask folds to bit `b % 16` — the historical pointer
+        // corruption the default campaign stream depends on.
+        for bit in 0..64 {
             assert_eq!(fold_mask16(1u64 << bit), 1u64 << (bit % 16));
         }
     }

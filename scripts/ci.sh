@@ -129,6 +129,14 @@ target/release/encore-cli demo 164.gzip@100x > "$gzip_100x"
 (ulimit -v 1000000 && target/release/encore-cli sfi "$gzip_100x" --train-arg 12800 \
     --eval-arg 25400 --injections 200 --workers 1 --seed 9 > /dev/null)
 
+# A reader that stops early, like `head`, closes the CLI's output pipe:
+# the run must end with status 0 instead of panicking on the failed
+# write. The demo module is larger than a pipe buffer, so the write is
+# still going when `head` exits; `pipefail` makes a failure here fail
+# the script.
+echo "==> containment (output into a pipe closed early)"
+target/release/encore-cli demo 164.gzip@100x | head -c 1 > /dev/null
+
 # Differential fuzz smoke: 64 machine-generated programs (fixed seed —
 # cases are a pure function of the property name and index) through the
 # splice/stride/worker differential property, plus the per-fault-model
