@@ -26,22 +26,6 @@ pub struct Interval {
     pub blocks: BTreeSet<BlockId>,
 }
 
-impl Interval {
-    /// Blocks with at least one successor outside the interval.
-    pub fn exiting_blocks(&self, func: &Function) -> Vec<BlockId> {
-        self.blocks
-            .iter()
-            .copied()
-            .filter(|b| {
-                func.block(*b)
-                    .successors()
-                    .iter()
-                    .any(|s| !self.blocks.contains(s))
-            })
-            .collect()
-    }
-}
-
 /// A small abstract directed graph used for derived-graph partitioning.
 #[derive(Clone, Debug)]
 struct AbsGraph {

@@ -95,11 +95,6 @@ impl Liveness {
         to_regs(&self.out_bits[b.index()])
     }
 
-    /// Registers defined (written) inside `b`.
-    pub fn defs(&self, b: BlockId) -> BTreeSet<Reg> {
-        to_regs(&self.def_bits[b.index()])
-    }
-
     /// Registers that are live at entry to `header` *and* written anywhere
     /// in `region_blocks` — exactly the set Encore must checkpoint at
     /// region entry. Runs entirely on the packed sets: per block, a
@@ -154,7 +149,6 @@ mod tests {
         let m = mb.finish();
         let lv = Liveness::compute(&m.funcs[0]);
         assert!(lv.live_in(BlockId::new(0)).is_empty());
-        assert!(lv.defs(BlockId::new(0)).contains(&Reg::new(0)));
     }
 
     #[test]
@@ -177,7 +171,7 @@ mod tests {
         assert!(lv.live_in(header).contains(&i_reg));
         assert!(lv.live_in(body).contains(&i_reg));
         // The body both uses and redefines i.
-        assert!(lv.defs(body).contains(&i_reg));
+        assert!(lv.clobbered_live_ins(header, [body]).contains(&i_reg));
     }
 
     #[test]

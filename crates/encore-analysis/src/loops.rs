@@ -29,23 +29,6 @@ pub struct Loop {
     pub parent: Option<usize>,
 }
 
-impl Loop {
-    /// Blocks with an edge leaving the loop (the loop's exiting blocks,
-    /// `X_li` in the paper).
-    pub fn exiting_blocks(&self, func: &Function) -> Vec<BlockId> {
-        self.blocks
-            .iter()
-            .copied()
-            .filter(|b| {
-                func.block(*b)
-                    .successors()
-                    .iter()
-                    .any(|s| !self.blocks.contains(s))
-            })
-            .collect()
-    }
-}
-
 /// The loop nesting forest of a function.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LoopForest {
@@ -189,7 +172,6 @@ mod tests {
         assert_eq!(l.header, BlockId::new(1));
         assert_eq!(l.blocks.len(), 2); // header + body
         assert_eq!(l.latches, vec![BlockId::new(2)]);
-        assert_eq!(l.exiting_blocks(&m.funcs[0]), vec![BlockId::new(1)]);
     }
 
     #[test]

@@ -108,7 +108,8 @@ impl Options {
     ///
     /// # Errors
     ///
-    /// Returns a [`CliError`] on unknown flags or malformed values.
+    /// Returns a [`CliError`] on unknown flags, malformed values, and
+    /// `--pmin` or `--budget` values outside their domain.
     pub fn parse(args: &[String]) -> Result<(Vec<String>, Options), CliError> {
         let mut opts = Options::default();
         let mut positional = Vec::new();
@@ -128,15 +129,19 @@ impl Options {
                         take("--eval-arg")?.parse().map_err(|e| err(format!("--eval-arg: {e}")))?
                 }
                 "--budget" => {
-                    opts.budget =
-                        take("--budget")?.parse().map_err(|e| err(format!("--budget: {e}")))?
+                    let v = take("--budget")?;
+                    opts.budget = parse_in("--budget", v, "a finite number >= 0", |b| {
+                        b.is_finite() && b >= 0.0
+                    })?;
                 }
                 "--pmin" => {
                     let v = take("--pmin")?;
                     opts.pmin = if v == "none" {
                         None
                     } else {
-                        Some(v.parse().map_err(|e| err(format!("--pmin: {e}")))?)
+                        Some(parse_in("--pmin", v, "`none` or a number in [0, 1]", |p| {
+                            (0.0..=1.0).contains(&p)
+                        })?)
                     };
                 }
                 "--injections" => {
@@ -197,6 +202,15 @@ impl Options {
             .with_pmin(self.pmin)
             .with_dmax(self.dmax)
             .with_analysis_workers(self.analysis_workers)
+    }
+}
+
+/// Parses `flag`'s value `v` as a number that `ok` accepts. Any other
+/// value is an error naming the flag, the accepted `range` and `v`.
+fn parse_in(flag: &str, v: &str, range: &str, ok: impl Fn(f64) -> bool) -> Result<f64, CliError> {
+    match v.parse() {
+        Ok(x) if ok(x) => Ok(x),
+        _ => Err(err(format!("{flag}: expected {range}, got `{v}`"))),
     }
 }
 
@@ -374,27 +388,6 @@ pub fn cmd_protect(text: &str, opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `opt`: run the scalar optimization pipeline and return the improved
-/// module text with a summary comment.
-///
-/// # Errors
-///
-/// Propagates load failures.
-pub fn cmd_opt(text: &str) -> Result<String, CliError> {
-    let mut module = load_module(text)?;
-    let stats = encore_opt::optimize_module(&mut module);
-    verify_module(&module).map_err(|es| err(format!("optimizer broke the module: {es:?}")))?;
-    Ok(format!(
-        "# optimized: {} -> {} static instructions ({:.1}% smaller) in {} iteration(s)
-{}",
-        stats.insts_before,
-        stats.insts_after,
-        stats.shrink_fraction() * 100.0,
-        stats.iterations,
-        module
-    ))
-}
-
 /// `sfi`: full fault-injection campaign on the protected module.
 ///
 /// # Errors
@@ -499,7 +492,6 @@ COMMANDS:
     run      <file>   execute (flags: --entry NAME --eval-arg N)
     analyze  <file>   profile + idempotence/region report
     protect  <file>   emit the checkpoint-instrumented module
-    opt      <file>   run constfold/copyprop/DCE/LICM/simplify-cfg
     sfi      <file>   Monte-Carlo fault-injection campaign
     dot      <file>   Graphviz CFG with region overlay
     demo     <name>   export a suite workload as .eir (name or name@Nx, e.g. rawdaudio@10x)
@@ -509,8 +501,8 @@ FLAGS:
     --entry NAME        entry function (default: last function)
     --train-arg N       profiling input            (default 16)
     --eval-arg N        evaluation input           (default 32)
-    --budget F          overhead budget            (default 0.20)
-    --pmin F|none       pruning threshold          (default 0.0)
+    --budget F          overhead budget, F >= 0    (default 0.20)
+    --pmin F|none       pruning threshold in [0,1] (default 0.0)
     --injections N      sfi fault count            (default 200)
     --dmax N            detection latency bound    (default 100)
     --seed N            sfi campaign seed (same seed reproduces the
@@ -556,7 +548,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "run" => cmd_run(&need_file()?, &opts)?,
         "analyze" => cmd_analyze(&need_file()?, &opts)?,
         "protect" => cmd_protect(&need_file()?, &opts)?,
-        "opt" => cmd_opt(&need_file()?)?,
         "sfi" => cmd_sfi(&need_file()?, &opts)?,
         "dot" => cmd_dot(&need_file()?, &opts)?,
         "demo" => {
@@ -645,15 +636,6 @@ mod tests {
             .blocks
             .iter()
             .any(|b| b.insts.iter().any(|i| matches!(i, encore_ir::Inst::Restore { .. })))));
-    }
-
-    #[test]
-    fn opt_shrinks_and_roundtrips() {
-        let text = demo_text("164.gzip");
-        let out = cmd_opt(&text).expect("optimizes");
-        assert!(out.starts_with("# optimized:"), "{}", &out[..60]);
-        let module = load_module(&out).expect("optimized text parses");
-        assert!(!module.funcs.is_empty());
     }
 
     #[test]
@@ -763,6 +745,25 @@ mod tests {
         let out = cmd_dot(&text, &opts).expect("dot");
         assert!(out.contains("digraph"));
         assert!(out.contains("subgraph cluster_0"));
+    }
+
+    #[test]
+    fn out_of_domain_pmin_and_budget_are_rejected() {
+        let parse = |flag: &str, v: &str| Options::parse(&[flag.into(), v.into()]);
+        for v in ["2", "-1", "nan", "inf"] {
+            let e = parse("--pmin", v).unwrap_err().0;
+            assert_eq!(e, format!("--pmin: expected `none` or a number in [0, 1], got `{v}`"));
+        }
+        for (v, pmin) in [("0", Some(0.0)), ("1", Some(1.0)), ("0.5", Some(0.5)), ("none", None)] {
+            assert_eq!(parse("--pmin", v).unwrap().1.pmin, pmin);
+        }
+        for v in ["nan", "-1", "inf"] {
+            let e = parse("--budget", v).unwrap_err().0;
+            assert_eq!(e, format!("--budget: expected a finite number >= 0, got `{v}`"));
+        }
+        for (v, budget) in [("0", 0.0), ("0.2", 0.2), ("1e9", 1e9)] {
+            assert_eq!(parse("--budget", v).unwrap().1.budget, budget);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The binary's output path: a reader that closes the pipe early ends
-//! the run quietly, and any other failed write is an error, not a panic.
+//! the run quietly, and any other failed write or a rejected setting is
+//! an error, not a panic.
 
 use std::process::{Command, Stdio};
 
@@ -32,4 +33,20 @@ fn a_full_device_is_a_write_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.starts_with("error: cannot write output:"), "{stderr}");
+}
+
+/// A setting outside its domain ends the run with an error naming the
+/// flag, before any report is written.
+#[test]
+fn an_out_of_domain_pmin_is_an_error() {
+    let demo = cli().args(["demo", "164.gzip"]).output().expect("run encore-cli");
+    assert!(demo.status.success());
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("164.gzip.eir");
+    std::fs::write(&path, &demo.stdout).expect("write the module");
+    let out =
+        cli().arg("analyze").arg(&path).args(["--pmin", "nan"]).output().expect("run encore-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: --pmin"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }

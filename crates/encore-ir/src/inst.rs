@@ -472,19 +472,6 @@ impl Terminator {
             _ => vec![],
         }
     }
-
-    /// Rewrites successor block ids through `f` (used by instrumentation
-    /// when splitting edges / inserting headers).
-    pub fn map_successors(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
-        match self {
-            Terminator::Jump(t) => *t = f(*t),
-            Terminator::Branch { then_bb, else_bb, .. } => {
-                *then_bb = f(*then_bb);
-                *else_bb = f(*else_bb);
-            }
-            Terminator::Ret(_) => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -531,13 +518,6 @@ mod tests {
         };
         assert_eq!(t.successors(), vec![BlockId::new(1), BlockId::new(2)]);
         assert_eq!(Terminator::Ret(None).successors(), vec![]);
-    }
-
-    #[test]
-    fn map_successors_rewrites() {
-        let mut t = Terminator::Jump(BlockId::new(1));
-        t.map_successors(|_| BlockId::new(9));
-        assert_eq!(t.successors(), vec![BlockId::new(9)]);
     }
 
     #[test]

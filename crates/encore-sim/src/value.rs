@@ -257,25 +257,267 @@ pub fn eval_un(op: UnOp, a: Value) -> Result<Value, EvalError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn integer_arithmetic() {
-        assert_eq!(eval_bin(BinOp::Add, Value::Int(2), Value::Int(3)).unwrap(), Value::Int(5));
-        assert_eq!(eval_bin(BinOp::Div, Value::Int(7), Value::Int(0)).unwrap(), Value::Int(0));
-        assert_eq!(
-            eval_bin(BinOp::Mul, Value::Int(i64::MAX), Value::Int(2)).unwrap(),
-            Value::Int(i64::MAX.wrapping_mul(2))
-        );
-        assert_eq!(eval_bin(BinOp::Min, Value::Int(3), Value::Int(-1)).unwrap(), Value::Int(-1));
+    const MIN: i64 = i64::MIN;
+    const MAX: i64 = i64::MAX;
+    const NAN: f64 = f64::NAN;
+    const INF: f64 = f64::INFINITY;
+
+    /// The integer operands of the arithmetic table.
+    const INTS: [i64; 4] = [0, -1, MIN, MAX];
+    /// The float operands: both zeros, NaN and both infinities.
+    const FLOATS: [f64; 5] = [0.0, -0.0, NAN, INF, -INF];
+    /// Unary float ops also take a negative non-integer.
+    const FLOATS_UN: [f64; 6] = [0.0, -0.0, NAN, INF, -INF, -2.25];
+
+    /// A binary op's results over the grid of its operand type, row by
+    /// row: entry `i * n + j` is `op(grid[i], grid[j])`.
+    enum BinRow {
+        /// Over [`INTS`] × [`INTS`].
+        Int([i64; 16]),
+        /// Over [`FLOATS`] × [`FLOATS`].
+        Float([f64; 25]),
+        /// A comparison over [`FLOATS`] × [`FLOATS`].
+        FloatCmp([i64; 25]),
     }
 
+    /// A unary op's results over the grid of its operand type.
+    enum UnRow {
+        /// Over [`INTS`].
+        Int([i64; 4]),
+        /// A conversion over [`INTS`].
+        IntToFloat([f64; 4]),
+        /// Over [`FLOATS_UN`].
+        Float([f64; 6]),
+        /// A conversion over [`FLOATS_UN`].
+        FloatToInt([i64; 6]),
+    }
+
+    /// The table's row for `op`. The match is exhaustive, so a new
+    /// operation does not compile until it has a row.
+    #[rustfmt::skip]
+    fn bin_row(op: BinOp) -> BinRow {
+        use BinRow::*;
+        match op {
+            BinOp::Add => Int([
+                0, -1, MIN, MAX,
+                -1, -2, MAX, MAX - 1,
+                MIN, MAX, 0, -1,
+                MAX, MAX - 1, -1, -2,
+            ]),
+            BinOp::Sub => Int([
+                0, 1, MIN, MIN + 1,
+                -1, 0, MAX, MIN,
+                MIN, MIN + 1, 0, 1,
+                MAX, MIN, -1, 0,
+            ]),
+            BinOp::Mul => Int([
+                0, 0, 0, 0,
+                0, 1, MIN, MIN + 1,
+                0, MIN, 0, MIN,
+                0, MIN + 1, MIN, 1,
+            ]),
+            // Division by zero gives 0, and MIN / -1 wraps to MIN.
+            BinOp::Div => Int([
+                0, 0, 0, 0,
+                0, 1, 0, 0,
+                0, MIN, 1, -1,
+                0, MIN + 1, 0, 1,
+            ]),
+            // The remainder takes the dividend's sign; by zero it is 0.
+            BinOp::Rem => Int([
+                0, 0, 0, 0,
+                0, 0, -1, -1,
+                0, 0, 0, -1,
+                0, 0, MAX, 0,
+            ]),
+            BinOp::And => Int([
+                0, 0, 0, 0,
+                0, -1, MIN, MAX,
+                0, MIN, MIN, 0,
+                0, MAX, 0, MAX,
+            ]),
+            BinOp::Or => Int([
+                0, -1, MIN, MAX,
+                -1, -1, -1, -1,
+                MIN, -1, MIN, -1,
+                MAX, -1, -1, MAX,
+            ]),
+            BinOp::Xor => Int([
+                0, -1, MIN, MAX,
+                -1, 0, MAX, MIN,
+                MIN, MAX, 0, -1,
+                MAX, MIN, -1, 0,
+            ]),
+            // Shift counts are taken mod 64: -1 and MAX shift by 63, MIN
+            // by 0.
+            BinOp::Shl => Int([
+                0, 0, 0, 0,
+                -1, MIN, -1, MIN,
+                MIN, 0, MIN, 0,
+                MAX, MIN, MAX, MIN,
+            ]),
+            // Arithmetic: the sign bit fills in.
+            BinOp::Shr => Int([
+                0, 0, 0, 0,
+                -1, -1, -1, -1,
+                MIN, -1, MIN, -1,
+                MAX, 0, MAX, 0,
+            ]),
+            BinOp::Min => Int([
+                0, -1, MIN, 0,
+                -1, -1, MIN, -1,
+                MIN, MIN, MIN, MIN,
+                0, -1, MIN, MAX,
+            ]),
+            BinOp::Max => Int([
+                0, 0, 0, MAX,
+                0, -1, -1, MAX,
+                0, -1, MIN, MAX,
+                MAX, MAX, MAX, MAX,
+            ]),
+            BinOp::Eq => Int([
+                1, 0, 0, 0,
+                0, 1, 0, 0,
+                0, 0, 1, 0,
+                0, 0, 0, 1,
+            ]),
+            BinOp::Ne => Int([
+                0, 1, 1, 1,
+                1, 0, 1, 1,
+                1, 1, 0, 1,
+                1, 1, 1, 0,
+            ]),
+            BinOp::Lt => Int([
+                0, 0, 0, 1,
+                1, 0, 0, 1,
+                1, 1, 0, 1,
+                0, 0, 0, 0,
+            ]),
+            BinOp::Le => Int([
+                1, 0, 0, 1,
+                1, 1, 0, 1,
+                1, 1, 1, 1,
+                0, 0, 0, 1,
+            ]),
+            BinOp::FAdd => Float([
+                0.0, 0.0, NAN, INF, -INF,
+                0.0, -0.0, NAN, INF, -INF,
+                NAN, NAN, NAN, NAN, NAN,
+                INF, INF, NAN, INF, NAN,
+                -INF, -INF, NAN, NAN, -INF,
+            ]),
+            BinOp::FSub => Float([
+                0.0, 0.0, NAN, -INF, INF,
+                -0.0, 0.0, NAN, -INF, INF,
+                NAN, NAN, NAN, NAN, NAN,
+                INF, INF, NAN, NAN, INF,
+                -INF, -INF, NAN, -INF, NAN,
+            ]),
+            BinOp::FMul => Float([
+                0.0, -0.0, NAN, NAN, NAN,
+                -0.0, 0.0, NAN, NAN, NAN,
+                NAN, NAN, NAN, NAN, NAN,
+                NAN, NAN, NAN, INF, -INF,
+                NAN, NAN, NAN, -INF, INF,
+            ]),
+            // Division by either zero gives +0.0, even of NaN.
+            BinOp::FDiv => Float([
+                0.0, 0.0, NAN, 0.0, -0.0,
+                0.0, 0.0, NAN, -0.0, 0.0,
+                0.0, 0.0, NAN, NAN, NAN,
+                0.0, 0.0, NAN, NAN, NAN,
+                0.0, 0.0, NAN, NAN, NAN,
+            ]),
+            // A NaN operand compares false.
+            BinOp::FLt => FloatCmp([
+                0, 0, 0, 1, 0,
+                0, 0, 0, 1, 0,
+                0, 0, 0, 0, 0,
+                0, 0, 0, 0, 0,
+                1, 1, 0, 1, 0,
+            ]),
+            BinOp::FLe => FloatCmp([
+                1, 1, 0, 1, 0,
+                1, 1, 0, 1, 0,
+                0, 0, 0, 0, 0,
+                0, 0, 0, 1, 0,
+                1, 1, 0, 1, 1,
+            ]),
+        }
+    }
+
+    /// The table's row for `op`, exhaustive like [`bin_row`].
+    fn un_row(op: UnOp) -> UnRow {
+        use UnRow::*;
+        match op {
+            UnOp::Neg => Int([0, 1, MIN, MIN + 1]),
+            UnOp::Not => Int([-1, 0, MAX, MIN]),
+            UnOp::Abs => Int([0, 1, MIN, MAX]),
+            // MAX rounds up to 2^63.
+            UnOp::IToF => IntToFloat([0.0, -1.0, -9223372036854775808.0, 9223372036854775808.0]),
+            UnOp::FNeg => Float([-0.0, 0.0, NAN, -INF, INF, 2.25]),
+            // The root of the absolute value.
+            UnOp::FSqrt => Float([0.0, 0.0, NAN, INF, INF, 1.5]),
+            // Truncates and saturates; NaN gives 0.
+            UnOp::FToI => FloatToInt([0, 0, 0, MAX, MIN, -2]),
+        }
+    }
+
+    /// A NaN result matches any NaN, since Rust leaves a computed NaN's
+    /// sign and payload unspecified (x86 and Arm differ); every other
+    /// result matches by bit identity, so `0.0` is not `-0.0`.
+    fn check(got: Result<Value, EvalError>, want: Value, what: &str) {
+        let ok = match (&got, want) {
+            (Ok(Value::Float(g)), Value::Float(w)) if w.is_nan() => g.is_nan(),
+            (Ok(g), w) => *g == w,
+            (Err(_), _) => false,
+        };
+        assert!(ok, "{what} = {got:?}, expected {want:?}");
+    }
+
+    /// Every operation over its operand grid gives the table's literal
+    /// results, and operands of the wrong type give `Err`.
     #[test]
-    fn comparisons_yield_bool_ints() {
-        assert_eq!(eval_bin(BinOp::Lt, Value::Int(1), Value::Int(2)).unwrap(), Value::Int(1));
-        assert_eq!(eval_bin(BinOp::Lt, Value::Int(2), Value::Int(2)).unwrap(), Value::Int(0));
-        assert_eq!(
-            eval_bin(BinOp::FLe, Value::Float(1.5), Value::Float(1.5)).unwrap(),
-            Value::Int(1)
-        );
+    fn arithmetic_table() {
+        use std::mem::discriminant;
+        let ints = INTS.map(Value::Int);
+        let floats = FLOATS.map(Value::Float);
+        let floats_un = FLOATS_UN.map(Value::Float);
+        let every: Vec<Value> = ints.iter().chain(&floats_un).copied().collect();
+
+        for &op in BinOp::all() {
+            let (grid, want): (&[Value], Vec<Value>) = match bin_row(op) {
+                BinRow::Int(r) => (&ints, r.map(Value::Int).into()),
+                BinRow::Float(r) => (&floats, r.map(Value::Float).into()),
+                BinRow::FloatCmp(r) => (&floats, r.map(Value::Int).into()),
+            };
+            let pairs = grid.iter().flat_map(|&a| grid.iter().map(move |&b| (a, b)));
+            for ((a, b), want) in pairs.zip(want) {
+                check(eval_bin(op, a, b), want, &format!("{op:?}({a:?}, {b:?})"));
+            }
+            let typed = |v: &Value| discriminant(v) == discriminant(&grid[0]);
+            for a in &every {
+                for b in every.iter().filter(|b| !(typed(a) && typed(b))) {
+                    assert!(eval_bin(op, *a, *b).is_err(), "{op:?}({a:?}, {b:?}) is a type error");
+                }
+            }
+        }
+
+        for &op in UnOp::all() {
+            let (grid, want): (&[Value], Vec<Value>) = match un_row(op) {
+                UnRow::Int(r) => (&ints, r.map(Value::Int).into()),
+                UnRow::IntToFloat(r) => (&ints, r.map(Value::Float).into()),
+                UnRow::Float(r) => (&floats_un, r.map(Value::Float).into()),
+                UnRow::FloatToInt(r) => (&floats_un, r.map(Value::Int).into()),
+            };
+            for (&a, want) in grid.iter().zip(want) {
+                check(eval_un(op, a), want, &format!("{op:?}({a:?})"));
+            }
+            let typed = |v: &Value| discriminant(v) == discriminant(&grid[0]);
+            for a in every.iter().filter(|a| !typed(a)) {
+                assert!(eval_un(op, *a).is_err(), "{op:?}({a:?}) is a type error");
+            }
+        }
     }
 
     #[test]
@@ -304,15 +546,6 @@ mod tests {
         assert!(eval_bin(BinOp::Add, Value::Float(1.0), Value::Int(1)).is_err());
         assert!(eval_bin(BinOp::FAdd, Value::Int(1), Value::Int(1)).is_err());
         assert!(eval_un(UnOp::FSqrt, Value::Int(4)).is_err());
-    }
-
-    #[test]
-    fn unary_ops() {
-        assert_eq!(eval_un(UnOp::Neg, Value::Int(5)).unwrap(), Value::Int(-5));
-        assert_eq!(eval_un(UnOp::IToF, Value::Int(2)).unwrap(), Value::Float(2.0));
-        assert_eq!(eval_un(UnOp::FToI, Value::Float(3.9)).unwrap(), Value::Int(3));
-        assert_eq!(eval_un(UnOp::FToI, Value::Float(f64::NAN)).unwrap(), Value::Int(0));
-        assert_eq!(eval_un(UnOp::Abs, Value::Int(-3)).unwrap(), Value::Int(3));
     }
 
     #[test]

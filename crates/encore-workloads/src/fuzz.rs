@@ -5,13 +5,13 @@
 //! fault-injection engine, where 23 hand-written kernels cannot give
 //! confidence but a few thousand machine-written ones can. It is the
 //! one program grammar of the integration tests: the differential
-//! suites and every random-program property (analysis laws, optimizer
-//! semantics, latency-0 recovery) draw from it. Beyond arithmetic,
-//! global access, branches and constant-trip loops it covers everything
-//! the divergence splice's proof obligations touch: aliased
-//! global/slot/heap access, pointer-based stores the static alias
-//! analysis cannot see through, extern output (the SDC certification
-//! channel) and data-dependent loops.
+//! suites and every random-program property (analysis laws, latency-0
+//! recovery) draw from it. Beyond arithmetic, global access, branches
+//! and constant-trip loops it covers everything the divergence splice's
+//! proof obligations touch: aliased global/slot/heap access,
+//! pointer-based stores the static alias analysis cannot see through,
+//! extern output (the SDC certification channel) and data-dependent
+//! loops.
 //!
 //! # Generator grammar
 //!

@@ -80,9 +80,9 @@ cargo test --release -q --offline --test sfi_campaign -- \
     renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan \
     a_region_armed_once_splices_its_rerun_as_dead_diff
 
-# Containment: token-level mutants of printed modules, and four module
-# shapes too large to run, end in a parse or verify error or a trap,
-# never in an aborted process.
+# Containment: token- and byte-level mutants of printed modules, and
+# four module shapes too large to run, end in a parse or verify error or
+# a trap, never in an aborted process.
 echo "==> containment (mutated and oversized modules)"
 cargo test --release -q --offline --test workload_roundtrip -- \
     mutated_modules_are_errors_or_traps_never_aborts modules_too_large_to_run_are_errors_or_traps

@@ -19,8 +19,6 @@
 //! * [`core`] — the paper's contribution: idempotence analysis
 //!   (Eqs. 1–4), region formation/merging (γ, η, Eq. 5), selective
 //!   checkpointing, and the coverage model (α, Eqs. 6–7);
-//! * [`opt`] — scalar optimization passes (constant folding, copy
-//!   propagation, DCE, CFG simplification), the "-O3 input" role;
 //! * [`sim`] — interpreter with the recovery runtime, profiler, tracer
 //!   and Monte-Carlo fault injection;
 //! * [`workloads`] — 23 SPEC2000/Mediabench stand-in kernels.
@@ -66,6 +64,5 @@
 pub use encore_analysis as analysis;
 pub use encore_core as core;
 pub use encore_ir as ir;
-pub use encore_opt as opt;
 pub use encore_sim as sim;
 pub use encore_workloads as workloads;

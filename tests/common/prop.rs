@@ -17,8 +17,8 @@
 //!   step cap), then panics with the minimal input's `Debug` form.
 //!
 //! Known failure cases worth keeping are written back into the suite as
-//! explicit `#[test]` regression functions (see
-//! `optimizer_properties.rs`), not as opaque seed files.
+//! explicit `#[test]` regression functions (see the `regression_fuzz_*`
+//! tests of `fuzz_differential.rs`), not as opaque seed files.
 
 // Each integration test file compiles this module as part of its own
 // crate and uses a different subset of the harness.

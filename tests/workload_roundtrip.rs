@@ -142,23 +142,49 @@ fn structural_mutants(text: &str) -> Vec<String> {
     out
 }
 
-/// One random mutant of `text`: a number of a random line replaced by
-/// one of [`MUTANT_NUMBERS`], or the line dropped or duplicated.
+/// The bytes a byte-level mutant writes: the format's digits and
+/// punctuation, and the letters that start its names and suffixes.
+const MUTANT_BYTES: &[u8] = b"0123456789-+*=,.:[](){}\" \nrbgfhe";
+
+/// One random mutant of `text`. Token-level: a number of a random line
+/// replaced by one of [`MUTANT_NUMBERS`], or the line dropped or
+/// duplicated. Byte-level: a byte deleted, replaced or preceded by one
+/// of [`MUTANT_BYTES`], or a span of up to 8 bytes copied to another
+/// place.
 fn random_mutant(text: &str, rng: &mut SplitMix64) -> String {
-    let mut lines: Vec<&str> = text.lines().collect();
-    let at = rng.gen_usize(lines.len());
-    let spans = numbers(lines[at]);
-    match rng.gen_below(3) {
-        0 if !spans.is_empty() => {
-            let value = MUTANT_NUMBERS[rng.gen_usize(MUTANT_NUMBERS.len())];
-            return splice_token(text, at, spans[rng.gen_usize(spans.len())], value);
+    let arm = rng.gen_below(7);
+    if arm < 3 {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let at = rng.gen_usize(lines.len());
+        let spans = numbers(lines[at]);
+        match arm {
+            0 if !spans.is_empty() => {
+                let value = MUTANT_NUMBERS[rng.gen_usize(MUTANT_NUMBERS.len())];
+                return splice_token(text, at, spans[rng.gen_usize(spans.len())], value);
+            }
+            1 => {
+                lines.remove(at);
+            }
+            _ => lines.insert(at, lines[at]),
         }
-        1 => {
-            lines.remove(at);
-        }
-        _ => lines.insert(at, lines[at]),
+        return lines.join("\n");
     }
-    lines.join("\n")
+    let mut bytes = text.as_bytes().to_vec();
+    let at = rng.gen_usize(bytes.len());
+    let byte = MUTANT_BYTES[rng.gen_usize(MUTANT_BYTES.len())];
+    match arm {
+        3 => {
+            bytes.remove(at);
+        }
+        4 => bytes[at] = byte,
+        5 => bytes.insert(at, byte),
+        _ => {
+            let span = bytes[at..bytes.len().min(at + 1 + rng.gen_usize(8))].to_vec();
+            let to = rng.gen_usize(bytes.len() + 1);
+            bytes.splice(to..to, span);
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
 }
 
 /// Mutants of a printed 175.vpr, 164.gzip and a few fuzz programs are
@@ -166,7 +192,8 @@ fn random_mutant(text: &str, rng: &mut SplitMix64) -> String {
 /// 10⁵-instruction fuel budget to completion or to a trap: none panics
 /// or aborts the process. The structural mutants are all taken (a
 /// register file or a site table too large to allocate once aborted
-/// the process); 3,000 more are drawn with a fixed seed.
+/// the process); 6,000 more, token- and byte-level, are drawn with a
+/// fixed seed.
 #[test]
 fn mutated_modules_are_errors_or_traps_never_aborts() {
     let mut texts: Vec<String> = ["175.vpr", "164.gzip"]
@@ -176,7 +203,7 @@ fn mutated_modules_are_errors_or_traps_never_aborts() {
     texts.extend((0..6).map(|i| fuzz::build(&fuzz::program_for(0xC0FFEE, i)).0.to_string()));
     let mut mutants: Vec<String> = texts.iter().flat_map(|t| structural_mutants(t)).collect();
     let mut rng = SplitMix64::new(0x3A7A7E);
-    for _ in 0..3000 {
+    for _ in 0..6000 {
         mutants.push(random_mutant(&texts[rng.gen_usize(texts.len())], &mut rng));
     }
 
