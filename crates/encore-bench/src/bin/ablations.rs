@@ -17,46 +17,31 @@
 //! any member of the taxonomy.
 
 use encore_bench::report::{banner, pct, Table};
-use encore_bench::{encore_run, prepare, selected_workloads};
+use encore_bench::{encore_run, flag_value, prepare, selected_workloads};
 use encore_core::EncoreConfig;
 use encore_sim::{FaultModelKind, SfiCampaign, SfiConfig, Value};
 
 const DEFAULT_SUBSET: [&str; 5] = ["164.gzip", "rawcaudio", "172.mgrid", "183.equake", "cjpeg"];
 
-fn sfi_n() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--sfi")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(150)
-}
-
 fn fault_model() -> FaultModelKind {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--fault-model")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            FaultModelKind::parse(s).unwrap_or_else(|| {
-                eprintln!(
-                    "error: unknown fault model `{s}`; available: {}",
-                    FaultModelKind::ALL
-                        .iter()
-                        .map(|m| m.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or_default()
+    let Some(i) = args.iter().position(|a| a == "--fault-model") else {
+        return FaultModelKind::default();
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    FaultModelKind::parse(value).unwrap_or_else(|| {
+        eprintln!(
+            "error: --fault-model: expected one of {}, got `{value}`",
+            FaultModelKind::ALL.iter().map(|m| m.name()).collect::<Vec<_>>().join(", ")
+        );
+        std::process::exit(2);
+    })
 }
 
 fn main() {
-    banner("Ablation study (SFI-measured)");
-    let injections = sfi_n();
+    let injections = flag_value("--sfi").unwrap_or(150);
     let model = fault_model();
+    banner("Ablation study (SFI-measured)");
     println!("fault model: {model}");
 
     let configs: [(&str, EncoreConfig); 5] = [

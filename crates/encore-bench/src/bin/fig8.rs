@@ -13,31 +13,24 @@
 //! Usage: `fig8 [--workloads a,b,c] [--sfi N] [--seed S] [--workers W]
 //! [--snapshot-stride K]` — `K` controls how often the golden run is
 //! checkpointed for snapshot-and-resume injection (0 = from scratch;
-//! outcomes are bit-identical at every stride).
+//! outcomes are bit-identical at every stride). Numbers are decimal or
+//! `0x` hex; a missing or malformed one exits 2.
 
 use encore_bench::report::{banner, pct, Table};
-use encore_bench::{encore_run, prepare, selected_workloads};
+use encore_bench::{encore_run, flag_value, prepare, selected_workloads};
 use encore_core::EncoreConfig;
 use encore_sim::{FaultModelKind, MaskingModel, SfiCampaign, SfiConfig, Value};
 use encore_workloads::Suite;
 
 const DMAXES: [u64; 3] = [1000, 100, 10];
 
-fn arg_value(flag: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-}
-
 fn main() {
-    banner("Figure 8: full-system fault coverage vs. detection latency");
-    let sfi_n = arg_value("--sfi").unwrap_or(0) as usize;
-    let seed = arg_value("--seed").unwrap_or(0xE7_C04E);
-    let workers = arg_value("--workers").unwrap_or(0) as usize;
+    let sfi_n = flag_value("--sfi").unwrap_or(0);
+    let seed = flag_value("--seed").unwrap_or(0xE7_C04E);
+    let workers = flag_value("--workers").unwrap_or(0);
     let snapshot_stride =
-        arg_value("--snapshot-stride").unwrap_or(SfiConfig::default().snapshot_stride);
+        flag_value("--snapshot-stride").unwrap_or(SfiConfig::default().snapshot_stride);
+    banner("Figure 8: full-system fault coverage vs. detection latency");
 
     let mut table = Table::new(&[
         "workload",

@@ -117,6 +117,39 @@ pub fn workload_filter() -> Option<Vec<String>> {
     })
 }
 
+/// Reads the integer after `flag` in `args`, in decimal or as `0x` hex
+/// (the form `encore-cli sfi` prints seeds in): `Ok(None)` when the
+/// flag is absent, an error naming the flag when its value is missing
+/// or is not a `T`.
+///
+/// # Errors
+///
+/// Returns `<flag>: …` for a flag with no value or a malformed one.
+pub fn parse_flag<T: std::str::FromStr + TryFrom<u64>>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let v = args.get(i + 1).ok_or_else(|| format!("{flag}: missing value"))?;
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok().and_then(|n| T::try_from(n).ok()),
+        None => v.parse().ok(),
+    };
+    let malformed = || format!("{flag}: expected a decimal or 0x-hex integer, got `{v}`");
+    parsed.map(Some).ok_or_else(malformed)
+}
+
+/// [`parse_flag`] on this process's argv, exiting with status 2 and
+/// `error: <flag>: …` (rather than silently falling back to a default)
+/// when the value is missing or malformed.
+pub fn flag_value<T: std::str::FromStr + TryFrom<u64>>(flag: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().collect();
+    parse_flag(&args, flag).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// A `--workloads` filter that matched nothing it named.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct UnknownWorkloads(pub Vec<String>);
@@ -266,6 +299,25 @@ mod tests {
         assert_eq!(err.0, bad);
         let msg = err.to_string();
         assert!(msg.contains("name@Nx") && msg.contains("MEDIABENCH"));
+    }
+
+    #[test]
+    fn parse_flag_reads_decimal_and_hex_and_rejects_the_rest() {
+        let argv = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        assert_eq!(parse_flag::<usize>(&argv("fig8 --sfi 20"), "--sfi"), Ok(Some(20)));
+        assert_eq!(parse_flag::<usize>(&argv("fig8 --workers 2"), "--sfi"), Ok(None));
+        assert_eq!(parse_flag::<u64>(&argv("fig8 --seed 0x10"), "--seed"), Ok(Some(16)));
+        assert_eq!(parse_flag::<u64>(&argv("fig8 --seed 0XE7C04E"), "--seed"), Ok(Some(0xE7_C04E)));
+        assert_eq!(
+            parse_flag::<usize>(&argv("ablations --workloads rawcaudio --sfi"), "--sfi"),
+            Err("--sfi: missing value".to_string())
+        );
+        for value in ["2O", "x", "-1", "0x", "--seed"] {
+            let args = argv(&format!("fig8 --sfi {value}"));
+            let want = format!("--sfi: expected a decimal or 0x-hex integer, got `{value}`");
+            assert_eq!(parse_flag::<usize>(&args, "--sfi"), Err(want));
+        }
+        assert!(parse_flag::<u8>(&argv("fig8 --sfi 0x100"), "--sfi").is_err());
     }
 
     #[test]

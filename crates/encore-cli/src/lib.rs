@@ -154,8 +154,13 @@ impl Options {
                         take("--dmax")?.parse().map_err(|e| err(format!("--dmax: {e}")))?
                 }
                 "--seed" => {
-                    opts.seed =
-                        take("--seed")?.parse().map_err(|e| err(format!("--seed: {e}")))?
+                    // Decimal, or `0x` hex as `sfi` prints it.
+                    let v = take("--seed")?;
+                    opts.seed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+                        Some(hex) => u64::from_str_radix(hex, 16),
+                        None => v.parse(),
+                    }
+                    .map_err(|e| err(format!("--seed: {e}")))?
                 }
                 "--workers" => {
                     opts.workers = take("--workers")?
@@ -242,6 +247,11 @@ fn resolve_entry(module: &Module, opts: &Options) -> Result<FuncId, CliError> {
     }
 }
 
+/// Where to find arguments inside a suite workload's input domain: the
+/// `.eir` text carries them only in a comment, so the defaults stay.
+const SUGGESTED_ARGS: &str =
+    "`encore-cli demo <workload>` prints the workload's arguments on its `# suggested:` line";
+
 fn profile_module(
     module: &Module,
     entry: FuncId,
@@ -254,8 +264,10 @@ fn profile_module(
         &[Value::Int(arg)],
         &RunConfig { collect_profile: true, ..Default::default() },
     );
-    if !run.completed {
-        return Err(err(format!("training run trapped: {:?}", run.trap)));
+    if let Some(trap) = run.trap {
+        return Err(err(format!(
+            "training run with --train-arg {arg} trapped: {trap}; {SUGGESTED_ARGS}"
+        )));
     }
     Ok(run.profile.expect("profile requested"))
 }
@@ -412,7 +424,12 @@ pub fn cmd_sfi(text: &str, opts: &Options) -> Result<String, CliError> {
         &[Value::Int(opts.eval_arg)],
         &sfi,
     )
-    .map_err(|e| err(format!("cannot run campaign: {e} (is --eval-arg valid for this workload?)")))?;
+    .map_err(|e| {
+        err(format!(
+            "cannot run campaign with --eval-arg {}: {e}; {SUGGESTED_ARGS}",
+            opts.eval_arg
+        ))
+    })?;
     let report = campaign.run_report(&sfi);
     let stats = report.stats;
     let composed = MaskingModel::arm926().compose(&stats);
@@ -505,8 +522,9 @@ FLAGS:
     --pmin F|none       pruning threshold in [0,1] (default 0.0)
     --injections N      sfi fault count            (default 200)
     --dmax N            detection latency bound    (default 100)
-    --seed N            sfi campaign seed (same seed reproduces the
-                        campaign bit-for-bit at any worker count)
+    --seed N            sfi campaign seed, decimal or 0x hex (same seed
+                        reproduces the campaign bit-for-bit at any
+                        worker count)
     --workers N         sfi worker threads         (default 0 = all cores)
     --snapshot-stride N sfi golden-run checkpoint stride in dynamic
                         instructions; injections resume from the nearest
@@ -763,6 +781,28 @@ mod tests {
         }
         for (v, budget) in [("0", 0.0), ("0.2", 0.2), ("1e9", 1e9)] {
             assert_eq!(parse("--budget", v).unwrap().1.budget, budget);
+        }
+    }
+
+    #[test]
+    fn trapping_training_and_golden_runs_name_their_flag() {
+        let text = demo_text("mpeg2enc");
+        let e = cmd_analyze(&text, &Options::default()).unwrap_err().0;
+        assert!(e.contains("--train-arg 16") && !e.contains("Some(Trap"), "{e}");
+        assert!(e.contains("# suggested:"), "{e}");
+        let (_, opts) = Options::parse(&["--train-arg".into(), "4".into()]).unwrap();
+        let e = cmd_sfi(&text, &opts).unwrap_err().0;
+        assert!(e.contains("--eval-arg 32"), "{e}");
+    }
+
+    #[test]
+    fn seed_takes_decimal_or_hex() {
+        let seed = |v: &str| Options::parse(&["--seed".into(), v.into()]).map(|(_, o)| o.seed);
+        assert_eq!(seed("42").unwrap(), 42);
+        assert_eq!(seed("0x2a").unwrap(), 42);
+        assert_eq!(seed("0XE7C04E").unwrap(), 0xE7_C04E);
+        for v in ["0x", "0xZZ", "-1", "4 2"] {
+            assert!(seed(v).unwrap_err().0.starts_with("--seed: "), "{v}");
         }
     }
 

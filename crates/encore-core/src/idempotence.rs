@@ -24,8 +24,6 @@
 //! fixpoint makes every block in a loop reach every store of the loop
 //! (`RS = ASˡ`, §3.1.2's cross-iteration rule), and GA/EA propagate
 //! through back edges, which is exactly what the loop meta-data achieves.
-//! [`IdempotenceAnalyzer::summarize_loop`] additionally exposes the paper's per-loop
-//! `RSˡ`/`GAˡ`/`EAˡ` meta-data for inspection and testing.
 //!
 //! ## Engine
 //!
@@ -134,19 +132,6 @@ struct BlockEffects {
     exposed: Vec<LoadSite>,
     unknown: bool,
     alloc: bool,
-}
-
-/// The paper's loop-wide meta-data (§3.1.2), exposed for inspection.
-#[derive(Clone, PartialEq, Debug)]
-pub struct LoopSummary {
-    /// `RSˡ = ASˡ`: every store in the loop.
-    pub reachable_stores: Vec<StoreSite>,
-    /// `GAˡ`: cells guaranteed overwritten whenever the loop executes.
-    pub guarded: GuardSet,
-    /// `EAˡ`: loads exposed across all paths through the loop.
-    pub exposed: Vec<LoadSite>,
-    /// Whether the loop body itself passes Eq. 4.
-    pub idempotent: bool,
 }
 
 /// The idempotence analyzer: module-wide immutable inputs plus an alias
@@ -598,10 +583,8 @@ impl<'a> IdempotenceAnalyzer<'a> {
 
         DataflowState {
             live_vec,
-            index_of,
             cache,
             rs,
-            ga,
             ea,
             unknown,
             alloc,
@@ -611,7 +594,7 @@ impl<'a> IdempotenceAnalyzer<'a> {
 
     /// Applies the Eq. 4 emptiness check to a completed dataflow.
     fn check(&self, spec: &RegionSpec, state: DataflowState<'_>) -> RegionAnalysis {
-        let DataflowState { live_vec, cache, rs, ea, unknown, alloc, pruned, .. } = state;
+        let DataflowState { live_vec, cache, rs, ea, unknown, alloc, pruned } = state;
         let n = live_vec.len();
         let load_table = &cache.load_table;
         let store_table = &cache.store_table;
@@ -670,71 +653,6 @@ impl<'a> IdempotenceAnalyzer<'a> {
             violations,
             live_blocks: live_vec,
             pruned_blocks: pruned,
-        }
-    }
-
-    /// Computes the paper's loop-wide meta-data (§3.1.2) for the loop made
-    /// of `blocks` with header `header`: `RSˡ = ASˡ`,
-    /// `GAˡ = ⋂ exits (GA ∪ MUST)`, `EAˡ = ⋃ exits EA`, and the loop-body
-    /// idempotence verdict.
-    pub fn summarize_loop(
-        &self,
-        func_id: FuncId,
-        header: BlockId,
-        blocks: &BTreeSet<BlockId>,
-    ) -> LoopSummary {
-        let func = self.module.func(func_id);
-        let spec = RegionSpec { func: func_id, header, blocks: blocks.clone() };
-        let state = self.dataflow(&spec, &|_| false);
-        let cache = state.cache;
-
-        // RSˡ = ASˡ: every store inside the loop.
-        let reachable_stores: Vec<StoreSite> = state
-            .live_vec
-            .iter()
-            .flat_map(|b| {
-                cache.block_stores[b.index()].iter().map(|&s| cache.store_table[s])
-            })
-            .collect();
-
-        // Exits: blocks with a successor outside the loop.
-        let exits: Vec<BlockId> = blocks
-            .iter()
-            .copied()
-            .filter(|b| func.block(*b).successors().iter().any(|s| !blocks.contains(s)))
-            .collect();
-
-        let nguards = cache.guard_table.len();
-        let mut guarded_bits: Option<BitSet> = None;
-        let mut exposed_sites: BTreeSet<usize> = BTreeSet::new();
-        for &e in &exits {
-            let i = state.index_of[e.index()];
-            if i == usize::MAX {
-                continue;
-            }
-            let mut g = state.ga[i].clone().unwrap_or_else(|| BitSet::new(nguards));
-            g.union_with(&cache.must_bits[e.index()]);
-            guarded_bits = Some(match guarded_bits {
-                None => g,
-                Some(mut cur) => {
-                    cur.intersect_with(&g);
-                    cur
-                }
-            });
-            exposed_sites.extend(state.ea[i].iter());
-        }
-        let guarded: GuardSet = guarded_bits
-            .map(|bs| bs.iter().map(|k| cache.guard_table[k]).collect())
-            .unwrap_or_default();
-        let exposed: Vec<LoadSite> =
-            exposed_sites.iter().map(|&s| cache.load_table[s]).collect();
-
-        let analysis = self.check(&spec, state);
-        LoopSummary {
-            reachable_stores,
-            guarded,
-            exposed,
-            idempotent: analysis.verdict.is_idempotent(),
         }
     }
 
@@ -970,15 +888,13 @@ struct FuncCache {
     conflict_rows: Vec<OnceLock<BitSet>>,
 }
 
-/// Completed dataflow over a region's live subgraph. The RS/GA/EA sets
-/// are dense bitsets over the owning function's site/guard universes.
+/// Completed dataflow over a region's live subgraph. The RS and EA sets
+/// (GA is spent computing EA) are dense bitsets over the owning
+/// function's site universes.
 struct DataflowState<'c> {
     live_vec: Vec<BlockId>,
-    /// Block index → live index, `usize::MAX` for non-live blocks.
-    index_of: Vec<usize>,
     cache: &'c FuncCache,
     rs: Vec<BitSet>,
-    ga: Vec<Option<BitSet>>,
     ea: Vec<BitSet>,
     unknown: bool,
     alloc: bool,
@@ -1325,29 +1241,5 @@ mod tests {
         // #: 4 loads A but A is guarded by 1 (entry store) on all paths.
         // @: 8 loads C but C is guarded by 3 or 5 on both paths to bb6.
         // +: 11 loads C but 12 (store C) is not reachable from bb7.
-    }
-
-    #[test]
-    fn loop_summary_reports_all_stores() {
-        let mut mb = ModuleBuilder::new("m");
-        let g = mb.global("g", 8);
-        let f = mb.function("f", 1, |f| {
-            let n = f.param(0);
-            f.for_range(Operand::ImmI(0), n.into(), |f, i| {
-                f.store(AddrExpr::indexed(encore_ir::MemBase::Global(g), i, 1, 0), i.into());
-            });
-            f.ret(None);
-        });
-        let m = mb.finish();
-        let func = m.func(f);
-        let dom = encore_analysis::DomTree::compute(func);
-        let forest = encore_analysis::LoopForest::compute(func, &dom);
-        assert_eq!(forest.loops.len(), 1);
-        let oracle = StaticAlias;
-        let az = IdempotenceAnalyzer::new(&m, &oracle);
-        let l = &forest.loops[0];
-        let summary = az.summarize_loop(f, l.header, &l.blocks);
-        assert_eq!(summary.reachable_stores.len(), 1);
-        assert!(summary.idempotent);
     }
 }

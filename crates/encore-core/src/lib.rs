@@ -36,9 +36,7 @@ pub use config::EncoreConfig;
 pub use coverage::{
     alpha, alpha_at_latency, CoverageModel, FullSystemCoverage, ARM926_MASKING_RATE,
 };
-pub use idempotence::{
-    IdempotenceAnalyzer, LoopSummary, RegionAnalysis, RegionSpec, Verdict, Violation,
-};
+pub use idempotence::{IdempotenceAnalyzer, RegionAnalysis, RegionSpec, Verdict, Violation};
 pub use instrument::{
     instrument_module_with, InstrumentedModule, RegionInfo, RegionMap, StorageReport,
 };

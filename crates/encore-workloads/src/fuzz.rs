@@ -51,9 +51,11 @@
 //! `SplitMix64::for_index(seed, index)` — the same (seed, index)
 //! addressability the SFI campaign uses for fault plans, so any fuzz
 //! case regenerates from two integers, independent of thread count or
-//! iteration order. Shrinking ([`shrink_program`]) enumerates
-//! structurally smaller programs, greediest first, for the property
-//! harness in `tests/common/prop.rs`.
+//! iteration order. [`gen_program`] draws every choice through
+//! [`Rng::gen_below`], so a random source that records its draws (the
+//! property harness's `Gen` in `tests/common/prop.rs`) captures a
+//! program as a vector of numbers, replays it, and shrinks it by
+//! shrinking that vector; the grammar has no shrinker of its own.
 
 use crate::util::lcg_data;
 use encore_ir::{
@@ -477,99 +479,6 @@ pub fn build(prog: &FuzzProgram) -> (Module, FuncId) {
     (m, entry)
 }
 
-/// Smaller variants of one statement (empty for irreducible leaves).
-fn shrink_stmt(s: &FuzzStmt) -> Vec<FuzzStmt> {
-    match s {
-        FuzzStmt::Arith { op, lhs, rhs } if *rhs != 0 => {
-            vec![FuzzStmt::Arith { op: *op, lhs: *lhs, rhs: 0 }]
-        }
-        FuzzStmt::If { cond, then_s, else_s } => {
-            let mut out = Vec::new();
-            for t in shrink_list(then_s) {
-                out.push(FuzzStmt::If { cond: *cond, then_s: t, else_s: else_s.clone() });
-            }
-            for e in shrink_list(else_s) {
-                out.push(FuzzStmt::If { cond: *cond, then_s: then_s.clone(), else_s: e });
-            }
-            out
-        }
-        FuzzStmt::For { trip, body } => {
-            let mut out = Vec::new();
-            if *trip > 1 {
-                out.push(FuzzStmt::For { trip: 1, body: body.clone() });
-            }
-            for b in shrink_list(body) {
-                if !b.is_empty() {
-                    out.push(FuzzStmt::For { trip: *trip, body: b });
-                }
-            }
-            out
-        }
-        FuzzStmt::While { fuel, cond, body } => {
-            let mut out = Vec::new();
-            if *fuel > 1 {
-                out.push(FuzzStmt::While { fuel: 1, cond: *cond, body: body.clone() });
-            }
-            for b in shrink_list(body) {
-                if !b.is_empty() {
-                    out.push(FuzzStmt::While { fuel: *fuel, cond: *cond, body: b });
-                }
-            }
-            out
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Structurally smaller statement lists, most aggressive first: drop a
-/// statement, splice a nested body up one level, shrink one statement
-/// in place.
-pub fn shrink_list(stmts: &[FuzzStmt]) -> Vec<Vec<FuzzStmt>> {
-    let mut out = Vec::new();
-    for i in 0..stmts.len() {
-        let mut v = stmts.to_vec();
-        v.remove(i);
-        out.push(v);
-    }
-    for i in 0..stmts.len() {
-        let inner: Option<Vec<FuzzStmt>> = match &stmts[i] {
-            FuzzStmt::If { then_s, else_s, .. } => {
-                Some(then_s.iter().chain(else_s.iter()).cloned().collect())
-            }
-            FuzzStmt::For { body, .. } | FuzzStmt::While { body, .. } => Some(body.clone()),
-            _ => None,
-        };
-        if let Some(inner) = inner {
-            let mut v = stmts.to_vec();
-            v.splice(i..=i, inner);
-            out.push(v);
-        }
-    }
-    for i in 0..stmts.len() {
-        for s in shrink_stmt(&stmts[i]) {
-            let mut v = stmts.to_vec();
-            v[i] = s;
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Structurally smaller programs for greedy shrinking: the statement
-/// list shrinks first (it carries the structure), then the argument
-/// halves toward 1.
-pub fn shrink_program(p: &FuzzProgram) -> Vec<FuzzProgram> {
-    let mut out: Vec<FuzzProgram> = shrink_list(&p.stmts)
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .map(|stmts| FuzzProgram { arg: p.arg, stmts })
-        .collect();
-    if p.arg > 1 {
-        out.push(FuzzProgram { arg: p.arg / 2, stmts: p.stmts.clone() });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,21 +552,17 @@ mod tests {
         assert_eq!(kinds.len(), 16, "missing statement kinds: saw only {kinds:?}");
     }
 
+    /// perfbench's protect-corpus workload runs exactly these programs
+    /// (its default seed, 4096 cases), so a generator edit that moves
+    /// them moves the benchmark's input. Re-pin only with a CHANGES.md
+    /// line saying why the corpus moved.
     #[test]
-    fn shrink_candidates_still_build_and_run() {
-        let prog = program_for(0x5_881, 7);
-        let candidates = shrink_program(&prog);
-        assert!(!candidates.is_empty(), "nested program must shrink");
-        for cand in candidates.iter().take(24) {
-            let (m, entry) = build(cand);
-            let run = run_function(
-                &m,
-                None,
-                entry,
-                &[Value::Int(cand.arg)],
-                &RunConfig { fuel: 1_000_000, ..Default::default() },
-            );
-            assert!(run.completed, "shrunk case trapped: {:?}\n{cand:?}", run.trap);
-        }
+    fn perfbench_corpus_is_pinned() {
+        let digest = (0..4096)
+            .flat_map(|index| format!("{:?}", program_for(0xE7_C04E, index)).into_bytes())
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x04e9_bedc_ea84_8520, "corpus digest {digest:#018x}");
     }
 }

@@ -72,6 +72,10 @@ done
 # resume-exactness test (a run resumed from any golden snapshot ends in
 # the uninterrupted run's `RunResult`) and the pinned trap texts are
 # encore-sim tests, so the release encore-sim step above runs them.
+# Last, the property harness's shrinker end to end: the ignored
+# regression-mining tool minimises the choice vector of the first fuzz
+# case engaging each rule and fails unless the minimised case still
+# engages it within 24 choices.
 echo "==> divergence-splice smoke (fixed seed)"
 cargo test --release -q --offline --test sfi_campaign -- \
     splice_smoke_all_rules_engage splice_never_changes_campaign_results \
@@ -79,6 +83,8 @@ cargo test --release -q --offline --test sfi_campaign -- \
     faulted_alloc_sizes_are_contained \
     renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan \
     a_region_armed_once_splices_its_rerun_as_dead_diff
+cargo test --release -q --offline --test fuzz_differential -- \
+    --ignored --exact find_rule_regression_candidates
 
 # Containment: token- and byte-level mutants of printed modules, and
 # four module shapes too large to run, end in a parse or verify error or

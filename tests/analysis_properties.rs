@@ -5,8 +5,7 @@
 
 mod common;
 
-use common::prop::{check, prop_assert, prop_assert_eq, Bounded};
-use common::Fuzzed;
+use common::prop::{check, prop_assert, prop_assert_eq};
 use encore::analysis::{DomTree, IntervalHierarchy, LoopForest, Profile};
 use encore::analysis::{OptimisticAlias, StaticAlias};
 use encore::core::idempotence::{IdempotenceAnalyzer, RegionSpec, Verdict};
@@ -18,8 +17,8 @@ const CASES: u64 = 48;
 /// `parse(print(m)) == m` for every generated module.
 #[test]
 fn print_parse_roundtrip() {
-    check::<Fuzzed>("print_parse_roundtrip", CASES, |prog| {
-        let (module, _) = fuzz::build(&prog.0);
+    check("print_parse_roundtrip", CASES, fuzz::gen_program, |prog| {
+        let (module, _) = fuzz::build(prog);
         let text = module.to_string();
         let reparsed = parse_module(&text)
             .unwrap_or_else(|e| panic!("parse failed: {e}\n{text}"));
@@ -33,8 +32,8 @@ fn print_parse_roundtrip() {
 /// idom chains.
 #[test]
 fn dominator_laws() {
-    check::<Fuzzed>("dominator_laws", CASES, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("dominator_laws", CASES, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
         let dom = DomTree::compute(func);
         for b in func.block_ids() {
@@ -56,8 +55,8 @@ fn dominator_laws() {
 /// and every interval header dominates its members (SEME-ness).
 #[test]
 fn interval_laws() {
-    check::<Fuzzed>("interval_laws", CASES, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("interval_laws", CASES, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
         let dom = DomTree::compute(func);
         let hierarchy = IntervalHierarchy::compute(func);
@@ -83,8 +82,8 @@ fn interval_laws() {
 /// loop and nesting is strict containment.
 #[test]
 fn loops_are_reducible() {
-    check::<Fuzzed>("loops_are_reducible", CASES, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("loops_are_reducible", CASES, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
         let dom = DomTree::compute(func);
         let forest = LoopForest::compute(func, &dom);
@@ -111,8 +110,8 @@ fn loops_are_reducible() {
 #[test]
 fn optimistic_is_never_worse() {
     let idempotent_cases = std::cell::Cell::new(0);
-    check::<Fuzzed>("optimistic_is_never_worse", CASES, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("optimistic_is_never_worse", CASES, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
         let whole = (func.entry(), func.block_ids().collect());
         let intervals = IntervalHierarchy::compute(func)
@@ -143,9 +142,9 @@ fn optimistic_is_never_worse() {
 /// Pruning blocks can only shrink the checkpoint set.
 #[test]
 fn pruning_shrinks_cp() {
-    check::<(Fuzzed, Bounded<0, 6>)>("pruning_shrinks_cp", CASES, |(prog, cutoff)| {
-        let cutoff = cutoff.0 as u32;
-        let (module, entry) = fuzz::build(&prog.0);
+    check("pruning_shrinks_cp", CASES, |g| (fuzz::gen_program(g), g.i64(0, 6)), |(prog, cutoff)| {
+        let cutoff = *cutoff as u32;
+        let (module, entry) = fuzz::build(prog);
         let spec = RegionSpec {
             func: entry,
             header: module.func(entry).entry(),
@@ -165,12 +164,13 @@ fn pruning_shrinks_cp() {
 /// block sets — with and without pruning.
 #[test]
 fn worklist_engine_matches_reference() {
-    check::<(Fuzzed, Bounded<0, 6>)>(
+    check(
         "worklist_engine_matches_reference",
         CASES,
+        |g| (fuzz::gen_program(g), g.i64(0, 6)),
         |(prog, cutoff)| {
-            let cutoff = cutoff.0 as u32;
-            let (module, entry) = fuzz::build(&prog.0);
+            let cutoff = *cutoff as u32;
+            let (module, entry) = fuzz::build(prog);
             let spec = RegionSpec {
                 func: entry,
                 header: module.func(entry).entry(),
@@ -195,9 +195,9 @@ fn worklist_engine_matches_reference() {
 /// The whole pipeline is deterministic.
 #[test]
 fn pipeline_is_deterministic() {
-    check::<Fuzzed>("pipeline_is_deterministic", CASES, |prog| {
+    check("pipeline_is_deterministic", CASES, fuzz::gen_program, |prog| {
         use encore::core::{Encore, EncoreConfig};
-        let (module, entry) = fuzz::build(&prog.0);
+        let (module, entry) = fuzz::build(prog);
         let train = encore::sim::run_function(
             &module,
             None,

@@ -2,19 +2,22 @@
 //!
 //! Replaces `proptest` for this workspace's integration tests so the
 //! whole test suite builds and runs offline. The design is the familiar
-//! generate/check/shrink loop, stripped to what these tests need:
+//! generate/check/shrink loop, with one shrinker for every input type:
 //!
-//! * **Fixed-seed case iteration.** Case `i` of property `name` is
-//!   generated from `SplitMix64::for_index(fnv1a(name), i)` — runs are
+//! * **Fixed-seed case iteration.** Case `i` of property `name` draws
+//!   from `SplitMix64::for_index(fnv1a(name), i)` — runs are
 //!   bit-reproducible across machines and thread counts, with no state
-//!   files. A failure report names the property and case index, which
-//!   is all it takes to regenerate the exact input.
-//! * **A generator trait.** [`Arbitrary`] produces values from a
-//!   [`Gen`] (the harness's random source) and enumerates structurally
-//!   smaller variants via [`Arbitrary::shrink`].
-//! * **Greedy shrinking.** On failure the runner repeatedly takes the
-//!   first shrink candidate that still fails, until a fixpoint (or a
-//!   step cap), then panics with the minimal input's `Debug` form.
+//!   files.
+//! * **Generators are plain functions of a recording source.** [`Gen`]
+//!   is an [`Rng`] that keeps every choice it hands out, so a generator
+//!   is any `Fn(&mut Gen) -> T` (`fuzz::gen_program` itself) and the
+//!   recorded choice vector is the input in another form:
+//!   [`Gen::replay`] feeds it back through the same function.
+//! * **Shortlex shrinking.** On failure [`minimize`] searches for a
+//!   shorter, then lexicographically smaller, choice vector whose replay
+//!   still fails, so a generator shrinks with no shrink code of its own.
+//!   The report prints the minimal input and its choice vector, from
+//!   which `Gen::replay` regenerates it.
 //!
 //! Known failure cases worth keeping are written back into the suite as
 //! explicit `#[test]` regression functions (see the `regression_fuzz_*`
@@ -26,72 +29,64 @@
 
 use encore::sim::rng::{Rng, SplitMix64};
 
-/// The random source handed to generators.
+/// The random source handed to generators: a seeded stream or a choice
+/// vector to replay, plus the choices handed out so far.
 #[derive(Clone, Debug)]
 pub struct Gen {
+    /// `None` draws from `rng`; `Some` replays these choices instead.
+    replay: Option<Vec<u64>>,
     rng: SplitMix64,
+    choices: Vec<u64>,
 }
 
 impl Gen {
     /// The generator for case `index` of the property keyed by `seed`.
     pub fn for_case(seed: u64, index: u64) -> Self {
-        Self { rng: SplitMix64::for_index(seed, index) }
+        Self { replay: None, rng: SplitMix64::for_index(seed, index), choices: Vec::new() }
     }
 
-    /// Direct access to the underlying stream, for generators (like the
-    /// workload fuzzer) whose own API is written against [`Rng`].
-    pub fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.rng
+    /// A generator that hands out `choices` in order, each clamped to
+    /// its draw's range, then zeros once they run out. Clamping is
+    /// monotone, so a smaller choice never replays as a larger value.
+    pub fn replay(choices: &[u64]) -> Self {
+        Self { replay: Some(choices.to_vec()), rng: SplitMix64::new(0), choices: Vec::new() }
+    }
+
+    /// The choices handed out so far: replaying them regenerates the
+    /// same values.
+    pub fn choices(&self) -> &[u64] {
+        &self.choices
     }
 
     /// Uniform `i64` in `[lo, hi)`.
     pub fn i64(&mut self, lo: i64, hi: i64) -> i64 {
-        self.rng.gen_i64(lo, hi)
+        self.gen_i64(lo, hi)
+    }
+
+    /// The next choice, at most `max`, recorded.
+    fn choose(&mut self, max: u64) -> u64 {
+        let choice = match &self.replay {
+            Some(replay) => replay.get(self.choices.len()).map_or(0, |&c| c.min(max)),
+            None => match max.checked_add(1) {
+                Some(bound) => self.rng.gen_below(bound),
+                None => self.rng.next_u64(),
+            },
+        };
+        self.choices.push(choice);
+        choice
     }
 }
 
-/// Values the harness can generate and shrink.
-pub trait Arbitrary: Clone + std::fmt::Debug {
-    /// Generates one value.
-    fn arbitrary(g: &mut Gen) -> Self;
-
-    /// Structurally smaller candidates, most aggressive first. An empty
-    /// list ends shrinking.
-    fn shrink(&self) -> Vec<Self> {
-        Vec::new()
-    }
-}
-
-/// An `i64` drawn uniformly from `[LO, HI)`, shrinking toward `LO`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Bounded<const LO: i64, const HI: i64>(pub i64);
-
-impl<const LO: i64, const HI: i64> Arbitrary for Bounded<LO, HI> {
-    fn arbitrary(g: &mut Gen) -> Self {
-        Bounded(g.i64(LO, HI))
+impl Rng for Gen {
+    fn next_u64(&mut self) -> u64 {
+        self.choose(u64::MAX)
     }
 
-    fn shrink(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        for cand in [LO, LO + (self.0 - LO) / 2, self.0 - 1] {
-            if (LO..self.0).contains(&cand) && !out.iter().any(|b: &Self| b.0 == cand) {
-                out.push(Bounded(cand));
-            }
-        }
-        out
-    }
-}
-
-impl<A: Arbitrary, B: Arbitrary> Arbitrary for (A, B) {
-    fn arbitrary(g: &mut Gen) -> Self {
-        (A::arbitrary(g), B::arbitrary(g))
-    }
-
-    fn shrink(&self) -> Vec<Self> {
-        let mut out: Vec<Self> =
-            self.0.shrink().into_iter().map(|a| (a, self.1.clone())).collect();
-        out.extend(self.1.shrink().into_iter().map(|b| (self.0.clone(), b)));
-        out
+    /// One recorded choice per draw, reduced exactly as
+    /// [`SplitMix64`]'s own `gen_below` reduces it.
+    fn gen_below(&mut self, bound: u64) -> u64 {
+        assert!(bound > 0, "gen_below(0) is an empty range");
+        self.choose(bound - 1)
     }
 }
 
@@ -99,7 +94,7 @@ impl<A: Arbitrary, B: Arbitrary> Arbitrary for (A, B) {
 pub type PropResult = Result<(), String>;
 
 /// FNV-1a, for deriving a stable per-property seed from its name.
-fn fnv1a(s: &str) -> u64 {
+pub fn fnv1a(s: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in s.bytes() {
         h ^= b as u64;
@@ -108,53 +103,122 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-/// Cap on greedy shrink steps (each step re-runs the property).
-const MAX_SHRINK_STEPS: usize = 400;
+/// Cap on the property runs one [`minimize`] call spends.
+const MAX_SHRINK_RUNS: usize = 1000;
 
-/// Runs `prop` against `cases` generated inputs; on failure, shrinks
-/// greedily and panics with the minimal counterexample.
-///
-/// # Panics
-///
-/// Panics (failing the test) on the first input whose shrunk form still
-/// violates the property.
-pub fn check<T: Arbitrary>(name: &str, cases: u64, prop: impl Fn(&T) -> PropResult) {
-    let seed = fnv1a(name);
-    for index in 0..cases {
-        let mut g = Gen::for_case(seed, index);
-        let input = T::arbitrary(&mut g);
-        if let Err(first_err) = prop(&input) {
-            let (minimal, err, steps) = shrink_failure(input, first_err, &prop);
-            panic!(
-                "property `{name}` failed at case {index}/{cases} \
-                 (seed {seed:#018x}, minimized in {steps} steps)\n\
-                 minimal input: {minimal:#?}\n\
-                 failure: {err}"
-            );
+/// The outcome of [`minimize`].
+#[derive(Debug)]
+pub struct Minimized {
+    /// The shortlex-least failing choice vector found.
+    pub choices: Vec<u64>,
+    /// Property runs spent.
+    pub runs: usize,
+    /// Whether the search stopped at the run cap before a fixpoint.
+    pub capped: bool,
+}
+
+/// Shortlex-minimises a failing choice vector. A candidate is kept only
+/// if its replay still fails (`still_fails` generates from the `Gen` it
+/// is handed and runs the property) and the choices the replay consumed
+/// are shortlex-smaller than the best so far. Each pass of
+/// [`candidates`] sweeps from the end and stays at a position while its
+/// edits there succeed; passes repeat until none succeeds or
+/// [`MAX_SHRINK_RUNS`] runs are spent.
+pub fn minimize(mut best: Vec<u64>, mut still_fails: impl FnMut(&mut Gen) -> bool) -> Minimized {
+    let mut runs = 0;
+    loop {
+        let mut progress = false;
+        for pass in 0..6 {
+            let mut i = best.len();
+            while i > 0 && runs < MAX_SHRINK_RUNS {
+                i = i.min(best.len()) - 1;
+                for candidate in candidates(pass, &best, i) {
+                    // A prefix of `best` followed only by zeros replays as `best`.
+                    let (head, rest) = best.split_at(candidate.len().min(best.len()));
+                    if head == candidate && rest.iter().all(|&c| c == 0) {
+                        continue;
+                    }
+                    if runs == MAX_SHRINK_RUNS {
+                        break;
+                    }
+                    runs += 1;
+                    let mut g = Gen::replay(&candidate);
+                    if still_fails(&mut g) && (g.choices.len(), &g.choices) < (best.len(), &best) {
+                        best = g.choices;
+                        progress = true;
+                        i += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        if !progress || runs == MAX_SHRINK_RUNS {
+            return Minimized { choices: best, runs, capped: runs == MAX_SHRINK_RUNS };
         }
     }
 }
 
-fn shrink_failure<T: Arbitrary>(
-    input: T,
-    err: String,
-    prop: &impl Fn(&T) -> PropResult,
-) -> (T, String, usize) {
-    let mut cur = input;
-    let mut cur_err = err;
-    let mut steps = 0;
-    'outer: while steps < MAX_SHRINK_STEPS {
-        for cand in cur.shrink() {
-            if let Err(e) = prop(&cand) {
-                cur = cand;
-                cur_err = e;
-                steps += 1;
-                continue 'outer;
-            }
+/// The edits pass `pass` tries at position `i` of `c`, most aggressive
+/// first. Lowering comes before the costlier lower-and-drop pass, so
+/// that pass sweeps an already shortened vector.
+fn candidates(pass: usize, c: &[u64], i: usize) -> Vec<Vec<u64>> {
+    let set = |v: u64, rest: usize| [&c[..i], &[v], &c[rest..]].concat();
+    match pass {
+        // Drop a span of 8, 4, 2 or 1 choices.
+        0..=3 => {
+            let span = 8 >> pass;
+            (i + span <= c.len()).then(|| [&c[..i], &c[i + span..]].concat()).into_iter().collect()
         }
-        break;
+        // Lower a choice to 0, to half, or by one.
+        4 => {
+            let mut lower = vec![0, c[i] / 2, c[i].saturating_sub(1)];
+            lower.dedup();
+            lower.into_iter().filter(|&v| v < c[i]).map(|v| set(v, i + 1)).collect()
+        }
+        // Lower a choice by one and drop 1–16 choices after it: a list
+        // length one shorter, without one element's choices.
+        5 if c[i] > 0 => {
+            (i + 2..=(i + 17).min(c.len())).map(|rest| set(c[i] - 1, rest)).collect()
+        }
+        _ => Vec::new(),
     }
-    (cur, cur_err, steps)
+}
+
+/// Runs `prop` against `cases` inputs drawn by `gen`; on failure,
+/// minimises the input's choice vector and panics with the minimal
+/// input.
+///
+/// # Panics
+///
+/// Panics (failing the test) on the first failing case, reporting its
+/// minimal input, that input's choice vector, the property runs the
+/// shrinking spent and whether it hit the cap.
+pub fn check<T: std::fmt::Debug>(
+    name: &str,
+    cases: u64,
+    gen: impl Fn(&mut Gen) -> T,
+    prop: impl Fn(&T) -> PropResult,
+) {
+    let seed = fnv1a(name);
+    for index in 0..cases {
+        let mut g = Gen::for_case(seed, index);
+        if prop(&gen(&mut g)).is_ok() {
+            continue;
+        }
+        let min = minimize(g.choices, |g| prop(&gen(g)).is_err());
+        let minimal = gen(&mut Gen::replay(&min.choices));
+        let err = prop(&minimal).err().unwrap_or_else(|| "passes when replayed".into());
+        panic!(
+            "property `{name}` failed at case {index}/{cases} (seed {seed:#018x})\n\
+             minimal input: {minimal:#?}\n\
+             choices (Gen::replay): {:?}\n\
+             shrinking: {} property runs, cap of {MAX_SHRINK_RUNS} {}\n\
+             failure: {err}",
+            min.choices,
+            min.runs,
+            if min.capped { "hit" } else { "not hit" },
+        );
+    }
 }
 
 /// Fails the property unless `cond` holds.
@@ -207,37 +271,43 @@ mod tests {
         let va: Vec<i64> = (0..8).map(|_| a.i64(-100, 100)).collect();
         let vb: Vec<i64> = (0..8).map(|_| b.i64(-100, 100)).collect();
         assert_eq!(va, vb);
+        let mut replayed = Gen::replay(a.choices());
+        assert_eq!((0..8).map(|_| replayed.i64(-100, 100)).collect::<Vec<_>>(), va);
+    }
+
+    #[test]
+    fn replay_clamps_to_the_range_and_pads_with_zeros() {
+        let mut g = Gen::replay(&[7, u64::MAX, 2]);
+        assert_eq!([g.gen_below(4), g.gen_below(10), g.next_u64(), g.gen_below(5)], [3, 9, 2, 0]);
+        assert_eq!(g.choices(), &[3, 9, 2, 0]);
     }
 
     #[test]
     fn passing_property_runs_all_cases() {
-        let mut seen = 0u64;
         let counter = std::cell::Cell::new(0u64);
-        check::<Bounded<0, 10>>("always_in_range", 32, |b| {
+        check("always_in_range", 32, |g| g.i64(0, 10), |b| {
             counter.set(counter.get() + 1);
-            prop_assert!((0..10).contains(&b.0));
+            prop_assert!((0..10).contains(b));
             Ok(())
         });
-        seen += counter.get();
-        assert_eq!(seen, 32);
+        assert_eq!(counter.get(), 32);
     }
 
     #[test]
     #[should_panic(expected = "minimal input")]
     fn failing_property_shrinks_and_panics() {
-        check::<Bounded<0, 1000>>("never_above_five", 64, |b| {
-            prop_assert!(b.0 <= 5, "{} > 5", b.0);
+        check("never_above_five", 64, |g| g.i64(0, 1000), |b| {
+            prop_assert!(*b <= 5, "{b} > 5");
             Ok(())
         });
     }
 
     #[test]
     fn shrinking_reaches_the_boundary() {
-        // Shrink 900 under "fails when > 5": greedy descent must land
+        // Shrink 900 under "fails when > 5": the search must land
         // exactly on the smallest failing value, 6.
-        let (min, _, _) = shrink_failure(Bounded::<0, 1000>(900), "seed".into(), &|b| {
-            if b.0 > 5 { Err("too big".into()) } else { Ok(()) }
-        });
-        assert_eq!(min.0, 6);
+        let min = minimize(vec![900], |g| g.i64(0, 1000) > 5);
+        assert_eq!(min.choices, [6]);
+        assert!(!min.capped);
     }
 }

@@ -7,9 +7,9 @@
 //! through `lea`'d pointers, branchy CFGs, extern output — is the
 //! campaign report **bit-identical** with splicing on and off, at every
 //! snapshot stride and worker count? Programs come from the seeded
-//! fuzzer in `encore::workloads::fuzz`; failures shrink greedily to a
-//! minimal statement tree via the harness in `common/prop.rs`, and
-//! shrunk counterexamples worth keeping become the named
+//! fuzzer in `encore::workloads::fuzz`; a failure shrinks to a
+//! shortlex-minimal choice vector via the harness in `common/prop.rs`,
+//! and shrunk counterexamples worth keeping become the named
 //! `regression_fuzz_*` tests at the bottom.
 //!
 //! Case count: `ENCORE_FUZZ_CASES` (default 64; `scripts/ci.sh` pins
@@ -19,9 +19,9 @@
 
 mod common;
 
-use common::prop::{check, prop_assert, PropResult};
-use common::Fuzzed;
+use common::prop::{check, fnv1a, minimize, prop_assert, Gen, PropResult};
 use encore::core::{Encore, EncoreConfig};
+use encore::sim::rng::{Rng, SplitMix64};
 use encore::sim::{
     run_function, CampaignReport, FaultAction, FaultModelKind, FaultPlan, LatencyHistogram,
     RunConfig, SfiCampaign, SfiConfig, FaultOutcome, SfiStats, SpliceRule, Value,
@@ -117,8 +117,8 @@ fn splice_stride_workers_invisible_under(
 
 #[test]
 fn fuzzed_campaigns_are_splice_stride_and_worker_invariant() {
-    check::<Fuzzed>("fuzz_differential", case_count(64), |f| {
-        splice_stride_workers_invisible_under(&f.0, FaultModelKind::default())
+    check("fuzz_differential", case_count(64), fuzz::gen_program, |f| {
+        splice_stride_workers_invisible_under(f, FaultModelKind::default())
     });
 }
 
@@ -134,8 +134,9 @@ fn fuzzed_campaigns_are_invariant_under_every_fault_model() {
         if model == FaultModelKind::default() {
             continue;
         }
-        check::<Fuzzed>(&format!("fuzz_differential_{}", model.label()), case_count(16), |f| {
-            splice_stride_workers_invisible_under(&f.0, model)
+        let name = format!("fuzz_differential_{}", model.label());
+        check(&name, case_count(16), fuzz::gen_program, |f| {
+            splice_stride_workers_invisible_under(f, model)
         });
     }
 }
@@ -181,9 +182,9 @@ fn adversarial_plans(eligible: u64) -> Vec<FaultPlan> {
 /// invariance above, on plans no sampler produces.
 #[test]
 fn fuzzed_fault_plans_agree_between_resume_and_scratch() {
-    check::<Fuzzed>("fuzz_differential_plans", case_count(24), |f| {
-        let (module, map, entry) = instrument(&f.0).map_err(|e| e.to_string())?;
-        let args = [Value::Int(f.0.arg)];
+    check("fuzz_differential_plans", case_count(24), fuzz::gen_program, |f| {
+        let (module, map, entry) = instrument(f).map_err(|e| e.to_string())?;
+        let args = [Value::Int(f.arg)];
         let prepare = |cfg: &SfiConfig| {
             SfiCampaign::prepare(&module, Some(&map), entry, &args, cfg)
                 .map_err(|e| format!("golden run failed: {e}"))
@@ -252,38 +253,111 @@ fn fuzz_corpus_reaches_every_splice_rule() {
     panic!("corpus never engaged every rule: converged={a} dead_diff={b} sdc={c}");
 }
 
-/// Dev tool (run with `--ignored --nocapture`): searches the corpus for
-/// the first few cases engaging each rule and prints their shrunk
-/// forms, for promotion to `regression_fuzz_*` tests below.
+/// Dev tool and release CI check (run with `--ignored --nocapture`):
+/// finds the first corpus case engaging each rule, minimises its choice
+/// vector under "the rule still engages" and prints the result for
+/// promotion to a `regression_fuzz_*` test below. Asserts that the
+/// minimised case still engages its rule and takes at most 24 choices.
 #[test]
-#[ignore = "regression-case mining tool, not a CI check"]
+#[ignore = "runs hundreds of campaigns; scripts/ci.sh runs it in release"]
 fn find_rule_regression_candidates() {
-    for (label, pick) in [
-        ("converged", 0usize),
-        ("dead_diff", 1),
-        ("sdc", 2),
-    ] {
-        for index in 0..512u64 {
-            let prog = fuzz::program_for(0x005E_EDF0, index);
-            let counts = engagements(&prog);
-            let count_of = |t: (usize, usize, usize)| [t.0, t.1, t.2][pick];
-            if count_of(counts) == 0 {
-                continue;
-            }
-            // Greedy shrink under "the rule still engages".
-            let mut cur = prog;
-            'shrink: loop {
-                for cand in fuzz::shrink_program(&cur) {
-                    if count_of(engagements(&cand)) > 0 {
-                        cur = cand;
-                        continue 'shrink;
-                    }
-                }
-                break;
-            }
-            println!("=== {label} (seed 0x005E_EDF0 case {index}) ===\n{cur:#?}");
-            break;
+    for (label, pick) in [("converged", 0usize), ("dead_diff", 1), ("sdc", 2)] {
+        let engages = |prog: &FuzzProgram| {
+            let counts = engagements(prog);
+            [counts.0, counts.1, counts.2][pick] > 0
+        };
+        let (index, g) = (0..512u64)
+            .find_map(|index| {
+                let mut g = Gen::for_case(0x005E_EDF0, index);
+                engages(&fuzz::gen_program(&mut g)).then_some((index, g))
+            })
+            .unwrap_or_else(|| panic!("no corpus case engages {label}"));
+        let min = minimize(g.choices().to_vec(), |g| engages(&fuzz::gen_program(g)));
+        let prog = fuzz::gen_program(&mut Gen::replay(&min.choices));
+        println!(
+            "=== {label} (seed 0x005E_EDF0 case {index}, {} property runs, capped: {}) ===\n\
+             choices: {:?}\n{prog:#?}",
+            min.runs, min.capped, min.choices
+        );
+        assert!(engages(&prog), "{label}: the minimised case no longer engages:\n{prog:#?}");
+        assert!(
+            min.choices.len() <= 24,
+            "{label}: minimised to {} choices, more than 24: {:?}",
+            min.choices.len(),
+            min.choices
+        );
+    }
+}
+
+/// Every random-program property draws its input through the recording
+/// `Gen`, and it is the input the property saw when each drew from its
+/// own SplitMix64 stream: for each property name and cases 0..512,
+/// `fuzz::program_for(fnv1a(name), i)` (then the cutoff properties'
+/// `i64(0, 6)` from the same stream), and replaying the recorded
+/// choices regenerates it.
+#[test]
+fn recorded_choices_are_the_suite_inputs_and_replay_them() {
+    let mut names: Vec<String> = [
+        "print_parse_roundtrip",
+        "dominator_laws",
+        "interval_laws",
+        "loops_are_reducible",
+        "optimistic_is_never_worse",
+        "pruning_shrinks_cp",
+        "worklist_engine_matches_reference",
+        "pipeline_is_deterministic",
+        "profiled_never_worse_than_static",
+        "latency_zero_recovery_on_random_programs",
+        "instrumentation_is_transparent_on_random_programs",
+        "fuzz_differential",
+        "fuzz_differential_plans",
+    ]
+    .map(String::from)
+    .to_vec();
+    names.extend(
+        FaultModelKind::ALL
+            .iter()
+            .filter(|&&m| m != FaultModelKind::default())
+            .map(|m| format!("fuzz_differential_{}", m.label())),
+    );
+    let gen = |g: &mut Gen| (fuzz::gen_program(g), g.i64(0, 6));
+    for name in &names {
+        let seed = fnv1a(name);
+        for index in 0..512 {
+            let mut g = Gen::for_case(seed, index);
+            let input = gen(&mut g);
+            let mut stream = SplitMix64::for_index(seed, index);
+            let expected = (fuzz::gen_program(&mut stream), stream.gen_i64(0, 6));
+            assert_eq!(expected.0, fuzz::program_for(seed, index));
+            assert_eq!(input, expected, "`{name}` case {index}");
+            assert_eq!(gen(&mut Gen::replay(g.choices())), input, "`{name}` case {index} replay");
         }
+    }
+}
+
+/// The grammar is total over choice vectors: whatever vector the
+/// shrinker replays, including ones no seeded stream draws, the program
+/// builds, verifies and runs to completion.
+#[test]
+fn every_choice_vector_replays_as_a_runnable_program() {
+    let mut rng = SplitMix64::new(0x0707_A1E5);
+    let random = (0..128).map(|_| {
+        let len = rng.gen_usize(160);
+        (0..len).map(|_| rng.gen_below(24)).collect::<Vec<u64>>()
+    });
+    let vectors: Vec<Vec<u64>> =
+        [vec![0; 256], vec![u64::MAX; 1024]].into_iter().chain(random).collect();
+    for choices in &vectors {
+        let prog = fuzz::gen_program(&mut Gen::replay(choices));
+        let (module, entry) = fuzz::build(&prog); // verifies internally
+        let run = run_function(
+            &module,
+            None,
+            entry,
+            &[Value::Int(prog.arg)],
+            &RunConfig { fuel: 1_000_000, ..Default::default() },
+        );
+        assert!(run.completed, "{:?} trapped on {choices:?}:\n{prog:#?}", run.trap);
     }
 }
 

@@ -5,7 +5,6 @@
 mod common;
 
 use common::prop::{check, prop_assert};
-use common::Fuzzed;
 use encore::analysis::{AliasMode, ProfiledAlias, StaticAlias};
 use encore::core::idempotence::{IdempotenceAnalyzer, RegionSpec};
 use encore::core::{Encore, EncoreConfig};
@@ -125,8 +124,8 @@ fn mesa_and_equake_gain_from_profiling() {
 /// still transparent.
 #[test]
 fn profiled_never_worse_than_static() {
-    check::<Fuzzed>("profiled_never_worse_than_static", 24, |prog| {
-        let (m, entry) = fuzz::build(&prog.0);
+    check("profiled_never_worse_than_static", 24, fuzz::gen_program, |prog| {
+        let (m, entry) = fuzz::build(prog);
         let profile = train(&m, entry, 5);
         let spec = RegionSpec {
             func: entry,

@@ -13,7 +13,6 @@
 mod common;
 
 use common::prop::{check, prop_assert};
-use common::Fuzzed;
 use encore::core::{Encore, EncoreConfig};
 use encore::ir::{AddrExpr, BinOp, ModuleBuilder, Operand};
 use encore::sim::{run_function, FaultPlan, RunConfig, Value};
@@ -170,8 +169,8 @@ fn latency_zero_recovery_restores_memory_checkpoints() {
 #[test]
 fn latency_zero_recovery_on_random_programs() {
     let checked = std::cell::Cell::new(0);
-    check::<Fuzzed>("latency_zero_recovery_on_random_programs", 24, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("latency_zero_recovery_on_random_programs", 24, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         checked.set(checked.get() + check_latency_zero(&module, entry, 5, 48));
         Ok(())
     });
@@ -182,8 +181,8 @@ fn latency_zero_recovery_on_random_programs() {
 /// programs.
 #[test]
 fn instrumentation_is_transparent_on_random_programs() {
-    check::<Fuzzed>("instrumentation_is_transparent_on_random_programs", 24, |prog| {
-        let (module, entry) = fuzz::build(&prog.0);
+    check("instrumentation_is_transparent_on_random_programs", 24, fuzz::gen_program, |prog| {
+        let (module, entry) = fuzz::build(prog);
         let train = run_function(
             &module,
             None,
