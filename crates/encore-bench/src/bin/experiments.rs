@@ -3,8 +3,12 @@
 //! single process. Used to regenerate `EXPERIMENTS.md` data.
 //!
 //! Usage: `experiments [--workloads a,b,c] [--sfi N]`
+//!
+//! The first harness that fails ends the run: `experiments` names it and
+//! exits with its status, or with 1 when it was killed by a signal or
+//! could not be launched.
 
-use std::process::Command;
+use std::process::{exit, Command};
 
 fn main() {
     let exe = std::env::current_exe().expect("current exe");
@@ -12,11 +16,15 @@ fn main() {
     let pass_through: Vec<String> = std::env::args().skip(1).collect();
 
     for bin in ["table1", "fig1", "fig5", "fig6", "fig7a", "fig7b", "fig8"] {
-        let path = dir.join(bin);
-        let status = Command::new(&path)
-            .args(&pass_through)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-        assert!(status.success(), "{bin} failed");
+        let status = match Command::new(dir.join(bin)).args(&pass_through).status() {
+            Ok(status) if status.success() => continue,
+            Ok(status) => status,
+            Err(e) => {
+                eprintln!("error: failed to launch {bin}: {e}");
+                exit(1);
+            }
+        };
+        eprintln!("error: {bin} exited with {status}");
+        exit(status.code().unwrap_or(1));
     }
 }

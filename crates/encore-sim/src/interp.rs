@@ -7,12 +7,12 @@
 //! * injecting a single transient fault and modelling its detection
 //!   (Figure 8's SFI).
 //!
-//! There is one executor: the sprint loop in `Machine::step`, which runs
-//! pre-lowered micro-ops and intra-function jumps/branches back to back.
-//! Profiling, tracing and the golden run's record are hooks in that
-//! loop, compiled in only for its `OBSERVE` instantiation. Only
-//! calls, returns, allocation, externs, `Restore` and an unresolvable
-//! `SetRecovery` leave the loop for the general executor.
+//! There is one executor: the sprint loop in `Machine::step`, whose one
+//! `match` runs the IR's own [`Inst`]s, and whose jumps and branches
+//! stay inside the function, back to back. Profiling, tracing and the
+//! golden run's record are hooks in that loop, compiled in only for its
+//! `OBSERVE` instantiation. The loop leaves only for `Call` and `Ret`,
+//! the two instructions that push or pop a frame.
 //!
 //! Everything a run's future reads is one [`State`]: a snapshot holds
 //! one, and capture and resume clone it whole. The campaign's
@@ -33,14 +33,14 @@
 use crate::externs::Externs;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::memory::{Memory, ProbeCost};
-use crate::predecode::{BaseMode, DecodedAddr, DecodedInst, DecodedModule, MicroOp};
+use crate::predecode::DecodedModule;
 use crate::snapshot::{GoldenRecord, Position, Snapshot, SnapshotLog};
 use crate::value::{eval_bin, eval_un, Value};
 use encore_core::RegionMap;
 use encore_analysis::Profile;
 use encore_ir::{
-    AccessKind, BlockId, FuncId, Inst, InstRef, MemEvent, Module, ObjKind, Offset, Operand, Reg,
-    RegionId, Terminator,
+    AccessKind, AddrExpr, BlockId, FuncId, Inst, InstRef, MemBase, MemEvent, Module, ObjKind,
+    Offset, Operand, Reg, RegionId, Terminator,
 };
 use std::fmt;
 
@@ -452,7 +452,6 @@ impl Observers {
 pub(crate) struct Machine<'m, 'c> {
     module: &'m Module,
     code: &'c DecodedModule<'m>,
-    map: Option<&'m RegionMap>,
     /// The resumable state: what a snapshot captures.
     pub(crate) state: State,
     pub(crate) obs: Observers,
@@ -490,27 +489,27 @@ fn opnd(frame: &Frame, op: &Operand) -> Value {
     }
 }
 
-/// Resolves a pre-decoded address to `(object handle, cell index)`,
-/// with global bases already reduced to their object handle at decode
-/// time.
+/// Resolves an address to `(object handle, cell index)`. A global's
+/// handle is its id: [`Memory::for_module`] lays the globals out first,
+/// in id order.
 #[inline(always)]
 fn resolve_decoded(
     frame: &Frame,
     last_alloc_of_site: &[Option<u32>],
     now: u64,
-    addr: &DecodedAddr,
+    addr: &AddrExpr,
 ) -> Result<(u32, i64), Trap> {
     let (obj, base_idx) = match addr.base {
-        BaseMode::Global(h) => (h, 0i64),
-        BaseMode::Slot(s) => match frame.slots.get(s.index()) {
+        MemBase::Global(g) => (g.raw(), 0i64),
+        MemBase::Slot(s) => match frame.slots.get(s.index()) {
             Some(&h) => (h, 0),
             None => return Err(memory_trap(now, format_args!("undeclared slot {s}"))),
         },
-        BaseMode::Heap(h) => match last_alloc_of_site.get(h.index()).copied().flatten() {
+        MemBase::Heap(h) => match last_alloc_of_site.get(h.index()).copied().flatten() {
             Some(handle) => (handle, 0),
             None => return Err(memory_trap(now, format_args!("heap site {h} has no allocation"))),
         },
-        BaseMode::RegPtr(r) => match frame.regs[r.index()] {
+        MemBase::Reg(r) => match frame.regs[r.index()] {
             Value::Ptr { obj, idx } => (obj, idx),
             other => {
                 return Err(memory_trap(
@@ -520,7 +519,7 @@ fn resolve_decoded(
             }
         },
     };
-    let off = match addr.off {
+    let off = match addr.offset {
         Offset::Const(c) => c,
         Offset::Scaled { index, scale, disp } => match frame.regs[index.index()] {
             Value::Int(i) => i.wrapping_mul(scale).wrapping_add(disp),
@@ -543,9 +542,9 @@ fn resolve_decoded(
 /// [`FaultAction`]: value corruptions apply here; deferred actions
 /// (wrong-edge, address) only *arm* and fire later at their matching
 /// event; a power failure fires with detection due immediately (the
-/// machine dies before the next instruction). Sets `fired` when the
-/// fault fires in this call (the sprint loop then tightens its
-/// detection bound).
+/// machine dies before the next instruction). When the fault fires in
+/// this call, the sprint's pause `bound` tightens to its detection
+/// point.
 #[inline]
 fn inject(
     fault: &mut Option<Injection>,
@@ -553,7 +552,7 @@ fn inject(
     now: u64,
     site: (FuncId, BlockId),
     v: Value,
-    fired: &mut bool,
+    bound: &mut u64,
 ) -> Value {
     let ordinal = *eligible_seen;
     *eligible_seen += 1;
@@ -570,7 +569,7 @@ fn inject(
         FaultAction::PowerFailure => (v, now, true),
     };
     *fault = Some(Injection::Live { site, detect_at, power });
-    *fired = true;
+    *bound = (*bound).min(detect_at);
     v
 }
 
@@ -580,14 +579,14 @@ fn inject(
 /// resolved cell index. The corrupted access either lands in bounds
 /// (silently hitting a neighbour cell) or traps — a symptom
 /// [`Machine::step_detected`] converts into detection while the fault
-/// is live.
+/// is live. Firing tightens the sprint's pause `bound` like [`inject`].
 #[inline]
 fn corrupt_addr(
     fault: &mut Option<Injection>,
     now: u64,
     site: (FuncId, BlockId),
     idx: i64,
-    fired: &mut bool,
+    bound: &mut u64,
 ) -> i64 {
     let Some(Injection::Armed(FaultPlan {
         action: FaultAction::CorruptAddress { mask },
@@ -597,133 +596,10 @@ fn corrupt_addr(
     else {
         return idx;
     };
-    *fault = Some(Injection::Live { site, detect_at: now + detect_latency, power: false });
-    *fired = true;
+    let detect_at = now + detect_latency;
+    *fault = Some(Injection::Live { site, detect_at, power: false });
+    *bound = (*bound).min(detect_at);
     idx ^ crate::value::fold_mask16(mask) as i64
-}
-
-/// Executes one pre-lowered instruction against split borrows of the
-/// machine: the body of the interpreter's sprint loop. With `OBSERVE`
-/// set, program memory accesses are reported to `obs`; without it the
-/// hooks compile away. `now` is the already-charged dynamic instruction
-/// count; the caller has already advanced the instruction pointer.
-///
-/// Returns `Ok(true)` on a *control event* the sprint must surface:
-/// the fault went [`Injection::Live`] at this instruction (the sprint
-/// then tightens its detection bound), or a `SetRecovery` moved it from
-/// [`Injection::RolledBack`] to [`Injection::Realigned`] (the sprint
-/// pauses, so the splice driver can start probing golden snapshots).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn exec_fast<const OBSERVE: bool>(
-    di: &DecodedInst<'_>,
-    frame: &mut Frame,
-    mem: &mut Memory,
-    fault: &mut Option<Injection>,
-    eligible_seen: &mut u64,
-    last_alloc_of_site: &[Option<u32>],
-    ckpt_high_water: &mut u64,
-    activations: &mut u64,
-    obs: &mut Observers,
-    site: (FuncId, BlockId),
-    now: u64,
-) -> Result<bool, Trap> {
-    let mut fired = false;
-    match &di.op {
-        MicroOp::Bin { op, dst, lhs, rhs } => {
-            let a = opnd(frame, lhs);
-            let b = opnd(frame, rhs);
-            let v = eval_bin(*op, a, b)
-                .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
-            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
-            frame.regs[dst.index()] = v;
-        }
-        MicroOp::Un { op, dst, src } => {
-            let a = opnd(frame, src);
-            let v =
-                eval_un(*op, a).map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
-            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
-            frame.regs[dst.index()] = v;
-        }
-        MicroOp::Mov { dst, src } => {
-            let v = opnd(frame, src);
-            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
-            frame.regs[dst.index()] = v;
-        }
-        MicroOp::Load { dst, addr } => {
-            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            let idx = corrupt_addr(fault, now, site, idx, &mut fired);
-            let v = mem
-                .read(obj, idx)
-                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
-            if OBSERVE {
-                obs.program_access(mem, site.0, di.at, obj, idx, now, AccessKind::Load);
-            }
-            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
-            frame.regs[dst.index()] = v;
-        }
-        MicroOp::Store { addr, src } => {
-            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            let idx = corrupt_addr(fault, now, site, idx, &mut fired);
-            let v = opnd(frame, src);
-            let v = inject(fault, eligible_seen, now, site, v, &mut fired);
-            mem.write(obj, idx, v)
-                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
-            if OBSERVE {
-                obs.program_access(mem, site.0, di.at, obj, idx, now, AccessKind::Store);
-            }
-        }
-        MicroOp::Lea { dst, addr } => {
-            // Address materialization is not fault-eligible.
-            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            frame.regs[dst.index()] = Value::Ptr { obj, idx };
-        }
-        // Instrumentation (not fault-eligible). The recovery block was
-        // pre-resolved at decode time; the unresolvable cases stay
-        // `Slow` and trap in the general executor.
-        MicroOp::SetRecovery { region, recovery_block } => {
-            frame.recovery = Some(RecoveryState {
-                region: *region,
-                recovery_block: *recovery_block,
-                act_ordinal: *activations,
-            });
-            *activations += 1;
-            frame.log.clear();
-            frame.log_bytes = 0;
-            if OBSERVE {
-                obs.activation(now);
-            }
-            if let Some(Injection::RolledBack { site, region, ordinal }) = *fault {
-                *fault = Some(Injection::Realigned { site, region, ordinal, at: now });
-                fired = true;
-            }
-        }
-        MicroOp::CkptMem { addr } => {
-            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
-            let val = mem
-                .read(obj, idx)
-                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
-            if OBSERVE {
-                obs.log_access(obj, idx, false);
-            }
-            if frame.recovery.is_some() {
-                frame.log.push(CkptEntry::Mem { obj, idx, val });
-                frame.log_bytes += 16;
-                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
-            }
-        }
-        MicroOp::CkptReg { reg } => {
-            let val = frame.regs[reg.index()];
-            if frame.recovery.is_some() {
-                frame.log.push(CkptEntry::Reg { reg: *reg, val });
-                frame.log_bytes += 8;
-                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
-            }
-        }
-        // The sprint loop hands `Slow` to the general executor.
-        MicroOp::Slow(_) => unreachable!("slow ops dispatch through exec_inst"),
-    }
-    Ok(fired)
 }
 
 /// Runs `entry(args)` on `module` under `config`. `map` supplies the
@@ -741,7 +617,7 @@ pub fn run_function(
     config: &RunConfig,
 ) -> RunResult {
     let code = DecodedModule::new(module, map);
-    let mut m = Machine::new(module, &code, map, config);
+    let mut m = Machine::new(module, &code, config);
     let trap = m.enter(entry, args).err().or_else(|| m.run_to_end());
     m.into_result(trap)
 }
@@ -749,7 +625,8 @@ pub fn run_function(
 /// Like [`run_function`] but additionally captures a [`Snapshot`] of
 /// the machine every `stride` dynamic instructions (`0` disables
 /// capture). The run itself is unperturbed: the returned [`RunResult`]
-/// is bit-identical to [`run_function`]'s.
+/// is bit-identical to [`run_function`]'s. `code` must be `module`
+/// decoded with `map`, which debug builds check.
 ///
 /// # Panics
 ///
@@ -769,7 +646,8 @@ pub fn run_function_with_snapshots<'m>(
         !config.collect_profile && !config.collect_trace,
         "snapshots do not capture profiles or traces"
     );
-    let mut m = Machine::new(module, code, map, config);
+    debug_assert!(code.decoded_with(map), "`code` was decoded with another region map");
+    let mut m = Machine::new(module, code, config);
     let mut log = SnapshotLog::new(stride);
     if stride > 0 {
         m.obs.golden = Some(Box::default());
@@ -788,12 +666,7 @@ pub fn run_function_with_snapshots<'m>(
 impl<'m, 'c> Machine<'m, 'c> {
     /// A machine with no activation yet: [`Machine::enter`] makes the
     /// entry call.
-    pub(crate) fn new(
-        module: &'m Module,
-        code: &'c DecodedModule<'m>,
-        map: Option<&'m RegionMap>,
-        config: &RunConfig,
-    ) -> Self {
+    pub(crate) fn new(module: &'m Module, code: &'c DecodedModule<'m>, config: &RunConfig) -> Self {
         let control = ControlState {
             frames: Vec::new(),
             last_alloc_of_site: vec![None; code.heap_site_count],
@@ -809,7 +682,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             frame_seq: 0,
             heap_seq: 0,
         };
-        let mut m = Self::with_state(module, code, map, state, config);
+        let mut m = Self::with_state(module, code, state, config);
         m.obs.profile = config.collect_profile.then(|| Profile::empty_for(module));
         m.obs.trace = config.collect_trace.then(Vec::new);
         m
@@ -837,7 +710,6 @@ impl<'m, 'c> Machine<'m, 'c> {
     pub(crate) fn from_snapshot(
         module: &'m Module,
         code: &'c DecodedModule<'m>,
-        map: Option<&'m RegionMap>,
         snap: &Snapshot,
         config: &RunConfig,
     ) -> Self {
@@ -845,7 +717,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             !config.collect_profile && !config.collect_trace,
             "profiles/traces cannot be resumed from a snapshot"
         );
-        Self::with_state(module, code, map, snap.state.clone(), config)
+        Self::with_state(module, code, snap.state.clone(), config)
     }
 
     /// A machine in `state` with no observer and nothing else carried
@@ -861,14 +733,12 @@ impl<'m, 'c> Machine<'m, 'c> {
     fn with_state(
         module: &'m Module,
         code: &'c DecodedModule<'m>,
-        map: Option<&'m RegionMap>,
         state: State,
         config: &RunConfig,
     ) -> Self {
         Self {
             module,
             code,
-            map,
             state,
             obs: Observers::default(),
             fault: config.fault.map(Injection::Planned),
@@ -922,11 +792,6 @@ impl<'m, 'c> Machine<'m, 'c> {
         opnd(self.state.control.frames.last().expect("no frame"), op)
     }
 
-    fn set_reg(&mut self, r: Reg, v: Value) {
-        let frame = self.state.control.frames.last_mut().expect("no frame");
-        frame.regs[r.index()] = v;
-    }
-
     /// Detection of the live fault fired at `site`: unwind to the
     /// nearest armed frame and redirect to its recovery block, moving
     /// the fault to [`Injection::RolledBack`].
@@ -974,19 +839,23 @@ impl<'m, 'c> Machine<'m, 'c> {
         Err(Trap { kind: TrapKind::DetectedUnrecoverable, at: self.state.dyn_insts })
     }
 
-    /// Executes a *sprint*: consecutive pre-lowered instructions and
-    /// intra-function jumps/branches in a tight loop over split borrows
-    /// of the machine, then at most one item of the general executor.
+    /// Executes a *sprint*: consecutive instructions and intra-function
+    /// jumps/branches in a tight loop over split borrows of the machine,
+    /// then at most one `Call` or `Ret`, the two instructions that push
+    /// or pop a frame.
     ///
     /// The sprint stops — *without* executing the next item — when
-    /// `limit` is reached or a pending fault detection must fire; it
-    /// hands over to the general executor at a slow instruction (after
-    /// charging it) and at `Ret`. Per-item fuel, detection and `limit`
-    /// checks make every observable state transition identical to
-    /// executing one item per call, so snapshot capture points and
-    /// fault semantics do not depend on where sprints end; `limit`
-    /// exists so capturing callers get control back at exact
-    /// instruction-count boundaries (pass `u64::MAX` otherwise).
+    /// `limit` is reached or a pending fault detection must fire. It
+    /// also pauses, after the item, when a `SetRecovery` moves the fault
+    /// from [`Injection::RolledBack`] to [`Injection::Realigned`], so
+    /// the splice driver can start probing golden snapshots. A fault
+    /// that fires mid-sprint tightens the pause bound to its detection
+    /// point. Per-item fuel, detection and `limit` checks make every
+    /// observable state transition identical to executing one item per
+    /// call, so snapshot capture points and fault semantics do not
+    /// depend on where sprints end; `limit` exists so capturing callers
+    /// get control back at exact instruction-count boundaries (pass
+    /// `u64::MAX` otherwise).
     ///
     /// `OBSERVE` compiles in the profile, trace and golden-record hooks;
     /// the run drivers pick it once per run from whether any observer
@@ -1014,12 +883,12 @@ impl<'m, 'c> Machine<'m, 'c> {
 
         /// Why the sprint handed control back.
         enum Stop<'t> {
-            /// `limit` reached or a detection is due: the caller's next
-            /// `step` resumes (or fires the detection) at this state.
+            /// `limit` reached, a detection is due, or a rolled-back run
+            /// realigned: the caller's next `step` resumes (or fires the
+            /// detection) at this state.
             Boundary,
-            /// This already-charged instruction needs the general
-            /// executor.
-            Slow(&'t Inst),
+            /// The block's already-charged `Call`.
+            Call { callee: FuncId, dst: Option<Reg>, args: &'t [Operand] },
             /// The block's already-charged `Ret`.
             Ret(&'t Option<Operand>),
         }
@@ -1027,14 +896,21 @@ impl<'m, 'c> Machine<'m, 'c> {
             let fuel = self.fuel;
             let Machine { state, fault, obs, .. } = self;
             let State {
-                control, mem, dyn_insts, eligible_seen, ckpt_high_water, activations, ..
+                control,
+                mem,
+                dyn_insts,
+                eligible_seen,
+                ckpt_high_water,
+                activations,
+                heap_seq,
+                ..
             } = state;
-            let ControlState { frames, last_alloc_of_site, .. } = control;
+            let ControlState { frames, last_alloc_of_site, externs } = control;
             let frame = frames.last_mut().expect("frame");
             let mut block = dfunc.block(frame.block);
             let mut site = (func_id, frame.block);
             // `ip` lives in a local and is written back at every sprint
-            // exit. A trap mid-sprint leaves it stale, which is
+            // exit but a trap's. A trap leaves it stale, which is
             // unobservable: recovery overwrites (or pops) the frame's
             // position, and terminal traps never read it.
             let mut ip = frame.ip;
@@ -1062,48 +938,172 @@ impl<'m, 'c> Machine<'m, 'c> {
                 if (ip as u32) < block.len {
                     let di = &dfunc.steps[block.start as usize + ip];
                     *dyn_insts += di.cost;
+                    let now = *dyn_insts;
                     if OBSERVE {
                         obs.charge(func_id, di.cost);
                     }
                     ip += 1;
-                    if let MicroOp::Slow(inst) = di.op {
-                        frame.ip = ip;
-                        break Stop::Slow(inst);
-                    }
                     // A symptom trap here propagates to `run_to_end`,
                     // which treats it as detection while a fault is
                     // live.
-                    match exec_fast::<OBSERVE>(
-                        di,
-                        frame,
-                        mem,
-                        fault,
-                        eligible_seen,
-                        last_alloc_of_site,
-                        ckpt_high_water,
-                        activations,
-                        obs,
-                        site,
-                        *dyn_insts,
-                    ) {
-                        Ok(false) => {}
-                        Ok(true) => match *fault {
-                            // The fault fired just now: start pausing
-                            // at its detection due-time.
-                            Some(Injection::Live { detect_at, .. }) => {
-                                bound = bound.min(detect_at);
+                    match &di.inst {
+                        Inst::Bin { op, dst, lhs, rhs } => {
+                            let v = eval_bin(*op, opnd(frame, lhs), opnd(frame, rhs))
+                                .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
+                            let v = inject(fault, eligible_seen, now, site, v, &mut bound);
+                            frame.regs[dst.index()] = v;
+                        }
+                        Inst::Un { op, dst, src } => {
+                            let v = eval_un(*op, opnd(frame, src))
+                                .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
+                            let v = inject(fault, eligible_seen, now, site, v, &mut bound);
+                            frame.regs[dst.index()] = v;
+                        }
+                        Inst::Mov { dst, src } => {
+                            let v = opnd(frame, src);
+                            let v = inject(fault, eligible_seen, now, site, v, &mut bound);
+                            frame.regs[dst.index()] = v;
+                        }
+                        Inst::Load { dst, addr } => {
+                            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
+                            let idx = corrupt_addr(fault, now, site, idx, &mut bound);
+                            let v = mem
+                                .read(obj, idx)
+                                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+                            if OBSERVE {
+                                let kind = AccessKind::Load;
+                                obs.program_access(mem, func_id, di.at, obj, idx, now, kind);
                             }
-                            // A `SetRecovery` realigned a rolled-back
-                            // run. Pause so the splice driver can
-                            // probe golden snapshots.
-                            _ => {
+                            let v = inject(fault, eligible_seen, now, site, v, &mut bound);
+                            frame.regs[dst.index()] = v;
+                        }
+                        Inst::Store { addr, src } => {
+                            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
+                            let idx = corrupt_addr(fault, now, site, idx, &mut bound);
+                            let v = opnd(frame, src);
+                            let v = inject(fault, eligible_seen, now, site, v, &mut bound);
+                            mem.write(obj, idx, v)
+                                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+                            if OBSERVE {
+                                let kind = AccessKind::Store;
+                                obs.program_access(mem, func_id, di.at, obj, idx, now, kind);
+                            }
+                        }
+                        Inst::Lea { dst, addr } => {
+                            // Address materialization is not fault-eligible.
+                            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
+                            frame.regs[dst.index()] = Value::Ptr { obj, idx };
+                        }
+                        // Allocation is not fault-eligible.
+                        Inst::Alloc { dst, site: heap_site, size } => {
+                            let Some(n) = opnd(frame, size).as_int().filter(|n| *n >= 0) else {
+                                return Err(memory_trap(
+                                    now,
+                                    format_args!("alloc size must be a non-negative int"),
+                                ));
+                            };
+                            let handle = mem
+                                .alloc(ObjKind::Heap(*heap_seq), n as usize)
+                                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+                            *heap_seq += 1;
+                            // Decode sized the table over every Alloc site.
+                            last_alloc_of_site[heap_site.index()] = Some(handle);
+                            frame.regs[dst.index()] = Value::Ptr { obj: handle, idx: 0 };
+                        }
+                        Inst::Call { callee, dst, args } => {
+                            frame.ip = ip;
+                            break Stop::Call { callee: *callee, dst: *dst, args };
+                        }
+                        Inst::CallExt { name, dst, args, .. } => {
+                            let vals: Vec<Value> = args.iter().map(|a| opnd(frame, a)).collect();
+                            let r = externs
+                                .call(name, &vals)
+                                .map_err(|e| Trap { kind: TrapKind::Eval(e.message), at: now })?;
+                            if let Some(d) = dst {
+                                let r = inject(fault, eligible_seen, now, site, r, &mut bound);
+                                frame.regs[d.index()] = r;
+                            }
+                        }
+                        // Instrumentation (not fault-eligible).
+                        Inst::SetRecovery { region } => {
+                            let recovery_block = match code.recovery_blocks.get(region.index()) {
+                                Some(&Some(block)) => block,
+                                Some(None) => {
+                                    return Err(eval_trap(
+                                        now,
+                                        format_args!("{region} has no recovery block"),
+                                    ))
+                                }
+                                None => {
+                                    return Err(eval_trap(
+                                        now,
+                                        format_args!("SetRecovery for unknown {region}"),
+                                    ))
+                                }
+                            };
+                            frame.recovery = Some(RecoveryState {
+                                region: *region,
+                                recovery_block,
+                                act_ordinal: *activations,
+                            });
+                            *activations += 1;
+                            frame.log.clear();
+                            frame.log_bytes = 0;
+                            if OBSERVE {
+                                obs.activation(now);
+                            }
+                            if let Some(Injection::RolledBack { site, region, ordinal }) = *fault {
+                                *fault =
+                                    Some(Injection::Realigned { site, region, ordinal, at: now });
                                 frame.ip = ip;
                                 break Stop::Boundary;
                             }
-                        },
-                        Err(t) => {
-                            frame.ip = ip;
-                            return Err(t);
+                        }
+                        Inst::CheckpointMem { addr } => {
+                            let (obj, idx) = resolve_decoded(frame, last_alloc_of_site, now, addr)?;
+                            let val = mem
+                                .read(obj, idx)
+                                .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at: now })?;
+                            if OBSERVE {
+                                obs.log_access(obj, idx, false);
+                            }
+                            if frame.recovery.is_some() {
+                                frame.log.push(CkptEntry::Mem { obj, idx, val });
+                                frame.log_bytes += 16;
+                                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
+                            }
+                        }
+                        Inst::CheckpointReg { reg } => {
+                            let val = frame.regs[reg.index()];
+                            if frame.recovery.is_some() {
+                                frame.log.push(CkptEntry::Reg { reg: *reg, val });
+                                frame.log_bytes += 8;
+                                *ckpt_high_water = (*ckpt_high_water).max(frame.log_bytes);
+                            }
+                        }
+                        Inst::Restore { region } => {
+                            if frame.recovery.is_none() {
+                                return Err(eval_trap(
+                                    now,
+                                    format_args!("Restore {region} with no armed recovery"),
+                                ));
+                            }
+                            // Newest entry first; popping keeps the log's buffer.
+                            frame.log_bytes = 0;
+                            while let Some(entry) = frame.log.pop() {
+                                match entry {
+                                    CkptEntry::Reg { reg, val } => frame.regs[reg.index()] = val,
+                                    CkptEntry::Mem { obj, idx, val } => {
+                                        mem.write(obj, idx, val).map_err(|e| Trap {
+                                            kind: TrapKind::Memory(e.message),
+                                            at: now,
+                                        })?;
+                                        if OBSERVE {
+                                            obs.log_access(obj, idx, true);
+                                        }
+                                    }
+                                }
+                            }
                         }
                     }
                 } else {
@@ -1139,7 +1139,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                             }
                             target
                         }
-                        // `Ret` pops a frame: the general executor's job.
                         Terminator::Ret(v) => break Stop::Ret(v),
                     };
                     if OBSERVE {
@@ -1155,8 +1154,8 @@ impl<'m, 'c> Machine<'m, 'c> {
 
         match stop {
             Stop::Boundary => Ok(true),
-            Stop::Slow(inst) => {
-                self.exec_inst(inst)?;
+            Stop::Call { callee, dst, args } => {
+                self.exec_call(callee, dst, args)?;
                 Ok(true)
             }
             Stop::Ret(v) => {
@@ -1166,107 +1165,31 @@ impl<'m, 'c> Machine<'m, 'c> {
         }
     }
 
-    /// The general executor: the instructions the sprint does not
-    /// lower to micro-ops, already charged by the sprint.
-    fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
-        match inst {
-            Inst::Alloc { dst, site, size } => {
-                let at = self.state.dyn_insts;
-                let Some(n) = self.operand(size).as_int().filter(|n| *n >= 0) else {
-                    return Err(memory_trap(
-                        at,
-                        format_args!("alloc size must be a non-negative int"),
-                    ));
-                };
-                let state = &mut self.state;
-                let handle = state
-                    .mem
-                    .alloc(ObjKind::Heap(state.heap_seq), n as usize)
-                    .map_err(|e| Trap { kind: TrapKind::Memory(e.message), at })?;
-                state.heap_seq += 1;
-                // Decode sized the table over every Alloc site.
-                state.control.last_alloc_of_site[site.index()] = Some(handle);
-                self.set_reg(*dst, Value::Ptr { obj: handle, idx: 0 });
-            }
-            Inst::Call { callee, dst, args } => {
-                if self.state.control.frames.len() >= MAX_CALL_DEPTH {
-                    return Err(memory_trap(
-                        self.state.dyn_insts,
-                        format_args!(
-                            "call to `{}` exceeds the {MAX_CALL_DEPTH}-frame call-depth bound",
-                            self.module.func(*callee).name
-                        ),
-                    ));
-                }
-                let mut frame = self.new_frame(*callee, *dst)?;
-                let caller = self.state.control.frames.last().expect("frame");
-                let params = self.module.func(*callee).param_count as usize;
-                for (i, a) in args.iter().enumerate().take(params) {
-                    frame.regs[i] = opnd(caller, a);
-                }
-                self.state.control.frames.push(frame);
-            }
-            Inst::CallExt { name, dst, args, .. } => {
-                let control = &mut self.state.control;
-                let frame = control.frames.last().expect("frame");
-                let site = (frame.func, frame.block);
-                let vals: Vec<Value> = args.iter().map(|a| opnd(frame, a)).collect();
-                let r = control.externs.call(name, &vals).map_err(|e| Trap {
-                    kind: TrapKind::Eval(e.message),
-                    at: self.state.dyn_insts,
-                })?;
-                if let Some(d) = dst {
-                    // The next `step` bounds its sprint by any detection
-                    // this injection scheduled.
-                    let mut fired = false;
-                    let r = inject(
-                        &mut self.fault,
-                        &mut self.state.eligible_seen,
-                        self.state.dyn_insts,
-                        site,
-                        r,
-                        &mut fired,
-                    );
-                    self.set_reg(*d, r);
-                }
-            }
-            // Decode lowered every `SetRecovery` whose region has a
-            // recovery block; one that reaches here can only trap.
-            Inst::SetRecovery { region } => {
-                let known = self.map.and_then(|m| m.regions.get(region.index())).is_some();
-                let at = self.state.dyn_insts;
-                return Err(if known {
-                    eval_trap(at, format_args!("{region} has no recovery block"))
-                } else {
-                    eval_trap(at, format_args!("SetRecovery for unknown {region}"))
-                });
-            }
-            Inst::Restore { region } => {
-                let State { control, mem, dyn_insts, .. } = &mut self.state;
-                let frame = control.frames.last_mut().expect("frame");
-                if frame.recovery.is_none() {
-                    return Err(eval_trap(
-                        *dyn_insts,
-                        format_args!("Restore {region} with no armed recovery"),
-                    ));
-                }
-                // Newest entry first; popping keeps the log's buffer.
-                frame.log_bytes = 0;
-                while let Some(entry) = frame.log.pop() {
-                    match entry {
-                        CkptEntry::Reg { reg, val } => frame.regs[reg.index()] = val,
-                        CkptEntry::Mem { obj, idx, val } => {
-                            mem.write(obj, idx, val).map_err(|e| Trap {
-                                kind: TrapKind::Memory(e.message),
-                                at: *dyn_insts,
-                            })?;
-                            self.obs.log_access(obj, idx, true);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("{inst:?} is lowered to a micro-op"),
+    /// Calls `callee(args)` from the current frame, whose `Call` the
+    /// sprint already charged: pushes the callee's activation with the
+    /// arguments written straight into its register file.
+    fn exec_call(
+        &mut self,
+        callee: FuncId,
+        dst: Option<Reg>,
+        args: &[Operand],
+    ) -> Result<(), Trap> {
+        if self.state.control.frames.len() >= MAX_CALL_DEPTH {
+            return Err(memory_trap(
+                self.state.dyn_insts,
+                format_args!(
+                    "call to `{}` exceeds the {MAX_CALL_DEPTH}-frame call-depth bound",
+                    self.module.func(callee).name
+                ),
+            ));
         }
+        let mut frame = self.new_frame(callee, dst)?;
+        let caller = self.state.control.frames.last().expect("frame");
+        let params = self.module.func(callee).param_count as usize;
+        for (i, a) in args.iter().enumerate().take(params) {
+            frame.regs[i] = opnd(caller, a);
+        }
+        self.state.control.frames.push(frame);
         Ok(())
     }
 
@@ -1697,7 +1620,7 @@ mod tests {
         let fid = m.func_by_name("f").expect("entry exists");
         let code = DecodedModule::new(&m, None);
         let fresh = || {
-            let mut mach = Machine::new(&m, &code, None, &RunConfig::default());
+            let mut mach = Machine::new(&m, &code, &RunConfig::default());
             mach.enter(fid, &[]).expect("entry frame");
             mach
         };
@@ -1734,7 +1657,7 @@ mod tests {
         }
         assert!(!fresh().same_probe_state(&diff, &fresh(), &[(0, 0)]), "diff cells ignored");
         let faulted = RunConfig { fault: Some(FaultPlan::bit_flip(0, 0, 0)), ..Default::default() };
-        let mut b = Machine::new(&m, &code, None, &faulted);
+        let mut b = Machine::new(&m, &code, &faulted);
         b.enter(fid, &[]).expect("entry frame");
         assert!(!fresh().same_probe_state(&diff, &b, &diff), "pending fault ignored");
     }

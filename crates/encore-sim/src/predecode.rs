@@ -1,138 +1,32 @@
-//! Pre-decoded instruction streams for the interpreter hot loop.
+//! Pre-decoded instruction streams for the interpreter's sprint loop.
 //!
-//! The [`Module`] representation optimizes for construction and
-//! transformation: blocks own `Vec<Inst>`, terminators live in an
-//! `Option`, and a `SetRecovery`'s recovery block takes a region-map
-//! lookup. None of that suits an interpreter that retires hundreds of
-//! millions of dynamic instructions per campaign. [`DecodedModule`]
-//! flattens each function once, up front, into an index-addressable
-//! stream:
+//! The [`Module`] representation suits construction and transformation:
+//! blocks own `Vec<Inst>`, terminators live in an `Option`, and a
+//! `SetRecovery`'s recovery block takes a region-map lookup. None of
+//! that suits an interpreter that retires hundreds of millions of
+//! dynamic instructions per campaign. [`DecodedModule`] flattens each
+//! function once, up front, into an index-addressable stream:
 //!
-//! * every instruction is lowered to a flat [`MicroOp`] (slow opcodes
-//!   keep a **borrow** of their `&Inst`) next to its precomputed charge
-//!   cost and [`InstRef`], so the `step` loop never clones an
-//!   instruction or a terminator;
+//! * every step holds its [`Inst`], which the sprint loop matches
+//!   directly, next to its [`InstRef`] and precomputed [`Inst::cost`];
 //! * every block is reduced to a `(start, len, terminator)` record;
 //! * the heap-site count is recorded so the machine can keep its
-//!   per-site allocation table in a dense `Vec` keyed by raw id.
+//!   per-site allocation table in a dense `Vec` keyed by raw id;
+//! * each region's recovery block, the one fact of the region map a
+//!   run reads, is a table indexed by region id.
 //!
 //! Decoding is cheap (one pass over the static code) and a
 //! `DecodedModule` is immutable and shareable, so a fault-injection
 //! campaign decodes once and reuses the stream across every injection.
 
 use encore_core::RegionMap;
-use encore_ir::{
-    AddrExpr, BinOp, BlockId, FuncId, HeapId, Inst, InstRef, MemBase, Module, Offset, Operand,
-    Reg, RegionId, SlotId, Terminator, UnOp,
-};
+use encore_ir::{BlockId, FuncId, Inst, InstRef, Module, Terminator};
 
-/// The base of a pre-resolved address: like [`MemBase`] but with global
-/// objects already turned into their object-table handle (globals are
-/// the first `module.globals.len()` objects, in id order — the layout
-/// [`crate::Memory::for_module`] guarantees).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum BaseMode {
-    /// A global, pre-resolved to its object handle.
-    Global(u32),
-    /// A stack slot of the current activation.
-    Slot(SlotId),
-    /// The most recent allocation of a heap site.
-    Heap(HeapId),
-    /// A pointer held in a register.
-    RegPtr(Reg),
-}
-
-/// A pre-decoded address expression.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DecodedAddr {
-    /// The base object.
-    pub(crate) base: BaseMode,
-    /// The cell offset (unchanged from the IR; already `Copy`).
-    pub(crate) off: Offset,
-}
-
-impl DecodedAddr {
-    fn lower(addr: &AddrExpr) -> Self {
-        let base = match addr.base {
-            MemBase::Global(g) => BaseMode::Global(g.raw()),
-            MemBase::Slot(s) => BaseMode::Slot(s),
-            MemBase::Heap(h) => BaseMode::Heap(h),
-            MemBase::Reg(r) => BaseMode::RegPtr(r),
-        };
-        Self { base, off: addr.offset }
-    }
-}
-
-/// A pre-decoded instruction body: every opcode the sprint loop runs
-/// is lowered into a flat, match-ready variant; the rest (calls,
-/// allocation, externs, `Restore`, an unresolvable `SetRecovery`) keep
-/// the original [`Inst`] for the general executor.
-#[derive(Debug)]
-pub(crate) enum MicroOp<'m> {
-    /// Binary operation into a register.
-    Bin { op: BinOp, dst: Reg, lhs: Operand, rhs: Operand },
-    /// Unary operation into a register.
-    Un { op: UnOp, dst: Reg, src: Operand },
-    /// Register/immediate move.
-    Mov { dst: Reg, src: Operand },
-    /// Memory read.
-    Load { dst: Reg, addr: DecodedAddr },
-    /// Memory write.
-    Store { addr: DecodedAddr, src: Operand },
-    /// Address materialization (not fault-eligible, like the original).
-    Lea { dst: Reg, addr: DecodedAddr },
-    /// Arms the frame's recovery, with the region's recovery block
-    /// pre-resolved from the region map at decode time. `SetRecovery`
-    /// against an unknown region (or one with no recovery block) stays
-    /// `Slow` so the general executor raises its trap.
-    SetRecovery { region: RegionId, recovery_block: BlockId },
-    /// Appends a memory undo entry to the armed recovery log.
-    CkptMem { addr: DecodedAddr },
-    /// Appends a register undo entry to the armed recovery log.
-    CkptReg { reg: Reg },
-    /// Infrequent opcode (calls, allocation, externs, rollback):
-    /// executed by the general executor.
-    Slow(&'m Inst),
-}
-
-impl<'m> MicroOp<'m> {
-    fn lower(inst: &'m Inst, map: Option<&RegionMap>) -> Self {
-        match inst {
-            Inst::Bin { op, dst, lhs, rhs } => {
-                MicroOp::Bin { op: *op, dst: *dst, lhs: *lhs, rhs: *rhs }
-            }
-            Inst::Un { op, dst, src } => MicroOp::Un { op: *op, dst: *dst, src: *src },
-            Inst::Mov { dst, src } => MicroOp::Mov { dst: *dst, src: *src },
-            Inst::Load { dst, addr } => {
-                MicroOp::Load { dst: *dst, addr: DecodedAddr::lower(addr) }
-            }
-            Inst::Store { addr, src } => {
-                MicroOp::Store { addr: DecodedAddr::lower(addr), src: *src }
-            }
-            Inst::Lea { dst, addr } => {
-                MicroOp::Lea { dst: *dst, addr: DecodedAddr::lower(addr) }
-            }
-            Inst::SetRecovery { region } => {
-                match map
-                    .and_then(|m| m.regions.get(region.index()))
-                    .and_then(|info| info.recovery_block)
-                {
-                    Some(rb) => MicroOp::SetRecovery { region: *region, recovery_block: rb },
-                    None => MicroOp::Slow(inst),
-                }
-            }
-            Inst::CheckpointMem { addr } => MicroOp::CkptMem { addr: DecodedAddr::lower(addr) },
-            Inst::CheckpointReg { reg } => MicroOp::CkptReg { reg: *reg },
-            _ => MicroOp::Slow(inst),
-        }
-    }
-}
-
-/// One pre-decoded instruction: the lowered body plus everything `step`
-/// would otherwise recompute per retirement.
-pub(crate) struct DecodedInst<'m> {
-    /// The lowered body the hot loop dispatches on.
-    pub(crate) op: MicroOp<'m>,
+/// One step of a function's stream: everything the sprint loop reads to
+/// retire an instruction.
+pub(crate) struct DecodedInst {
+    /// The instruction itself.
+    pub(crate) inst: Inst,
     /// Location of the instruction (for profiling footprints).
     pub(crate) at: InstRef,
     /// Precomputed [`Inst::cost`].
@@ -152,7 +46,7 @@ pub(crate) struct DecodedBlock<'m> {
 /// One pre-decoded function.
 pub(crate) struct DecodedFunc<'m> {
     /// All instructions of all blocks, flattened in block order.
-    pub(crate) steps: Vec<DecodedInst<'m>>,
+    pub(crate) steps: Vec<DecodedInst>,
     /// Per-block metadata, indexed by [`BlockId`].
     pub(crate) blocks: Vec<DecodedBlock<'m>>,
 }
@@ -176,11 +70,20 @@ pub struct DecodedModule<'m> {
     /// Heap allocation sites the module can name (sizes the machine's
     /// dense allocation table).
     pub(crate) heap_site_count: usize,
+    /// Each region's recovery block, indexed by region id; empty when
+    /// decoded without a region map. A `SetRecovery` of a region past
+    /// the end, or of one with no block, traps.
+    pub(crate) recovery_blocks: Vec<Option<BlockId>>,
+}
+
+/// The recovery block of each region `map` knows, by region id.
+fn recovery_blocks(map: Option<&RegionMap>) -> Vec<Option<BlockId>> {
+    map.map_or_else(Vec::new, |m| m.regions.iter().map(|r| r.recovery_block).collect())
 }
 
 impl<'m> DecodedModule<'m> {
-    /// Pre-decodes `module`, resolving each `SetRecovery`'s recovery
-    /// block through `map` when one is supplied.
+    /// Pre-decodes `module`, taking each region's recovery block from
+    /// `map` when one is supplied.
     #[must_use]
     pub fn new(module: &'m Module, map: Option<&RegionMap>) -> Self {
         let mut heap_site_count = module.heap_sites as usize;
@@ -197,7 +100,7 @@ impl<'m> DecodedModule<'m> {
                                 heap_site_count = heap_site_count.max(site.index() + 1);
                             }
                             steps.push(DecodedInst {
-                                op: MicroOp::lower(inst, map),
+                                inst: inst.clone(),
                                 at: InstRef::new(bid, i),
                                 cost: inst.cost(),
                             });
@@ -212,7 +115,14 @@ impl<'m> DecodedModule<'m> {
                 DecodedFunc { steps, blocks }
             })
             .collect();
-        Self { funcs, heap_site_count }
+        Self { funcs, heap_site_count, recovery_blocks: recovery_blocks(map) }
+    }
+
+    /// `true` when `map` gives every region the recovery block this
+    /// module was decoded with, so decoding with `map` would give the
+    /// same stream.
+    pub(crate) fn decoded_with(&self, map: Option<&RegionMap>) -> bool {
+        self.recovery_blocks == recovery_blocks(map)
     }
 
     /// The decoded function `f`.
@@ -263,10 +173,43 @@ mod tests {
             assert_eq!(db.term, block.term.as_ref());
             for (i, inst) in block.insts.iter().enumerate() {
                 let di = &dfunc.steps[db.start as usize + i];
+                assert_eq!(di.inst, *inst);
                 assert_eq!(di.cost, inst.cost());
                 assert_eq!(di.at, InstRef::new(bid, i));
             }
         }
+    }
+
+    /// The decoded table is the map's recovery blocks by region id, and
+    /// only the map it came from (or one with the same blocks) matches.
+    #[test]
+    fn recovery_table_follows_the_map() {
+        let mut mb = ModuleBuilder::new("m");
+        let f = mb.function("f", 0, |f| f.ret(None));
+        let m = mb.finish();
+        let region = |id, recovery_block| encore_core::RegionInfo {
+            id: encore_ir::RegionId::new(id),
+            func: f,
+            header: BlockId::new(0),
+            blocks: vec![BlockId::new(0)],
+            recovery_block,
+            protected: recovery_block.is_some(),
+            idempotent: false,
+            mem_ckpts: 0,
+            reg_ckpts: 0,
+            avg_activation_len: 0.0,
+            exec_fraction: 0.0,
+        };
+        let mut map = RegionMap::default();
+        map.regions.push(region(0, None));
+        map.regions.push(region(1, Some(BlockId::new(0))));
+        let code = DecodedModule::new(&m, Some(&map));
+        assert_eq!(code.recovery_blocks, [None, Some(BlockId::new(0))]);
+        assert!(code.decoded_with(Some(&map.clone())));
+        assert!(!code.decoded_with(None));
+        map.regions[0].recovery_block = Some(BlockId::new(0));
+        assert!(!code.decoded_with(Some(&map)));
+        assert!(DecodedModule::new(&m, None).decoded_with(None));
     }
 
     #[test]

@@ -567,7 +567,6 @@ impl std::error::Error for GoldenRunError {
 #[derive(Debug)]
 pub struct SfiCampaign<'a> {
     module: &'a Module,
-    map: Option<&'a RegionMap>,
     entry: FuncId,
     args: Vec<Value>,
     code: DecodedModule<'a>,
@@ -612,7 +611,7 @@ impl<'a> SfiCampaign<'a> {
             return Err(GoldenRunError::NoEligibleInstructions);
         }
         let fuel = golden.dyn_insts.saturating_mul(FUEL_FACTOR).max(100_000);
-        Ok(Self { module, map, entry, args: args.to_vec(), code, golden, snapshots, fuel })
+        Ok(Self { module, entry, args: args.to_vec(), code, golden, snapshots, fuel })
     }
 
     /// The golden run.
@@ -686,16 +685,16 @@ impl<'a> SfiCampaign<'a> {
         // each certified without simulating the suffix.
         let mut recall_cost = ProbeCost::default();
         let mut missed = None;
-        let run = m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts, |m, at| {
-            let (memo, _) = memo.as_ref()?;
-            let mut diff = Vec::new();
-            let key = m.probe_key(&self.snapshots, at, &mut diff)?;
-            let answer = self.recall(memo, key, m, at, &diff, &mut recall_cost);
-            if answer.is_none() {
-                missed = Some((key, m.dyn_insts()));
-            }
-            answer
-        });
+        let run =
+            m.run_to_end_or_splice(&self.snapshots, self.golden.dyn_insts, |m, at, miss, diff| {
+                let (memo, _) = memo.as_ref()?;
+                let key = m.probe_key(&self.snapshots, at, miss, diff)?;
+                let answer = self.recall(memo, key, m, at, diff, &mut recall_cost);
+                if answer.is_none() {
+                    missed = Some((key, m.dyn_insts()));
+                }
+                answer
+            });
         let (outcome, engagement) = match run {
             SpliceRun::Done(trap) => (self.classify_machine(&m, trap), None),
             SpliceRun::Spliced(rule, dyn_insts_saved) => {
@@ -785,9 +784,7 @@ impl<'a> SfiCampaign<'a> {
     fn resume(&self, plan: FaultPlan) -> Machine<'a, '_> {
         let config = self.injection_config(plan);
         match self.snapshots.nearest_at_or_before(plan.inject_at) {
-            Some(snap) => {
-                Machine::from_snapshot(self.module, &self.code, self.map, snap, &config)
-            }
+            Some(snap) => Machine::from_snapshot(self.module, &self.code, snap, &config),
             None => self.fresh_machine(&config),
         }
     }
@@ -797,7 +794,7 @@ impl<'a> SfiCampaign<'a> {
     }
 
     fn fresh_machine(&self, config: &RunConfig) -> Machine<'a, '_> {
-        let mut m = Machine::new(self.module, &self.code, self.map, config);
+        let mut m = Machine::new(self.module, &self.code, config);
         m.enter(self.entry, &self.args).expect("the golden run made the same entry call");
         m
     }
@@ -909,6 +906,7 @@ mod tests {
     use super::*;
     use crate::interp::run_function;
     use crate::rng::Rng;
+    use crate::splice::ProbeMiss;
     use encore_analysis::Profile;
     use encore_core::{Encore, EncoreConfig, RegionInfo};
     use encore_ir::{AddrExpr, BinOp, BlockId, Inst, MemBase, ModuleBuilder, Operand, RegionId};
@@ -1401,14 +1399,15 @@ mod tests {
         let mut m = campaign.resume(plan);
         let key = match m.advance_to_first_probe(&campaign.snapshots, campaign.golden.dyn_insts) {
             Advance::Probe(at, snap) if m.dyn_insts() == snap.dyn_insts() + at.delta => {
-                m.probe_key(&campaign.snapshots, at, &mut Vec::new())
+                m.probe_key(&campaign.snapshots, at, ProbeMiss::Uncompared, &mut Vec::new())
             }
             _ => None,
         };
         let mut m = campaign.resume(plan);
-        let run = m.run_to_end_or_splice(&campaign.snapshots, campaign.golden.dyn_insts, |_, _| {
-            None::<()>
-        });
+        let run =
+            m.run_to_end_or_splice(&campaign.snapshots, campaign.golden.dyn_insts, |_, _, _, _| {
+                None::<()>
+            });
         let SpliceRun::Done(trap) = run else { panic!("{plan:?} spliced") };
         (key, campaign.classify_machine(&m, trap), m.dyn_insts())
     }

@@ -579,7 +579,7 @@ mod tests {
             let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
             assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
             for snap in &log.snaps {
-                let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                let mut resumed = Machine::from_snapshot(m, &code, snap, &config);
                 let trap = resumed.run_to_end();
                 let at = snap.dyn_insts();
                 assert_eq!(resumed.into_result(trap), golden, "{}, from {at}", m.name);
@@ -603,7 +603,7 @@ mod tests {
             assert!(log.len() > 100, "{}: {} snapshots", m.name, log.len());
             let (mut loads, mut stores) = (0, 0);
             for (k, snap) in log.snaps.iter().enumerate() {
-                let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                let mut resumed = Machine::from_snapshot(m, &code, snap, &config);
                 let mut fresh = GoldenRecord::default();
                 fresh.advance();
                 resumed.obs.golden = Some(Box::new(fresh));
@@ -648,7 +648,7 @@ mod tests {
                 let (_, log) = run_function_with_snapshots(m, map, &code, entry, &args, &config, 5);
                 let mut overwritten = 0;
                 for snap in &log.snaps {
-                    let mut resumed = Machine::from_snapshot(m, &code, map, snap, &config);
+                    let mut resumed = Machine::from_snapshot(m, &code, snap, &config);
                     for frame in &mut resumed.state.control.frames {
                         let live = log.live_regs(frame.position()).expect("each frame's mask");
                         for (r, reg) in frame.regs_mut().iter_mut().enumerate() {

@@ -108,6 +108,20 @@ pub(crate) struct ProbeAt {
     pub(crate) headroom: bool,
 }
 
+/// Why a probe certified nothing, as far as the campaign memo's key
+/// needs to know: what the probe left in its diff buffer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum ProbeMiss {
+    /// No compare ran: the probe was skipped, or its gate failed.
+    Uncompared,
+    /// The two memories did not compare: a shape mismatch, or more than
+    /// [`DIFF_CAP`] cells.
+    Incomparable,
+    /// The buffer holds the complete golden diff, and the golden suffix
+    /// reads one of its cells before writing it.
+    LiveDiff,
+}
+
 /// How [`Machine::advance_to_first_probe`] stopped.
 pub(crate) enum Advance<'s> {
     /// The run ended before reaching a probe position.
@@ -222,14 +236,15 @@ impl Machine<'_, '_> {
     /// soundness arguments.
     ///
     /// When the run lands exactly on its first probe position and no
-    /// rule certifies it there, `first_miss` is asked once; an answer
+    /// rule certifies it there, `first_miss` is asked once, with the
+    /// probe's [`ProbeMiss`] and the diff buffer it left; an answer
     /// ends the run as [`SpliceRun::Answered`]. The campaign memo
     /// answers from an earlier injection that stood in the same state.
     pub(crate) fn run_to_end_or_splice<M>(
         &mut self,
         snapshots: &SnapshotLog,
         golden_final_dyn: u64,
-        mut first_miss: impl FnMut(&mut Self, ProbeAt) -> Option<M>,
+        mut first_miss: impl FnMut(&mut Self, ProbeAt, ProbeMiss, &mut Vec<(u32, u32)>) -> Option<M>,
     ) -> SpliceRun<M> {
         let (mut at, mut snap) = match self.advance_to_first_probe(snapshots, golden_final_dyn) {
             Advance::Done(end) => return SpliceRun::Done(end),
@@ -262,14 +277,18 @@ impl Machine<'_, '_> {
             // the golden run never hit.
             let landed =
                 self.state.dyn_insts == snap.dyn_insts() + at.delta && !self.fault_pending();
+            let mut miss = ProbeMiss::Uncompared;
             if landed && at.headroom {
                 self.probe_cost.probes += 1;
-                if let Some(rule) = self.classify_divergence(snapshots, at.idx, snap, &mut diff) {
-                    return SpliceRun::Spliced(rule, golden_final_dyn - snap.dyn_insts());
+                match self.classify_divergence(snapshots, at.idx, snap, &mut diff) {
+                    Ok(rule) => {
+                        return SpliceRun::Spliced(rule, golden_final_dyn - snap.dyn_insts())
+                    }
+                    Err(m) => miss = m,
                 }
             }
             if landed && misses == 0 {
-                if let Some(answer) = first_miss(self, at) {
+                if let Some(answer) = first_miss(self, at, miss, &mut diff) {
                     return SpliceRun::Answered(answer);
                 }
             }
@@ -290,8 +309,8 @@ impl Machine<'_, '_> {
     }
 
     /// The splice's probe predicate: classifies the run's divergence
-    /// from golden snapshot `snap` (index `idx`), or `None` when no
-    /// rule can certify an outcome here.
+    /// from golden snapshot `snap` (index `idx`), or says why no rule
+    /// can certify an outcome here.
     ///
     /// The gate requires [`ControlState`] equality up to the output
     /// channel and dead registers — frames (positions, slots, armed
@@ -334,22 +353,24 @@ impl Machine<'_, '_> {
         idx: usize,
         snap: &Snapshot,
         diff: &mut Vec<(u32, u32)>,
-    ) -> Option<SpliceRule> {
+    ) -> Result<SpliceRule, ProbeMiss> {
         let golden = &snap.state.control;
-        if !self.state.control.equal_but_output(golden, snapshots) || !self.golden_diff(snap, diff)
-        {
-            return None;
+        if !self.state.control.equal_but_output(golden, snapshots) {
+            return Err(ProbeMiss::Uncompared);
+        }
+        if !self.golden_diff(snap, diff) {
+            return Err(ProbeMiss::Incomparable);
         }
         let out_eq = self.state.control.externs.output == golden.externs.output;
         if diff.is_empty() && out_eq {
-            return Some(SpliceRule::Converged);
+            return Ok(SpliceRule::Converged);
         }
         let mut persists = false;
         for &cell in diff.iter() {
             match snapshots.first_access_after(idx, cell) {
                 // Read before written: its fate is unprovable here. Keep
                 // executing — later probes may still certify.
-                Some(AccessKind::Load) => return None,
+                Some(AccessKind::Load) => return Err(ProbeMiss::LiveDiff),
                 // Overwritten by the identically executing suffix: heals.
                 Some(AccessKind::Store) => {}
                 // Never touched: a global cell persists into the final
@@ -358,9 +379,9 @@ impl Machine<'_, '_> {
             }
         }
         if out_eq && !persists {
-            Some(SpliceRule::DeadDiff)
+            Ok(SpliceRule::DeadDiff)
         } else {
-            Some(SpliceRule::Sdc)
+            Ok(SpliceRule::Sdc)
         }
     }
 
@@ -394,18 +415,27 @@ impl Machine<'_, '_> {
     /// the snapshot index, the headroom bit, the [`ControlState`] with
     /// its output channel, and each cell of the golden diff (left in
     /// `diff`) with its value. `dyn_insts` is left out: it enters only
-    /// through the headroom bit and the memo's fuel rule. `None` when
-    /// the golden diff is not comparable.
+    /// through the headroom bit and the memo's fuel rule. `miss` is what
+    /// the probe there left in `diff`, so the golden diff is computed
+    /// again only when no compare ran. `None` when the golden diff is
+    /// not comparable.
     pub(crate) fn probe_key(
         &mut self,
         snapshots: &SnapshotLog,
         at: ProbeAt,
+        miss: ProbeMiss,
         diff: &mut Vec<(u32, u32)>,
     ) -> Option<u64> {
         use std::hash::{DefaultHasher, Hash, Hasher};
-        let snap = snapshots.get(at.idx)?;
-        if !self.golden_diff(snap, diff) {
-            return None;
+        match miss {
+            ProbeMiss::LiveDiff => {}
+            ProbeMiss::Incomparable => return None,
+            ProbeMiss::Uncompared => {
+                let snap = snapshots.get(at.idx)?;
+                if !self.golden_diff(snap, diff) {
+                    return None;
+                }
+            }
         }
         let mut h = DefaultHasher::new();
         (at.idx, at.headroom).hash(&mut h);

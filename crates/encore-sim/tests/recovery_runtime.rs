@@ -9,6 +9,8 @@
 //! * stale arming (detection after region exit) rolls back to the wrong
 //!   region and is visible as state divergence;
 //! * detection with no armed frame is unrecoverable;
+//! * a fault in an extern's result is detected after its latency, like
+//!   a fault in any other value;
 //! * `RunResult::fault` reports where each fault action fired and what
 //!   its detection did;
 //! * a callee's second activation starts with zeroed registers and no
@@ -16,7 +18,7 @@
 
 use encore_core::{RegionInfo, RegionMap};
 use encore_ir::{
-    AddrExpr, BinOp, BlockId, FuncId, Inst, ModuleBuilder, Operand, RegionId, Terminator,
+    AddrExpr, BinOp, BlockId, ExtEffect, FuncId, Inst, ModuleBuilder, Operand, RegionId, Terminator,
 };
 use encore_sim::{run_function, FaultAction, FaultPlan, RunConfig, TrapKind, Value};
 
@@ -225,6 +227,31 @@ fn detection_without_armed_region_is_unrecoverable() {
     assert_eq!(r.trap.unwrap().kind, TrapKind::DetectedUnrecoverable);
     assert!(r.fault.detected);
     assert!(!r.fault.rolled_back);
+}
+
+/// An extern's result is a value like any other: a fault in it is
+/// detected `latency` instructions after the call retires (at once for a
+/// power failure), in the middle of the straight-line code after it.
+#[test]
+fn a_fault_in_an_externs_result_is_detected_after_its_latency() {
+    let mut mb = ModuleBuilder::new("m");
+    let fid = mb.function("f", 0, |f| {
+        let r = f.call_ext("prng", &[], ExtEffect::Opaque);
+        for _ in 0..8 {
+            f.mov(Operand::ImmI(0));
+        }
+        f.ret(Some(r.into()));
+    });
+    let m = mb.finish();
+    let power = FaultPlan { inject_at: 0, action: FaultAction::PowerFailure, detect_latency: 0 };
+    let plans = (0..6).map(|l| (FaultPlan::bit_flip(0, 0, l), 1 + l)).chain([(power, 1)]);
+    for (plan, want_at) in plans {
+        let config = RunConfig { fault: Some(plan), ..Default::default() };
+        let r = run_function(&m, None, fid, &[], &config);
+        let trap = r.trap.expect("detection ends the run");
+        assert_eq!((trap.kind, trap.at), (TrapKind::DetectedUnrecoverable, want_at), "{plan:?}");
+        assert_eq!(r.fault.inject_site, Some((fid, BlockId::new(0))), "{plan:?}");
+    }
 }
 
 #[test]

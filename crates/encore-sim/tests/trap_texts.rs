@@ -8,11 +8,13 @@
 //! single faulty instruction, so each trap fires at dynamic instruction
 //! 2 (3 after the two-cost `CheckpointMem` or a first `Alloc`, 1 at the
 //! free `Restore`, and 2 per level of the recursion that exhausts the
-//! call depth).
+//! call depth). A case that needs recovery metadata runs with a region
+//! map; the rest run without one.
 
+use encore_core::{RegionInfo, RegionMap};
 use encore_ir::{
-    AddrExpr, BinOp, FunctionBuilder, GlobalId, Inst, MemBase, Module, ModuleBuilder, Operand,
-    RegionId, UnOp, MAX_OBJECT_CELLS,
+    AddrExpr, BinOp, BlockId, ExtEffect, FunctionBuilder, GlobalId, Inst, MemBase, Module,
+    ModuleBuilder, Operand, RegionId, UnOp, MAX_OBJECT_CELLS,
 };
 use encore_sim::{run_function, RunConfig, Trap, TrapKind, Value};
 
@@ -35,6 +37,26 @@ fn mem(msg: &str, at: u64) -> Trap {
 
 fn eval(msg: &str, at: u64) -> Trap {
     Trap { kind: TrapKind::Eval(msg.to_string()), at }
+}
+
+/// A map that knows region 0 of `f` but gave it no recovery block, as
+/// for a region left uninstrumented.
+fn map_without_recovery_block(m: &Module) -> RegionMap {
+    let mut map = RegionMap::default();
+    map.regions.push(RegionInfo {
+        id: RegionId::new(0),
+        func: m.func_by_name("f").expect("entry exists"),
+        header: BlockId::new(0),
+        blocks: vec![BlockId::new(0)],
+        recovery_block: None,
+        protected: false,
+        idempotent: true,
+        mem_ckpts: 0,
+        reg_ckpts: 0,
+        avg_activation_len: 0.0,
+        exec_fraction: 0.0,
+    });
+    map
 }
 
 #[test]
@@ -232,11 +254,37 @@ fn every_symptom_trap_has_its_pinned_kind_text_and_position() {
             [int(0), int(0)],
             eval("Restore region0 with no armed recovery", 1),
         ),
+        (
+            "unknown extern",
+            module(|f, _| f.call_ext_void("nope", &[], ExtEffect::Opaque)),
+            [int(0), int(0)],
+            eval("unknown extern `nope`", 2),
+        ),
+        (
+            "extern argument of the wrong type",
+            module(|f, _| {
+                f.call_ext("sin", &[f.param(0).into()], ExtEffect::Pure);
+            }),
+            [int(1), int(0)],
+            eval("extern `sin` expects float argument 0", 2),
+        ),
     ];
     for (name, m, args, want) in cases {
-        let entry = m.func_by_name("f").expect("entry exists");
-        let r = run_function(&m, None, entry, &args, &RunConfig::default());
-        assert!(!r.completed, "{name}: ran to completion");
-        assert_eq!(r.trap.as_ref(), Some(&want), "{name}");
+        check(name, &m, None, &args, &want);
     }
+    let m = module(|f, _| f.emit(Inst::SetRecovery { region: RegionId::new(0) }));
+    check(
+        "set-recovery for a region with no recovery block",
+        &m,
+        Some(&map_without_recovery_block(&m)),
+        &[int(0), int(0)],
+        &eval("region0 has no recovery block", 2),
+    );
+}
+
+fn check(name: &str, m: &Module, map: Option<&RegionMap>, args: &[Value], want: &Trap) {
+    let entry = m.func_by_name("f").expect("entry exists");
+    let r = run_function(m, map, entry, args, &RunConfig::default());
+    assert!(!r.completed, "{name}: ran to completion");
+    assert_eq!(r.trap.as_ref(), Some(want), "{name}");
 }

@@ -21,6 +21,12 @@ cargo test -q --offline --workspace
 echo "==> cargo test --release -q --offline -p encore-sim"
 cargo test --release -q --offline -p encore-sim
 
+# The observe-hook digests pin where the profile, trace and golden-record
+# hooks fire in the sprint loop, so check them against the optimised
+# loop too, not only the debug one.
+echo "==> cargo test --release -q --offline --test observe_hook"
+cargo test --release -q --offline --test observe_hook
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
