@@ -2,17 +2,20 @@
 //!
 //! Encore forms its candidate recovery regions from intervals (§3.3 of the
 //! paper): an interval is a loop plus the acyclic "tails" dangling from it
-//! (or just a SEME subgraph sharing a dominating header). Two properties
+//! (or just a SEME subgraph entered through one header). Two properties
 //! matter:
 //!
-//! 1. every interval is a SEME region — single entry (the header, which
-//!    dominates all members), any number of exits;
+//! 1. every interval is a SEME region — single entry (every path from the
+//!    function entry to a member passes through the header), any number
+//!    of exits;
 //! 2. partitioning can be applied *recursively*: collapsing each interval
 //!    to a node yields a derived graph whose intervals are coarser
 //!    candidate regions.
 //!
 //! [`IntervalHierarchy`] materializes all levels until the derived graph
-//! stops shrinking (a single node for reducible CFGs).
+//! stops shrinking: to a single node exactly when the CFG is reducible,
+//! while an irreducible cycle keeps its entries in separate intervals at
+//! every level.
 
 use encore_ir::{BlockId, Function};
 use std::collections::{BTreeMap, BTreeSet};
@@ -20,7 +23,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One interval: a SEME set of blocks with a distinguished header.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Interval {
-    /// Header block: the single entry, dominating all member blocks.
+    /// Header block: the single entry, through which every path from the
+    /// function entry to a member passes.
     pub header: BlockId,
     /// All member blocks, header included.
     pub blocks: BTreeSet<BlockId>,
@@ -221,6 +225,14 @@ mod tests {
         IntervalHierarchy::compute(&m.funcs[0])
     }
 
+    /// Single entry: with `iv`'s header removed, none of its members is
+    /// reachable from the function entry.
+    fn assert_single_entry(f: &Function, iv: &Interval) {
+        let allowed: BTreeSet<BlockId> = f.block_ids().filter(|&b| b != iv.header).collect();
+        let reach = crate::order::reachable_from(f, f.entry(), Some(&allowed));
+        assert!(reach.is_disjoint(&iv.blocks), "interval {} has a second entry", iv.header);
+    }
+
     #[test]
     fn straight_line_is_single_interval() {
         let mut mb = ModuleBuilder::new("m");
@@ -302,7 +314,6 @@ mod tests {
 
     #[test]
     fn headers_dominate_members() {
-        use crate::dom::DomTree;
         let mut mb = ModuleBuilder::new("m");
         mb.function("f", 1, |f| {
             let n = f.param(0);
@@ -321,20 +332,33 @@ mod tests {
         });
         let m = mb.finish();
         let f = &m.funcs[0];
-        let dom = DomTree::compute(f);
-        let h = IntervalHierarchy::compute(f);
-        for level in &h.levels {
-            for iv in level {
-                for b in &iv.blocks {
-                    assert!(
-                        dom.dominates(iv.header, *b),
-                        "header {} does not dominate member {}",
-                        iv.header,
-                        b
-                    );
-                }
-            }
+        for iv in IntervalHierarchy::compute(f).levels.iter().flatten() {
+            assert_single_entry(f, iv);
         }
+    }
+
+    #[test]
+    fn irreducible_cycle_stays_split() {
+        // A cycle with two entries: entry -> a, entry -> b, a -> b,
+        // b -> a. No single-entry interval can hold it whole.
+        let mut mb = ModuleBuilder::new("m");
+        mb.function("f", 1, |f| {
+            let p = f.param(0);
+            let a = f.add_block();
+            let b = f.add_block();
+            f.branch(p.into(), a, b);
+            f.switch_to(a);
+            f.jump(b);
+            f.switch_to(b);
+            f.jump(a);
+        });
+        let m = mb.finish();
+        let f = &m.funcs[0];
+        let h = IntervalHierarchy::compute(f);
+        for iv in h.levels.iter().flatten() {
+            assert_single_entry(f, iv);
+        }
+        assert!(h.levels.last().unwrap().len() > 1, "{h:?}");
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //!   whole functions and regions;
 //! * [dense bitsets](BitSet) and the [worklist solver](dataflow) — the
 //!   engine the RS/GA/EA and liveness fixpoints run on;
-//! * [dominator trees](DomTree) — SEME-ness and back-edge detection;
-//! * [natural loops](LoopForest) — the hierarchical loop handling of
-//!   §3.1.2, with irreducibility detection (footnote 3);
 //! * [interval partitioning](IntervalHierarchy) — candidate region
 //!   formation per §3.3, applied recursively;
 //! * [register liveness](Liveness) — live-in checkpointing of §3.2;
@@ -29,10 +26,8 @@
 mod alias;
 mod bitset;
 pub mod dataflow;
-mod dom;
 mod intervals;
 mod liveness;
-mod loops;
 mod memprofile;
 mod memsummary;
 pub mod order;
@@ -43,8 +38,6 @@ pub use bitset::BitSet;
 pub use dataflow::solve_worklist;
 pub use memprofile::{MemProfile, SiteRef};
 pub use memsummary::{AddrSet, FuncEffects, MemSummary, SummaryAddr};
-pub use dom::DomTree;
 pub use intervals::{Interval, IntervalHierarchy};
 pub use liveness::Liveness;
-pub use loops::{Loop, LoopForest};
 pub use profile::{FuncProfile, Profile};

@@ -1,9 +1,9 @@
 //! CFG traversal orders.
 //!
 //! Post-order traversals and reachability, both for whole functions and
-//! for arbitrary block subsets (regions): dominators and liveness seed
-//! their fixpoints in post-order, and region formation and CFG
-//! simplification ask which blocks are reachable.
+//! for arbitrary block subsets (regions): liveness seeds its fixpoint in
+//! post-order, and interval partitioning and the reference region
+//! analysis ask which blocks are reachable.
 
 use encore_ir::{BlockId, Function};
 use std::collections::BTreeSet;

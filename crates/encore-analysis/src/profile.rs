@@ -9,18 +9,13 @@
 use encore_ir::{BlockId, FuncId, Module};
 use std::collections::BTreeMap;
 
-/// Per-function execution counts.
+/// Per-function block and edge counts.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FuncProfile {
     /// Number of times each block executed.
     pub block_counts: BTreeMap<BlockId, u64>,
     /// Number of times each CFG edge was taken.
     pub edge_counts: BTreeMap<(BlockId, BlockId), u64>,
-    /// Number of invocations of the function.
-    pub invocations: u64,
-    /// Dynamic instructions retired inside the function body
-    /// (callees excluded).
-    pub dyn_insts: u64,
 }
 
 impl FuncProfile {
@@ -95,7 +90,6 @@ mod tests {
         p.block_counts.insert(BlockId::new(0), 100);
         p.block_counts.insert(BlockId::new(1), 10);
         p.edge_counts.insert((BlockId::new(0), BlockId::new(1)), 10);
-        p.invocations = 100;
         p
     }
 

@@ -1,6 +1,6 @@
 //! Runs every paper experiment in sequence (Table 1, Figures 1, 5, 6,
-//! 7a, 7b, 8) by invoking the sibling harness binaries' logic through a
-//! single process. Used to regenerate `EXPERIMENTS.md` data.
+//! 7a, 7b, 8), spawning each sibling harness binary as a child process
+//! with this run's arguments. Used to regenerate `EXPERIMENTS.md` data.
 //!
 //! Usage: `experiments [--workloads a,b,c] [--sfi N]`
 //!

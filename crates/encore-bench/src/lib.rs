@@ -1,11 +1,11 @@
 //! # encore-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! Encore paper. Each experiment is a binary (`fig1`, `fig5`, `fig6`,
-//! `fig7a`, `fig7b`, `fig8`, `table1`, `experiments`); this library holds
-//! the shared driver: profile a workload on its training input, run the
-//! Encore pipeline, execute the instrumented module on the evaluation
-//! input, and measure rather than estimate whatever can be measured.
+//! Encore paper: one binary each (`fig1`, `fig5`, `fig6`, `fig7a`,
+//! `fig7b`, `fig8`, `table1`), `experiments` to run them all, and the
+//! `ablations` study. This library is their shared driver: profile on the
+//! training input, run the Encore pipeline, run the instrumented module
+//! on the evaluation input, and measure rather than estimate what it can.
 
 #![warn(missing_docs)]
 

@@ -312,26 +312,22 @@ pub fn cmd_demo(name: &str) -> Result<String, CliError> {
     ))
 }
 
-/// `run`: execute a module and report the observable outcome.
+/// `run`: execute a module and report the observable outcome. A trap is
+/// part of the report, with the argument the run trapped on.
 ///
 /// # Errors
 ///
-/// Propagates load failures and traps.
+/// Propagates load failures.
 pub fn cmd_run(text: &str, opts: &Options) -> Result<String, CliError> {
     let module = load_module(text)?;
     let entry = resolve_entry(&module, opts)?;
-    let r = run_function(
-        &module,
-        None,
-        entry,
-        &[Value::Int(opts.eval_arg)],
-        &RunConfig::default(),
-    );
+    let arg = opts.eval_arg;
+    let r = run_function(&module, None, entry, &[Value::Int(arg)], &RunConfig::default());
     let mut out = String::new();
     let _ = writeln!(out, "entry:            {}", module.func(entry).name);
     let _ = writeln!(out, "completed:        {}", r.completed);
     if let Some(t) = &r.trap {
-        let _ = writeln!(out, "trap:             {t}");
+        let _ = writeln!(out, "trap:             {t} with --eval-arg {arg}; {SUGGESTED_ARGS}");
     }
     let _ = writeln!(out, "return value:     {:?}", r.ret);
     let _ = writeln!(out, "dynamic insts:    {}", r.dyn_insts);
@@ -793,6 +789,17 @@ mod tests {
         let (_, opts) = Options::parse(&["--train-arg".into(), "4".into()]).unwrap();
         let e = cmd_sfi(&text, &opts).unwrap_err().0;
         assert!(e.contains("--eval-arg 32"), "{e}");
+    }
+
+    #[test]
+    fn a_trapping_run_names_its_flag() {
+        let text = demo_text("mpeg2enc");
+        let out = cmd_run(&text, &Options::default()).expect("a trap is a report");
+        assert!(out.contains("completed:        false"), "{out}");
+        assert!(out.contains("with --eval-arg 32;") && out.contains("# suggested:"), "{out}");
+        let (_, opts) = Options::parse(&["--eval-arg".into(), "8".into()]).unwrap();
+        let out = cmd_run(&text, &opts).expect("runs");
+        assert!(out.contains("completed:        true") && !out.contains("trap:"), "{out}");
     }
 
     #[test]

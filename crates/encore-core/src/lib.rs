@@ -5,8 +5,8 @@
 //! [`encore_ir`] and [`encore_analysis`]:
 //!
 //! * the [idempotence analysis](idempotence) — reachable-store /
-//!   guarded-address / exposed-address dataflow (Eqs. 1–4) with
-//!   hierarchical loop handling and `Pmin` profile pruning;
+//!   guarded-address / exposed-address dataflow (Eqs. 1–4), run to a
+//!   fixpoint around each region's loops, with `Pmin` profile pruning;
 //! * [region formation and selection](region) — interval-based SEME
 //!   candidate regions, γ cost/coverage filtering and η-controlled
 //!   merging (Eq. 5);
@@ -40,7 +40,7 @@ pub use idempotence::{IdempotenceAnalyzer, RegionAnalysis, RegionSpec, Verdict, 
 pub use instrument::{
     instrument_module_with, InstrumentedModule, RegionInfo, RegionMap, StorageReport,
 };
-pub use memref::{AbsAddr, GuardAddr, GuardSet, LoadSite, SiteSet, StoreSite};
+pub use memref::{AbsAddr, GuardAddr, GuardSet, LoadSite, StoreSite};
 pub use pipeline::{Encore, EncoreOutcome, RegionReport};
 pub use region::{CandidateRegion, RegionCosting, RegionPartition};
 pub use trace::{trace_window_idempotent, window_violation_count, TraceIdempotence};

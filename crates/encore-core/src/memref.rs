@@ -99,9 +99,6 @@ pub struct LoadSite {
     pub addr: AbsAddr,
 }
 
-/// An ordered set of instruction sites (used for both RS and EA keys).
-pub type SiteSet = BTreeSet<InstRef>;
-
 /// An ordered set of guaranteed-overwritten cells (the GA sets of Eq. 2).
 pub type GuardSet = BTreeSet<GuardAddr>;
 

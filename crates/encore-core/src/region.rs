@@ -408,8 +408,6 @@ mod tests {
                 p.func_mut(fid).edge_counts.insert((b, s), count);
             }
         }
-        p.func_mut(fid).invocations = count;
-        p.func_mut(fid).dyn_insts = dyn_insts;
         p.total_dyn_insts = dyn_insts;
         p
     }

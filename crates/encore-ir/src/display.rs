@@ -4,7 +4,6 @@
 //! property test in the crate asserts `parse(print(m)) == m`.
 
 use crate::function::Function;
-use crate::ids::{BlockId, FuncId};
 use crate::inst::{Inst, Operand, Terminator};
 use crate::module::Module;
 use std::fmt;
@@ -117,24 +116,6 @@ impl fmt::Display for Module {
     }
 }
 
-/// Renders a block id list compactly, e.g. `{bb0, bb3, bb4}`.
-pub fn block_set_to_string(blocks: &[BlockId]) -> String {
-    let mut s = String::from("{");
-    for (i, b) in blocks.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&b.to_string());
-    }
-    s.push('}');
-    s
-}
-
-/// Renders a function id for display given its module (uses the name).
-pub fn func_name(module: &Module, f: FuncId) -> &str {
-    &module.func(f).name
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,11 +139,5 @@ mod tests {
         assert!(text.contains("r1 = add r0, 1"));
         assert!(text.contains("store g0[0], r1"));
         assert!(text.contains("ret r1"));
-    }
-
-    #[test]
-    fn block_set_rendering() {
-        let s = block_set_to_string(&[BlockId::new(0), BlockId::new(2)]);
-        assert_eq!(s, "{bb0, bb2}");
     }
 }

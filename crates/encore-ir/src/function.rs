@@ -1,8 +1,7 @@
 //! Basic blocks and functions.
 
-use crate::ids::{BlockId, FuncId, InstRef, Reg, SlotId};
+use crate::ids::{BlockId, InstRef, Reg, SlotId};
 use crate::inst::{Inst, Terminator};
-use std::collections::BTreeMap;
 
 /// A basic block: straight-line instructions plus one terminator.
 #[derive(Clone, PartialEq, Debug)]
@@ -137,18 +136,6 @@ impl Function {
         id
     }
 
-    /// Predecessor map: for each block, the blocks that branch to it.
-    pub fn predecessors(&self) -> BTreeMap<BlockId, Vec<BlockId>> {
-        let mut preds: BTreeMap<BlockId, Vec<BlockId>> =
-            self.block_ids().map(|b| (b, Vec::new())).collect();
-        for (id, block) in self.iter_blocks() {
-            for succ in block.successors() {
-                preds.get_mut(&succ).expect("successor out of range").push(id);
-            }
-        }
-        preds
-    }
-
     /// Looks up an instruction by [`InstRef`].
     ///
     /// # Panics
@@ -178,17 +165,6 @@ impl Function {
     }
 }
 
-/// A function signature reference as seen from a module: id + name.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FuncSig {
-    /// Dense id within the module.
-    pub id: FuncId,
-    /// Name.
-    pub name: String,
-    /// Parameter count.
-    pub param_count: u32,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,24 +176,6 @@ mod tests {
         assert_eq!(f.blocks.len(), 1);
         assert_eq!(f.entry(), BlockId::new(0));
         assert_eq!(f.reg_count, 2);
-    }
-
-    #[test]
-    fn predecessors_computed() {
-        let mut f = Function::new("f", 0);
-        let b1 = f.add_block();
-        let b2 = f.add_block();
-        f.block_mut(f.entry()).term = Some(Terminator::Branch {
-            cond: Operand::ImmI(1),
-            then_bb: b1,
-            else_bb: b2,
-        });
-        f.block_mut(b1).term = Some(Terminator::Jump(b2));
-        f.block_mut(b2).term = Some(Terminator::Ret(None));
-        let preds = f.predecessors();
-        assert_eq!(preds[&b2], vec![BlockId::new(0), b1]);
-        assert_eq!(preds[&b1], vec![BlockId::new(0)]);
-        assert!(preds[&f.entry()].is_empty());
     }
 
     #[test]

@@ -60,9 +60,8 @@ mod verify;
 
 pub use addr::{AddrExpr, MemBase, Offset};
 pub use builder::{FunctionBuilder, ModuleBuilder};
-pub use display::{block_set_to_string, func_name};
 pub use event::{AccessKind, Cell, MemEvent, ObjKind};
-pub use function::{Block, FuncSig, Function, SlotDecl};
+pub use function::{Block, Function, SlotDecl};
 pub use ids::{BlockId, FuncId, GlobalId, HeapId, InstRef, Reg, RegionId, SlotId};
 pub use inst::{BinOp, ExtEffect, Inst, Operand, Terminator, UnOp};
 pub use module::{GlobalDecl, Module};

@@ -380,15 +380,6 @@ impl Observers {
         self.profile.is_some() || self.trace.is_some() || self.golden.is_some()
     }
 
-    /// One retirement of `cost` dynamic instructions inside `func`.
-    #[inline]
-    fn charge(&mut self, func: FuncId, cost: u64) {
-        if let Some(p) = &mut self.profile {
-            p.func_mut(func).dyn_insts += cost;
-            p.total_dyn_insts += cost;
-        }
-    }
-
     fn block_entry(&mut self, func: FuncId, block: BlockId) {
         if let Some(p) = &mut self.profile {
             *p.func_mut(func).block_counts.entry(block).or_insert(0) += 1;
@@ -939,9 +930,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                     let di = &dfunc.steps[block.start as usize + ip];
                     *dyn_insts += di.cost;
                     let now = *dyn_insts;
-                    if OBSERVE {
-                        obs.charge(func_id, di.cost);
-                    }
                     ip += 1;
                     // A symptom trap here propagates to `run_to_end`,
                     // which treats it as detection while a fault is
@@ -1115,9 +1103,6 @@ impl<'m, 'c> Machine<'m, 'c> {
                         ));
                     };
                     *dyn_insts += 1;
-                    if OBSERVE {
-                        obs.charge(func_id, 1);
-                    }
                     let target = match term {
                         Terminator::Jump(t) => *t,
                         Terminator::Branch { cond, then_bb, else_bb } => {
@@ -1159,7 +1144,7 @@ impl<'m, 'c> Machine<'m, 'c> {
                 Ok(true)
             }
             Stop::Ret(v) => {
-                self.exec_ret(func_id, v);
+                self.exec_ret(v);
                 Ok(!self.state.control.frames.is_empty())
             }
         }
@@ -1193,13 +1178,10 @@ impl<'m, 'c> Machine<'m, 'c> {
         Ok(())
     }
 
-    /// Returns from the current frame of `func_id` with value `v`.
-    fn exec_ret(&mut self, func_id: FuncId, v: &Option<Operand>) {
+    /// Returns from the current frame with value `v`.
+    fn exec_ret(&mut self, v: &Option<Operand>) {
         let val = v.as_ref().map(|op| self.operand(op));
         let frame = self.state.control.frames.pop().expect("frame");
-        if let Some(p) = &mut self.obs.profile {
-            p.func_mut(func_id).invocations += 1;
-        }
         match self.state.control.frames.last_mut() {
             Some(caller) => {
                 if let Some(dst) = frame.ret_dst {
@@ -1312,6 +1294,10 @@ impl<'m, 'c> Machine<'m, 'c> {
     /// returned `trap`.
     pub(crate) fn into_result(self, trap: Option<Trap>) -> RunResult {
         let fault = self.telemetry();
+        // Only `Machine::new`'s runs, which start at dynamic instruction
+        // 0, collect a profile.
+        let profile =
+            self.obs.profile.map(|p| Profile { total_dyn_insts: self.state.dyn_insts, ..p });
         RunResult {
             ret: self.final_ret,
             completed: trap.is_none(),
@@ -1319,7 +1305,7 @@ impl<'m, 'c> Machine<'m, 'c> {
             dyn_insts: self.state.dyn_insts,
             output: self.state.control.externs.output,
             globals: self.state.mem.globals_snapshot(),
-            profile: self.obs.profile,
+            profile,
             trace: self.obs.trace,
             eligible_insts: self.state.eligible_seen,
             ckpt_high_water_bytes: self.state.ckpt_high_water,
@@ -1504,10 +1490,16 @@ mod tests {
         });
         let m = mb.finish();
         let fid = m.func_by_name("f").unwrap();
-        let config = RunConfig { fuel: 1000, ..Default::default() };
-        let r = run_function(&m, None, fid, &[], &config);
-        assert!(!r.completed);
-        assert_eq!(r.trap.unwrap().kind, TrapKind::FuelExhausted);
+        for collect_profile in [false, true] {
+            let config = RunConfig { fuel: 1000, collect_profile, ..Default::default() };
+            let r = run_function(&m, None, fid, &[], &config);
+            assert!(!r.completed);
+            assert_eq!(r.trap.as_ref().unwrap().kind, TrapKind::FuelExhausted);
+            assert_eq!(r.dyn_insts, 1000);
+            if let Some(p) = r.profile {
+                assert_eq!(p.total_dyn_insts, 1000);
+            }
+        }
     }
 
     #[test]
@@ -1532,7 +1524,34 @@ mod tests {
         assert_eq!(fp.count(BlockId::new(0)), 1);
         assert_eq!(fp.count(BlockId::new(1)), 6);
         assert_eq!(fp.count(BlockId::new(2)), 5);
-        assert_eq!(fp.invocations, 1);
+        assert_eq!(p.total_dyn_insts, r.dyn_insts);
+    }
+
+    /// A profiled run that traps mid-block counts every instruction it
+    /// retired, the trapping load included.
+    #[test]
+    fn profile_counts_up_to_a_trap() {
+        let mut mb = ModuleBuilder::new("m");
+        let g = mb.global("g", 4);
+        mb.function("f", 1, |f| {
+            let n = f.param(0);
+            let acc = f.mov(Operand::ImmI(0));
+            f.for_range(Operand::ImmI(0), n.into(), |f, i| {
+                let v = f.load(AddrExpr::indexed(MemBase::Global(g), i, 1, 0));
+                f.bin_to(acc, BinOp::Add, acc.into(), v.into());
+            });
+            f.ret(Some(acc.into()));
+        });
+        let m = mb.finish();
+        let fid = m.func_by_name("f").unwrap();
+        let config = RunConfig { collect_profile: true, ..Default::default() };
+        let r = run_function(&m, None, fid, &[Value::Int(10)], &config);
+        let trap = r.trap.as_ref().expect("g[4] is out of bounds");
+        assert!(matches!(trap.kind, TrapKind::Memory(_)), "{trap}");
+        assert_eq!(trap.at, r.dyn_insts);
+        let p = r.profile.expect("profile collected");
+        // The body ran for i = 0..=3 and trapped in its fifth entry.
+        assert_eq!(p.func(fid).count(BlockId::new(2)), 5);
         assert_eq!(p.total_dyn_insts, r.dyn_insts);
     }
 

@@ -4,42 +4,45 @@
 # `--offline` is load-bearing, not an optimization: the workspace has a
 # zero-external-dependency policy (see DESIGN.md §7), and building with
 # the network forbidden is what enforces it — any crates.io dependency
-# that sneaks into a manifest fails this script immediately.
+# that sneaks into a manifest fails this script immediately. `--locked`
+# does the same for the lock files: a manifest edit that leaves
+# `Cargo.lock` (or `perfbench/Cargo.lock`) stale fails here instead of
+# rewriting the lock.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --offline"
-cargo build --release --offline --workspace
+cargo build --release --locked --offline --workspace
 
 echo "==> cargo test -q --offline"
-cargo test -q --offline --workspace
+cargo test -q --locked --offline --workspace
 
 # The simulator's unit tests again in release: overflow wraps and
 # `debug_assert!` is compiled out there, so its handle conversions and
 # inlined arithmetic can behave differently than under the debug run.
 echo "==> cargo test --release -q --offline -p encore-sim"
-cargo test --release -q --offline -p encore-sim
+cargo test --release -q --locked --offline -p encore-sim
 
 # The observe-hook digests pin where the profile, trace and golden-record
 # hooks fire in the sprint loop, so check them against the optimised
 # loop too, not only the debug one.
 echo "==> cargo test --release -q --offline --test observe_hook"
-cargo test --release -q --offline --test observe_hook
+cargo test --release -q --locked --offline --test observe_hook
 
 echo "==> cargo clippy --offline -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --locked --offline --workspace --all-targets -- -D warnings
 
 # Intra-doc links rot silently when an item they name is deleted or
 # made private; rustdoc reports them only as warnings, so deny them.
 echo "==> cargo doc --offline (rustdoc -D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked --offline
 
 # Private items' docs link to each other as much as public ones do (the
 # simulator's internals are mostly `pub(crate)`), and the public pass
 # does not render them, so check their links in a second pass.
 echo "==> cargo doc --offline --document-private-items (rustdoc -D warnings)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --locked --offline
 
 # EXPERIMENTS.md quotes the experiment binaries verbatim: rerun the
 # command of every labelled block and fail on any line that differs, so
@@ -58,7 +61,7 @@ scripts/check-experiments.sh
 echo "==> SFI campaign smoke (fixed seed, per fault model)"
 for model in bit-flip multi-bit address control-flow power-failure; do
     echo "==> fault model: $model"
-    cargo run --release --offline --example fault_injection_campaign -- rawcaudio 24 50 0 12345 "$model"
+    cargo run --release --locked --offline --example fault_injection_campaign -- rawcaudio 24 50 0 12345 "$model"
 done
 
 # Divergence-splice smoke: a fixed-seed campaign on a hand-built kernel
@@ -83,20 +86,20 @@ done
 # case engaging each rule and fails unless the minimised case still
 # engages it within 24 choices.
 echo "==> divergence-splice smoke (fixed seed)"
-cargo test --release -q --offline --test sfi_campaign -- \
+cargo test --release -q --locked --offline --test sfi_campaign -- \
     splice_smoke_all_rules_engage splice_never_changes_campaign_results \
     memo_never_changes_campaign_reports negative_zero_flip_splices_to_the_no_splice_outcome \
     faulted_alloc_sizes_are_contained \
     renamed_reruns_splice_to_the_no_splice_outcome_under_every_plan \
     a_region_armed_once_splices_its_rerun_as_dead_diff
-cargo test --release -q --offline --test fuzz_differential -- \
+cargo test --release -q --locked --offline --test fuzz_differential -- \
     --ignored --exact find_rule_regression_candidates
 
 # Containment: token- and byte-level mutants of printed modules, and
 # four module shapes too large to run, end in a parse or verify error or
 # a trap, never in an aborted process.
 echo "==> containment (mutated and oversized modules)"
-cargo test --release -q --offline --test workload_roundtrip -- \
+cargo test --release -q --locked --offline --test workload_roundtrip -- \
     mutated_modules_are_errors_or_traps_never_aborts modules_too_large_to_run_are_errors_or_traps
 
 # A loop of zero-cell allocations: each empty object is charged one heap
@@ -158,7 +161,7 @@ target/release/encore-cli demo 164.gzip@100x | head -c 1 > /dev/null
 # above already checked every splice probe's shared-page compare against
 # the full scan.)
 echo "==> differential fuzz smoke (64 fixed-seed cases)"
-ENCORE_FUZZ_CASES=64 cargo test --release -q --offline --test fuzz_differential -- \
+ENCORE_FUZZ_CASES=64 cargo test --release -q --locked --offline --test fuzz_differential -- \
     fuzzed_campaigns_are_splice_stride_and_worker_invariant \
     fuzzed_campaigns_are_invariant_under_every_fault_model \
     fuzzed_fault_plans_agree_between_resume_and_scratch
@@ -167,6 +170,6 @@ ENCORE_FUZZ_CASES=64 cargo test --release -q --offline --test fuzz_differential 
 # run above does not reach its tests (metric names, compare verdicts,
 # a smoke of every workload).
 echo "==> perfbench tests"
-cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
+cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml --target-dir .bench_build
 
 echo "==> OK"

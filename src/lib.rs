@@ -14,7 +14,7 @@
 //! This crate is a facade re-exporting the whole stack:
 //!
 //! * [`ir`] — the executable compiler IR the passes run on;
-//! * [`analysis`] — dominators, loops, intervals, liveness, alias
+//! * [`analysis`] — traversal orders, intervals, liveness, alias
 //!   oracles, profiles;
 //! * [`core`] — the paper's contribution: idempotence analysis
 //!   (Eqs. 1–4), region formation/merging (γ, η, Eq. 5), selective

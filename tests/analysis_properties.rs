@@ -1,12 +1,12 @@
 //! Property-based invariants of the analysis stack, exercised on random
-//! generated programs: printer/parser round-trips, dominator-tree laws,
-//! region partition well-formedness, alias-oracle monotonicity, and
-//! analysis determinism.
+//! generated programs: printer/parser round-trips, interval laws
+//! (partition, single entry, reducibility), alias-oracle monotonicity,
+//! and analysis determinism.
 
 mod common;
 
 use common::prop::{check, prop_assert, prop_assert_eq};
-use encore::analysis::{DomTree, IntervalHierarchy, LoopForest, Profile};
+use encore::analysis::{order, IntervalHierarchy, Profile};
 use encore::analysis::{OptimisticAlias, StaticAlias};
 use encore::core::idempotence::{IdempotenceAnalyzer, RegionSpec, Verdict};
 use encore::ir::parse_module;
@@ -27,49 +27,24 @@ fn print_parse_roundtrip() {
     });
 }
 
-/// Dominator-tree laws: the entry dominates everything reachable,
-/// idom(b) strictly dominates b, and dominance is transitive along
-/// idom chains.
-#[test]
-fn dominator_laws() {
-    check("dominator_laws", CASES, fuzz::gen_program, |prog| {
-        let (module, entry) = fuzz::build(prog);
-        let func = module.func(entry);
-        let dom = DomTree::compute(func);
-        for b in func.block_ids() {
-            if !dom.is_reachable(b) {
-                continue;
-            }
-            prop_assert!(dom.dominates(func.entry(), b));
-            prop_assert!(dom.dominates(b, b));
-            if let Some(idom) = dom.idom(b) {
-                prop_assert!(dom.dominates(idom, b));
-                prop_assert!(idom != b);
-            }
-        }
-        Ok(())
-    });
-}
-
-/// Interval invariants: each level partitions the reachable blocks
-/// and every interval header dominates its members (SEME-ness).
+/// Interval invariants: each level partitions the reachable blocks,
+/// and every interval is single-entry (SEME): with its header removed,
+/// none of its members is reachable from the function entry.
 #[test]
 fn interval_laws() {
     check("interval_laws", CASES, fuzz::gen_program, |prog| {
         let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
-        let dom = DomTree::compute(func);
         let hierarchy = IntervalHierarchy::compute(func);
-        let reachable: std::collections::BTreeSet<_> = func
-            .block_ids()
-            .filter(|b| dom.is_reachable(*b))
-            .collect();
+        let reachable = order::reachable_from(func, func.entry(), None);
         for level in &hierarchy.levels {
             let mut seen = std::collections::BTreeSet::new();
             for iv in level {
+                let others = func.block_ids().filter(|&b| b != iv.header).collect();
+                let entered = order::reachable_from(func, func.entry(), Some(&others));
+                prop_assert!(entered.is_disjoint(&iv.blocks), "interval entered past its header");
                 for b in &iv.blocks {
                     prop_assert!(seen.insert(*b), "block in two intervals");
-                    prop_assert!(dom.dominates(iv.header, *b));
                 }
             }
             prop_assert_eq!(&seen, &reachable);
@@ -78,24 +53,19 @@ fn interval_laws() {
     });
 }
 
-/// Builder-generated CFGs are reducible: every cycle is a natural
-/// loop and nesting is strict containment.
+/// Builder-generated CFGs are reducible: the derived sequence of
+/// interval graphs ends in one interval, headed by the entry, that
+/// covers every reachable block.
 #[test]
 fn loops_are_reducible() {
     check("loops_are_reducible", CASES, fuzz::gen_program, |prog| {
         let (module, entry) = fuzz::build(prog);
         let func = module.func(entry);
-        let dom = DomTree::compute(func);
-        let forest = LoopForest::compute(func, &dom);
-        prop_assert!(!forest.irreducible);
-        for (i, l) in forest.loops.iter().enumerate() {
-            prop_assert!(l.blocks.contains(&l.header));
-            prop_assert!(!l.latches.is_empty());
-            if let Some(p) = l.parent {
-                prop_assert!(l.blocks.is_subset(&forest.loops[p].blocks));
-                prop_assert!(p != i);
-            }
-        }
+        let hierarchy = IntervalHierarchy::compute(func);
+        let last = hierarchy.levels.last().expect("at least one level");
+        prop_assert_eq!(last.len(), 1);
+        prop_assert_eq!(last[0].header, func.entry());
+        prop_assert_eq!(&last[0].blocks, &order::reachable_from(func, func.entry(), None));
         Ok(())
     });
 }

@@ -299,7 +299,6 @@ fn find_rule_regression_candidates() {
 fn recorded_choices_are_the_suite_inputs_and_replay_them() {
     let mut names: Vec<String> = [
         "print_parse_roundtrip",
-        "dominator_laws",
         "interval_laws",
         "loops_are_reducible",
         "optimistic_is_never_worse",

@@ -49,40 +49,42 @@ fn protect(module: &Module, profile: &Profile) -> InstrumentedModule {
     Encore::new(EncoreConfig::default().with_overhead_budget(1e9)).run(module, profile).instrumented
 }
 
-/// Per-kernel digests of `(profile, trace, snapshot log)`. The profile
-/// and trace digests were recorded before observation moved into the
-/// sprint loop. The log digest pins the `Debug` form of the golden
-/// run's activation timeline, its first accesses and the live-register
-/// masks: re-pin it only with a dump showing, for every snapshot and
-/// every cell of the final memory, the kind of the golden run's first
-/// access to the cell after the snapshot unchanged, and the activation
-/// timeline and the masks identical. When a field leaves the log,
-/// re-pin it only where the parent's digest of its `Debug` text with
-/// that field cut out equals the new digest for every kernel.
+/// Per-kernel digests of `(profile, trace, snapshot log)`. The trace
+/// digest was recorded before observation moved into the sprint loop,
+/// and the profile digest when the profile's per-function instruction
+/// and return counters left it. The log digest pins the `Debug` form of
+/// the golden run's activation timeline, its first accesses and the
+/// live-register masks: re-pin it only with a dump showing, for every
+/// snapshot and every cell of the final memory, the kind of the golden
+/// run's first access to the cell after the snapshot unchanged, and the
+/// activation timeline and the masks identical. When a field leaves the
+/// profile or the log, re-pin that column only where the parent's
+/// digest of its `Debug` text with that field cut out equals the new
+/// digest for every kernel.
 const KERNEL_DIGESTS: [(&str, u64, u64, u64); 23] = [
-    ("164.gzip", 0x001bf48b8ca0a876, 0x4c63284ea321d96c, 0x1a980e9ddb8745f4),
-    ("175.vpr", 0xce2172372931e89b, 0xbddc1fa7b9b04146, 0x7aa94d9ecf60dee3),
-    ("181.mcf", 0xb5c626429cfcd7bf, 0xefd47db0764d1418, 0xa7da5e3f043efb0b),
-    ("197.parser", 0x666d8d050c3e736e, 0x591c4c590341f4b8, 0x542313ee899c19da),
-    ("256.bzip2", 0x138d34c5a53f22ba, 0x20b25adc02231466, 0x9d5b719f15321658),
-    ("300.twolf", 0x8c3a86cd25ef487a, 0xd2806d4a7e790398, 0x7ce14e387b2e4eb5),
-    ("172.mgrid", 0x047785c8be1de3bc, 0x92a4c38c70e8783a, 0x7be19b29e12084d9),
-    ("173.applu", 0xe75a8ac73698e6de, 0x4dc5253c80932706, 0x306a95dba7c2c827),
-    ("177.mesa", 0xfae7e6bef20da505, 0x7a409c9be9c40408, 0x571f49eb08be3c96),
-    ("179.art", 0x4ff55bed8d5c7928, 0x2cdb5dc95e9c6be7, 0xe356242dd2e0bfeb),
-    ("183.equake", 0x0a89538d94fd20fb, 0x2c1d97b0698ba526, 0x92175c65eb621943),
-    ("cjpeg", 0xed9900e460a2fd0b, 0x777b7e7ffcc56d8f, 0x4ce0357f296dcc0f),
-    ("djpeg", 0x7daee951823bae9d, 0x938735963b49c58f, 0xcdf7531d59db1774),
-    ("epic", 0x86688c7c373566fd, 0x387e928231a2683c, 0x335741bedec17553),
-    ("unepic", 0x0e959f6cd92bcc5c, 0x123bccd59312527d, 0x9cd8a971bdc15ad7),
-    ("g721encode", 0x55e2af37255e094a, 0x4bc925c3754012ef, 0x58aefd6cbeaa2048),
-    ("g721decode", 0xe9613355a74e5347, 0x62a33fd20ddfd5ec, 0x75c7fd4ced4eac89),
-    ("mpeg2dec", 0x8bbb69f1bc98f5ab, 0x2230adae6987ee3d, 0x035487e7a21f2513),
-    ("mpeg2enc", 0x91becc5c9f6168fe, 0x2a8cdf65404e3e02, 0x31cd8bb0aa3c7121),
-    ("pegwitdec", 0x9aa10d3dadf2fca1, 0x2aabbb462597646c, 0xca2efcea50f1c2b3),
-    ("pegwitenc", 0x9aa10d3dadf2fca1, 0x2aabbb462597646c, 0xca2efcea50f1c2b3),
-    ("rawcaudio", 0x8c40cb4e464967a6, 0x425d3c837d040004, 0x7554229d1da18532),
-    ("rawdaudio", 0xc0c042a654c1752f, 0x14ffd16484d63530, 0xd73fa5585905ff3c),
+    ("164.gzip", 0x683be46285d95d0b, 0x4c63284ea321d96c, 0x1a980e9ddb8745f4),
+    ("175.vpr", 0x9136a9a77be757d6, 0xbddc1fa7b9b04146, 0x7aa94d9ecf60dee3),
+    ("181.mcf", 0xd41ba4ef02c51861, 0xefd47db0764d1418, 0xa7da5e3f043efb0b),
+    ("197.parser", 0x165c1626122254be, 0x591c4c590341f4b8, 0x542313ee899c19da),
+    ("256.bzip2", 0x8b788d8116d5450d, 0x20b25adc02231466, 0x9d5b719f15321658),
+    ("300.twolf", 0x3b5ba2c2beddc2e8, 0xd2806d4a7e790398, 0x7ce14e387b2e4eb5),
+    ("172.mgrid", 0x73b6bd953f61ef5c, 0x92a4c38c70e8783a, 0x7be19b29e12084d9),
+    ("173.applu", 0x1b838d6a380549b1, 0x4dc5253c80932706, 0x306a95dba7c2c827),
+    ("177.mesa", 0xeb2a1e3b0966e582, 0x7a409c9be9c40408, 0x571f49eb08be3c96),
+    ("179.art", 0x54a7725848b4551b, 0x2cdb5dc95e9c6be7, 0xe356242dd2e0bfeb),
+    ("183.equake", 0x24d572f5a884785d, 0x2c1d97b0698ba526, 0x92175c65eb621943),
+    ("cjpeg", 0x6708641728255bfc, 0x777b7e7ffcc56d8f, 0x4ce0357f296dcc0f),
+    ("djpeg", 0x083f4bf5424c2241, 0x938735963b49c58f, 0xcdf7531d59db1774),
+    ("epic", 0x2b50e6eab85adc0d, 0x387e928231a2683c, 0x335741bedec17553),
+    ("unepic", 0xef1f64dab35985d2, 0x123bccd59312527d, 0x9cd8a971bdc15ad7),
+    ("g721encode", 0x318ba330c4320ce5, 0x4bc925c3754012ef, 0x58aefd6cbeaa2048),
+    ("g721decode", 0xa0528768859db875, 0x62a33fd20ddfd5ec, 0x75c7fd4ced4eac89),
+    ("mpeg2dec", 0x1704f7cae5386b61, 0x2230adae6987ee3d, 0x035487e7a21f2513),
+    ("mpeg2enc", 0x49c5f195f7c01f02, 0x2a8cdf65404e3e02, 0x31cd8bb0aa3c7121),
+    ("pegwitdec", 0x531654899630dea8, 0x2aabbb462597646c, 0xca2efcea50f1c2b3),
+    ("pegwitenc", 0x531654899630dea8, 0x2aabbb462597646c, 0xca2efcea50f1c2b3),
+    ("rawcaudio", 0xc78d056259f18830, 0x425d3c837d040004, 0x7554229d1da18532),
+    ("rawdaudio", 0x2761e95b9cd3d263, 0x14ffd16484d63530, 0xd73fa5585905ff3c),
 ];
 
 /// Every kernel: the observed training run equals the plain one, the

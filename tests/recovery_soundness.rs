@@ -13,6 +13,7 @@
 mod common;
 
 use common::prop::{check, prop_assert};
+use encore::analysis::IntervalHierarchy;
 use encore::core::{Encore, EncoreConfig};
 use encore::ir::{AddrExpr, BinOp, ModuleBuilder, Operand};
 use encore::sim::{run_function, FaultPlan, RunConfig, Value};
@@ -157,6 +158,48 @@ fn latency_zero_recovery_restores_memory_checkpoints() {
         f.ret(Some(z.into()));
     });
     assert!(check_latency_zero(&mb.finish(), entry, 5, 64) > 0, "region not protected");
+}
+
+/// An irreducible cycle, `entry → {a, b}`, `a → b`, `b → {a, exit}`,
+/// with a read-modify-write of a global cell in `a` and in `b`. The
+/// builder's structured loops never make one, and the cycle's two
+/// entries keep it out of every single interval. An odd argument
+/// enters the cycle at `a`, an even one at `b`.
+#[test]
+fn latency_zero_recovery_on_an_irreducible_cycle() {
+    let mut mb = ModuleBuilder::new("irreducible");
+    let g = mb.global_init("g", 2, vec![7, 2]);
+    let entry = mb.function("main", 1, |f| {
+        let n = f.param(0);
+        let i = f.mov(n.into());
+        let a = f.add_block();
+        let b = f.add_block();
+        let exit = f.add_block();
+        let odd = f.bin(BinOp::And, n.into(), Operand::ImmI(1));
+        f.branch(odd.into(), a, b);
+        f.switch_to(a);
+        let x = f.load(AddrExpr::global(g, 0));
+        let x = f.bin(BinOp::Add, x.into(), i.into());
+        f.store(AddrExpr::global(g, 0), x.into());
+        f.jump(b);
+        f.switch_to(b);
+        let y = f.load(AddrExpr::global(g, 1));
+        let y = f.bin(BinOp::Mul, y.into(), Operand::ImmI(3));
+        f.store(AddrExpr::global(g, 1), y.into());
+        f.bin_to(i, BinOp::Sub, i.into(), Operand::ImmI(1));
+        let more = f.bin(BinOp::Lt, Operand::ImmI(0), i.into());
+        f.branch(more.into(), a, exit);
+        f.switch_to(exit);
+        let z = f.load(AddrExpr::global(g, 0));
+        f.ret(Some(z.into()));
+    });
+    let module = mb.finish();
+    let hierarchy = IntervalHierarchy::compute(module.func(entry));
+    assert!(hierarchy.levels.last().unwrap().len() > 1, "the cycle is reducible: {hierarchy:?}");
+    for arg in [5, 6] {
+        let checked = check_latency_zero(&module, entry, arg, 64);
+        assert!(checked > 0, "argument {arg}: no protected-region probe checked");
+    }
 }
 
 /// Latency-0 recovery holds on random programs, not just the curated
